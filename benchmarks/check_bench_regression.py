@@ -61,6 +61,7 @@ GATED_BENCHMARKS: dict[str, dict[str, tuple[Gate, ...]]] = {
         "sim_scalar_cold": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "sim_batch_cold": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "sim_batch_joint": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
+        "sim_batch_repeated": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "engine_serial_scalar": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "engine_serial": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "engine_parallel_shm": (Gate("evals_per_s", 0.60),),

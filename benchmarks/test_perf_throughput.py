@@ -30,6 +30,13 @@ trajectory is tracked across PRs:
   the joint (stages × candidates) compiled program with nothing left to
   amortize across chunks.  This is the widest batch the fused plan
   sweep sees and must also clear the ≥ 3× bar against the scalar loop.
+* ``sim_batch_repeated``: ingest-shaped batches — ONE configuration
+  (the space defaults, repaired to the cluster) run under 100 seeds,
+  the shape production-run ingest sends, in one ``run_batch`` call vs a
+  ``run()`` loop over the same seeds.  Here every stage's task count is
+  shared, so the stage-major path schedules each stage as one
+  ``(runs, tasks)`` matrix; results must equal the loop bit for bit and
+  the scenario reports runs/s as ``evals_per_s``.
 * ``engine_parallel``: the same, through the process-pool executor.  On
   a single-core host this is *honestly* reported as ≈1× or worse — the
   pool cannot beat the GIL-free serial loop without cores (and
@@ -88,6 +95,8 @@ from repro.workloads import Sort
 
 N_CANDIDATES = 200
 BATCH_SIZE = 25
+#: runs per ingest-shaped batch (one configuration, this many seeds)
+REPEATED_RUNS = 100
 TUNER_SEED = 42
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
@@ -215,6 +224,33 @@ def _scenario_sim_pair(reps=5):
             median_ratio(batch_times), median_ratio(joint_times))
 
 
+def _scenario_sim_repeated(reps=5):
+    """One configuration x ``REPEATED_RUNS`` seeds: ``run()`` loop vs one
+    ``run_batch`` call, fresh simulators per rep.  Returns the best
+    elapsed time per side and the median per-rep speedup."""
+    config = repair(Configuration(dict(SPARK_DEFAULTS)), CLUSTER)
+    seeds = list(range(5000, 5000 + REPEATED_RUNS))
+    workload = Sort()
+    scalar_times, batch_times = [], []
+    for _ in range(reps):
+        sim = SparkSimulator()
+        t0 = time.perf_counter()
+        scalar = [sim.run(workload, 4096.0, CLUSTER, config, seed=s)
+                  for s in seeds]
+        scalar_times.append(time.perf_counter() - t0)
+
+        sim = SparkSimulator()
+        t0 = time.perf_counter()
+        batch = sim.run_batch(workload, 4096.0, CLUSTER,
+                              [config] * REPEATED_RUNS, seeds=seeds)
+        runtimes = batch.runtimes
+        batch_times.append(time.perf_counter() - t0)
+        assert batch == scalar                           # bit-identity
+        assert runtimes == [r.runtime_s for r in scalar]
+    ratios = sorted(s / b for s, b in zip(scalar_times, batch_times))
+    return min(scalar_times), min(batch_times), ratios[len(ratios) // 2]
+
+
 def _scheduler_microbench():
     rng = np.random.default_rng(0)
     rows = []
@@ -271,6 +307,8 @@ def _timed_vectorized(d, slots, reps):
 def test_perf_throughput():
     (sim_scalar_elapsed, sim_batch_elapsed, sim_joint_elapsed,
      fastpath_speedup, joint_speedup) = _scenario_sim_pair()
+    repeated_scalar_elapsed, repeated_elapsed, repeated_speedup = \
+        _scenario_sim_repeated()
     seed_result, seed_elapsed = _scenario_seed_serial()
     scalar_result, scalar_elapsed, scalar_counters = \
         _scenario_engine_scalar(plan_cache_size=0)
@@ -313,6 +351,13 @@ def test_perf_throughput():
                            "evals_per_s": eps(sim_batch_elapsed)},
         "sim_batch_joint": {"elapsed_s": sim_joint_elapsed,
                             "evals_per_s": eps(sim_joint_elapsed)},
+        "sim_batch_repeated": {
+            "runs": REPEATED_RUNS,
+            "elapsed_s": repeated_elapsed,
+            "evals_per_s": REPEATED_RUNS / repeated_elapsed,
+            "scalar_loop_evals_per_s": REPEATED_RUNS / repeated_scalar_elapsed,
+            "speedup_vs_scalar_loop": repeated_speedup,
+        },
         "engine_serial_scalar": {"elapsed_s": scalar_elapsed,
                                  "evals_per_s": eps(scalar_elapsed),
                                  "counters": scalar_counters},
@@ -354,6 +399,7 @@ def test_perf_throughput():
         "batch_speedup_vs_scalar": batch_speedup,
         "fastpath_speedup_vs_scalar": fastpath_speedup,
         "joint_speedup_vs_scalar": joint_speedup,
+        "repeated_speedup_vs_scalar_loop": repeated_speedup,
         "multi_core_target_evals_per_s": MULTI_CORE_TARGET_EVALS_PER_S,
         "scheduler_microbench": _scheduler_microbench(),
     }
@@ -367,6 +413,12 @@ def test_perf_throughput():
         print(f"{name:<28}{s['elapsed_s']:>9.2f}s{s['evals_per_s']:>10.1f}"
               f"{report['speedup_vs_seed'][name]:>8.1f}x")
 
+    # Ingest-shaped batches (one configuration, many seeds) are what the
+    # stage-major matrix path exists for: they must stay well clear of
+    # the scalar loop over the same seeds.
+    assert repeated_speedup >= 2.0, (
+        f"one-config run_batch only {repeated_speedup:.1f}x the run() loop"
+    )
     # PR 3 acceptance: the batched fast path (plan cache + struct-of-
     # arrays costing) >= 3x the per-candidate cold path it replaced,
     # measured at the simulator layer where the replacement happened

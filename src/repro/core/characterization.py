@@ -15,13 +15,15 @@ a canonical probe config, mirroring AROMA's standardized profiling run).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..config.space import Configuration
 from ..config.spark_params import SPARK_DEFAULTS
-from ..sparksim.metrics import ExecutionResult
+from ..sparksim.metrics import ExecutionResult, RunBatch
 
-__all__ = ["signature", "FEATURE_NAMES", "probe_configuration"]
+__all__ = ["signature", "signatures", "FEATURE_NAMES", "probe_configuration"]
 
 FEATURE_NAMES = [
     "log_input_mb",
@@ -57,34 +59,84 @@ def probe_configuration() -> Configuration:
 
 def signature(result: ExecutionResult) -> np.ndarray:
     """Characterization vector of one execution (see ``FEATURE_NAMES``)."""
-    stages = [s for s in result.stages if not s.failed]
-    input_mb = max(1.0, result.total_input_mb)
-    task_seconds = sum(
-        s.cpu_time_s + s.io_time_s + s.net_time_s + s.gc_time_s for s in stages
-    )
-    task_seconds = max(task_seconds, 1e-9)
-    cpu = sum(s.cpu_time_s for s in stages) / task_seconds
-    io = sum(s.io_time_s for s in stages) / task_seconds
-    net = sum(s.net_time_s for s in stages) / task_seconds
-    gc = sum(s.gc_time_s for s in stages) / task_seconds
-
-    reads = sum(s.input_mb + s.cached_read_mb + s.shuffle_read_mb for s in stages)
-    cached = sum(s.cached_read_mb for s in stages)
-    cache_fraction = cached / reads if reads > 0 else 0.0
-
-    shuffle_ratio = min(5.0, result.total_shuffle_mb / input_mb)
-    output_mb = sum(s.output_mb if s.writes_output else 0.0 for s in stages)
-    output_ratio = min(3.0, output_mb / input_mb)
-
-    n_stages = max(1, len(stages))
-    tasks_per_stage = max(1.0, result.num_tasks / n_stages)
-
     skews = [
         s.task_metrics.p95_s / s.task_metrics.p50_s
-        for s in stages
-        if s.task_metrics is not None and s.task_metrics.p50_s > 0
+        for s in result.stages
+        if not s.failed and s.task_metrics is not None
+        and s.task_metrics.p50_s > 0
     ]
-    task_skew = float(np.mean(skews)) if skews else 1.0
+    task_skew = float(_mean_skew(np.array([skews]))[0]) if skews else 1.0
+    return _signature(result.stages, task_skew)
+
+
+def signatures(batch: Sequence[ExecutionResult]) -> np.ndarray:
+    """``(len(batch), n_features)``: row ``i`` is ``signature(batch[i])``
+    byte for byte.
+
+    For a :class:`~repro.sparksim.metrics.RunBatch` the executions the
+    stage-major path simulated are characterized per cost column
+    (:meth:`~repro.sparksim.metrics.RunBatch.cost_columns`), without
+    building their per-stage metrics.  Every feature except the task
+    skew depends only on the column's stages, so :func:`_signature` runs
+    once per column; the skew is one matrix mean over the members'
+    per-stage p95/p50.
+    """
+    out = np.empty((len(batch), len(FEATURE_NAMES)))
+    done = np.zeros(len(batch), dtype=bool)
+    columns = batch.cost_columns() if isinstance(batch, RunBatch) else []
+    for column in columns:
+        p50, p95 = column.task_p50_s, column.task_p95_s
+        if p50.shape[1] and (p50 > 0).all():
+            skew = _mean_skew(p95 / p50)
+        else:
+            skew = np.array([
+                _mean_skew((hi[lo > 0] / lo[lo > 0])[None, :])[0]
+                if (lo > 0).any() else 1.0
+                for hi, lo in zip(p95, p50)
+            ])
+        out[column.members] = _signature(column.stages, 1.0)
+        out[column.members, 9] = np.minimum(skew, 5.0)
+        done[column.members] = True
+    for i in np.flatnonzero(~done).tolist():
+        out[i] = signature(batch[i])
+    return out
+
+
+def _mean_skew(ratios: np.ndarray) -> np.ndarray:
+    """Row means of per-stage p95/p50 task-duration ratios (a row sum,
+    numpy's pairwise reduction, over the stage count)."""
+    return ratios.sum(axis=1) / ratios.shape[1]
+
+
+def _signature(stages: Sequence, task_skew: float) -> np.ndarray:
+    """The feature vector of one execution's stages, in execution order
+    (``StageMetrics`` or ``StageTotals``), given its mean task skew.
+
+    Both :func:`signature` and :func:`signatures` go through here, so
+    they run the same additions in the same order — including Python's
+    ``sum``, which CPython 3.12 compensates and 3.11 does not.
+    """
+    ok = [s for s in stages if not s.failed]
+    input_mb = max(1.0, sum(s.input_mb for s in stages))
+    task_seconds = sum(
+        s.cpu_time_s + s.io_time_s + s.net_time_s + s.gc_time_s for s in ok
+    )
+    task_seconds = max(task_seconds, 1e-9)
+    cpu = sum(s.cpu_time_s for s in ok) / task_seconds
+    io = sum(s.io_time_s for s in ok) / task_seconds
+    net = sum(s.net_time_s for s in ok) / task_seconds
+    gc = sum(s.gc_time_s for s in ok) / task_seconds
+
+    reads = sum(s.input_mb + s.cached_read_mb + s.shuffle_read_mb for s in ok)
+    cached = sum(s.cached_read_mb for s in ok)
+    cache_fraction = cached / reads if reads > 0 else 0.0
+
+    shuffle_ratio = min(5.0, sum(s.shuffle_write_mb for s in stages) / input_mb)
+    output_mb = sum(s.output_mb if s.writes_output else 0.0 for s in ok)
+    output_ratio = min(3.0, output_mb / input_mb)
+
+    n_stages = max(1, len(ok))
+    tasks_per_stage = max(1.0, sum(s.num_tasks for s in stages) / n_stages)
 
     return np.array([
         np.log10(input_mb),

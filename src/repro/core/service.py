@@ -41,6 +41,9 @@ from .transfer import build_transfer_plan
 
 __all__ = ["Deployment", "ProductionRun", "TuningService"]
 
+#: distance between the first seeds of consecutive sessions
+_SEED_STRIDE = 7919
+
 
 @dataclass
 class Deployment:
@@ -131,10 +134,19 @@ class TuningService:
         #: reference).  Thread-safe; shard workers record concurrently.
         self.profiler = PhaseProfiler()
 
-    def _next_seed(self) -> int:
+    def _next_seed(self, n_runs: int = 1) -> int:
+        """First seed of a fresh block of ``n_runs`` consecutive seeds.
+
+        Sessions sit ``_SEED_STRIDE`` apart, and a caller seeding run
+        ``i`` with ``seed + i`` owns its block, so a block longer than one
+        stride reserves as many session slots as it spans — otherwise the
+        next session's runs would replay this block's noise streams.
+        """
+        slots = max(1, -(-n_runs // _SEED_STRIDE))
         with self._seed_lock:
-            self._session_counter += 1
-            return self.seed + 7919 * self._session_counter
+            first = self._session_counter + 1
+            self._session_counter += slots
+            return self.seed + _SEED_STRIDE * first
 
     def engine_counters(self) -> dict[str, float]:
         """Hit/miss/latency counters of the shared evaluation engine."""
@@ -395,7 +407,8 @@ class TuningService:
         if max_consecutive_failures < 1:
             raise ValueError("max_consecutive_failures must be >= 1")
         runs: list[ProductionRun] = []
-        seed = self._next_seed()
+        input_sizes_mb = list(input_sizes_mb)
+        seed = self._next_seed(len(input_sizes_mb))
         consecutive_failures = 0
         for i, input_mb in enumerate(input_sizes_mb):
             env = self.interference.step() if self.interference else QUIET

@@ -16,7 +16,7 @@ Two request kinds cover the service lifecycle:
   when the tenant pins a cluster, which recurring tenants do).
 * :class:`RunBatchRequest` — ingest a batch of recurring production
   executions for an existing deployment: simulated through the
-  candidate-batched fast path, charged to the ledger, appended to the
+  stage-major batch path, charged to the ledger, appended to the
   shared history log.
 
 Billing attribution: each shard owns its own
@@ -36,6 +36,7 @@ from typing import Callable, Mapping
 
 from ...cloud.cluster import Cluster
 from ...cloud.interference import QUIET
+from .. import characterization
 from ..service import Deployment, TuningService
 from ..slo import TuningSLO
 from .admission import AdmissionController
@@ -112,32 +113,39 @@ def ingest_production_runs(service: TuningService, deployment: Deployment,
     The steady-state ingest of the provider vision: every execution is
     simulated (one ``run_batch`` sweep), charged to the production
     ledger, and appended to the shared history log with its
-    characterization signature.  Detector-driven re-tuning stays with
-    :meth:`TuningService.run_production`; this path is for the firehose.
+    characterization signature.  Runtimes, outcomes and signatures are
+    read from the batch's columns, so no per-stage metrics are built.
+    Records are byte-equal to what ``HistoryStore.record`` would append
+    for each ``run()`` result with its ``signature()``.  Detector-driven
+    re-tuning stays with :meth:`TuningService.run_production`; this path
+    is for the firehose.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    from ..characterization import signature as characterize
-
     with service.profiler.phase("ingest"):
-        base_seed = service._next_seed() if seed is None else seed
+        base_seed = service._next_seed(n_runs) if seed is None else seed
         envs = None
         if service.interference is not None:
             envs = [service.interference.step() for _ in range(n_runs)]
-        results = service.simulator.run_batch(
+        batch = service.simulator.run_batch(
             deployment.workload, input_mb, deployment.cluster,
             [deployment.config] * n_runs,
             envs=envs if envs is not None else [QUIET] * n_runs,
             seeds=[base_seed + i for i in range(n_runs)],
         )
-        for result in results:
-            service.ledger.charge_production(deployment.cluster, result.runtime_s)
-            service.store.record(
-                deployment.tenant, deployment.workload_label, input_mb,
-                deployment.cluster.describe(), deployment.config, result,
-                characterize(result),
-            )
-    return len(results)
+        sigs = characterization.signatures(batch)
+        cluster = deployment.cluster.describe()
+        charge = service.ledger.charge_production
+        append = service.store.log.append_new
+        for runtime_s, success, sig in zip(batch.runtimes, batch.successes,
+                                           sigs):
+            charge(deployment.cluster, runtime_s)
+            append(tenant=deployment.tenant,
+                   workload_label=deployment.workload_label,
+                   input_mb=input_mb, cluster=cluster,
+                   config=deployment.config, runtime_s=runtime_s,
+                   success=success, signature=sig)
+    return len(batch)
 
 
 class ServiceFrontEnd:

@@ -33,9 +33,9 @@ from .faults import (
     worker_crash,
 )
 from .memory import CachePlan, SpillOutcome, gc_fraction, plan_cache, spill_outcome
-from .metrics import ExecutionResult, StageMetrics, TaskMetrics
+from .metrics import ExecutionResult, RunBatch, StageMetrics, TaskMetrics
 from .rdd import RDD, Job
-from .scheduler import StageSchedule, schedule_stage, schedule_stage_batch
+from .scheduler import StageSchedule, schedule_stage
 from .shuffle import CODECS, SERIALIZERS, shuffle_read, shuffle_write
 from .simulator import SparkSimulator
 
@@ -78,11 +78,11 @@ __all__ = [
     "with_overrides",
     "StageSchedule",
     "schedule_stage",
-    "schedule_stage_batch",
     "event_lines",
     "write_event_log",
     "read_event_log",
     "ExecutionResult",
+    "RunBatch",
     "StageMetrics",
     "TaskMetrics",
     "SparkSimulator",

@@ -5,6 +5,13 @@ scheduling noisy task durations onto the granted executor slots, with a
 heavy-tailed straggler model and optional speculative execution
 (``spark.speculation``) that relaunches outliers at the cost of duplicate
 work — the classic tail-vs-waste trade-off.
+
+The scalar path (:func:`schedule_stage`) reduces with ``np.median`` /
+``np.quantile`` and is the oracle for the batch twins the stage-major
+batch simulator calls: :func:`_schedule_1d` (one row, partition-kernel
+reductions) and the row-matrix pair :func:`_sample_duration_rows` /
+:func:`_schedule_rows`.  Every twin is exact — bit-identical values for
+the same noise stream, not an approximation.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from .costmodel import Calibration
 from .metrics import TaskMetrics
 
-__all__ = ["StageSchedule", "schedule_stage", "schedule_stage_batch"]
+__all__ = ["StageSchedule", "schedule_stage"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,38 @@ def _sample_durations(n_tasks: int, base_task_s: float, rng: np.random.Generator
             calib.straggler_mean_multiplier - 1.0, size=n_straggle,
         )
         durations[stragglers] *= mult
+    return durations
+
+
+def _sample_duration_rows(n_tasks: int, base_task_s: np.ndarray,
+                          rngs: Sequence[np.random.Generator],
+                          calib: Calibration) -> np.ndarray:
+    """Row ``i`` is ``_sample_durations(n_tasks, base_task_s[i], rngs[i])``.
+
+    Each generator makes exactly the scalar path's draws in the scalar
+    order — lognormal noise, straggler uniforms, then one exponential
+    per straggler — so its stream stays where the scalar path leaves it.
+    Only the interleaving *across* generators changes, which no stream
+    can observe.  The straggler multiply then runs once over the matrix:
+    a boolean mask selects elements row-major, the same per-row order
+    the scalar ``durations[stragglers] *= mult`` uses.
+    """
+    sigma = calib.task_noise_sigma
+    mean = -0.5 * sigma**2
+    m = len(rngs)
+    noise = np.empty((m, n_tasks))
+    uniform = np.empty((m, n_tasks))
+    for i, rng in enumerate(rngs):
+        noise[i] = rng.lognormal(mean=mean, sigma=sigma, size=n_tasks)
+        rng.random(out=uniform[i])
+    durations = base_task_s[:, None] * noise
+    stragglers = uniform < calib.straggler_probability
+    counts = np.count_nonzero(stragglers, axis=1).tolist()
+    if any(counts):
+        scale = calib.straggler_mean_multiplier - 1.0
+        draws = [rngs[i].exponential(scale, size=c)
+                 for i, c in enumerate(counts) if c]
+        durations[stragglers] *= 1.0 + np.concatenate(draws)
     return durations
 
 
@@ -81,7 +120,6 @@ def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
         raise ValueError("slots must be >= 1")
     if base_task_s < 0:
         raise ValueError("base_task_s must be non-negative")
-
     if noise:
         durations = _sample_durations(n_tasks, base_task_s, rng, calib)
     else:
@@ -110,6 +148,45 @@ def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
         speculated_tasks=speculated,
         wasted_task_seconds=wasted,
     )
+
+
+def _schedule_1d(n_tasks: int, base_task_s: float, slots: int,
+                 speculation: tuple[float, float] | None,
+                 rng: np.random.Generator, calib: Calibration, noise: bool
+                 ) -> tuple[float, float, float, float, float]:
+    """One batch row of :func:`schedule_stage` on validated inputs, as
+    ``(makespan, mean, p50, p95, max)``.
+
+    ``speculation`` is the configuration's ``(multiplier, quantile)``
+    when ``spark.speculation`` is on, else ``None``.  The same draws and
+    arithmetic as the scalar path, with every median and quantile taken
+    by the partition kernels (:func:`_median_1d`,
+    :func:`_median_quantile_1d`) instead of numpy's dispatching
+    reductions.
+    """
+    if noise:
+        durations = _sample_durations(n_tasks, base_task_s, rng, calib)
+    else:
+        durations = np.full(n_tasks, base_task_s)
+
+    if speculation is not None and noise and n_tasks >= 4:
+        # _apply_speculation's clamp, on kernel reductions
+        multiplier, quantile = speculation
+        median, cutoff = _median_quantile_1d(durations, quantile)
+        threshold = median * max(1.01, multiplier)
+        candidates = durations > max(threshold, cutoff)
+        speculated = int(candidates.sum())
+        if speculated:
+            durations[candidates] = np.minimum(durations[candidates],
+                                               threshold + median)
+            extra = np.full(speculated, _median_1d(durations) * 0.5)
+            durations = np.concatenate([durations, extra])
+
+    makespan = _list_schedule(durations, slots)
+    real = durations[:n_tasks]
+    p50, p95 = _median_quantile_1d(real, 0.95)
+    return (float(makespan), float(real.sum() / real.size), p50, p95,
+            float(real.max()))
 
 
 def _list_schedule_heap(durations: np.ndarray, slots: int) -> float:
@@ -243,30 +320,6 @@ def _median_1d(x: np.ndarray) -> float:
     return float((part[h - 1] + part[h]) / 2.0)
 
 
-def _quantile_1d(x: np.ndarray, q: float) -> float:
-    """``float(np.quantile(x, q))`` (linear method) without the dispatch.
-
-    Replicates numpy's virtual-index + lerp arithmetic exactly —
-    including the ``gamma >= 0.5`` symmetric-lerp branch — so results
-    are bit-identical to ``np.quantile`` for 1-D float input.
-    """
-    n = x.size
-    vi = q * (n - 1)
-    part = x.copy()
-    if vi >= n - 1:
-        part.partition(n - 1)
-        return float(part[n - 1])
-    lo = math.floor(vi)
-    g = vi - lo
-    part.partition((lo, lo + 1))
-    a = part[lo]
-    b = part[lo + 1]
-    diff = b - a
-    if g >= 0.5:
-        return float(b - diff * (1 - g))
-    return float(a + diff * g)
-
-
 def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     """``(np.median(x), np.quantile(x, q))`` from one shared partition.
 
@@ -303,81 +356,55 @@ def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     return median, float(a + diff * g)
 
 
-def schedule_stage_batch(n_tasks: np.ndarray, base_task_s: np.ndarray,
-                         slots: np.ndarray, spec_enabled: np.ndarray,
-                         spec_multiplier: np.ndarray, spec_quantile: np.ndarray,
-                         rngs: Sequence[np.random.Generator],
-                         calib: Calibration | None = None,
-                         noise: bool = True) -> list[StageSchedule]:
-    """Schedule one stage for N candidates; bit-identical to a loop of
-    :func:`schedule_stage`.
+def _schedule_rows(durations: np.ndarray, slots: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray]:
+    """Row-wise :func:`schedule_stage` without speculation, from the
+    sampled ``(rows, tasks)`` duration matrix.
 
-    Every input is a per-candidate array (``rngs`` a list of generators,
-    one stream per candidate), and sampling stays per-candidate — each
-    rng must consume exactly the draws the scalar path would.  The cost
-    the batch path eliminates is the reduction dispatch: candidates tune
-    ``spark.default.parallelism``, so per-stage duration arrays differ in
-    length and cannot stack into one matrix; instead the median/quantile
-    calls that dominate scalar scheduling are answered by
-    :func:`_median_1d` / :func:`_quantile_1d`, partition-based replicas
-    with ~5-13x less per-call overhead and bitwise-equal results.
+    Returns per-row ``(makespan, mean, p50, p95, max)``, each equal bit
+    for bit to the scalar path's ``_list_schedule`` and ``TaskMetrics``
+    for that row:
+
+    * the makespan is the heap's greedy multiset step run on every row
+      at once — each later task adds its duration to its row's minimum
+      slot (``argmin`` picks one of equal minima, and which one cannot
+      change the multiset);
+    * the mean is a row sum, the same pairwise reduction a 1-D sum runs;
+    * median, p95 and max come from one ``np.partition(axis=1)`` with the
+      kth positions and lerp arithmetic of :func:`_median_quantile_1d`.
     """
-    if calib is None:
-        calib = Calibration()
-    m = len(rngs)
-    # One bulk tolist() per input instead of m numpy-scalar unboxings.
-    n_list = np.asarray(n_tasks).tolist()
-    base_list = np.asarray(base_task_s, dtype=float).tolist()
-    slots_list = np.asarray(slots).tolist()
-    spec_list = np.asarray(spec_enabled).tolist()
-    mult_list = np.asarray(spec_multiplier, dtype=float).tolist()
-    q_list = np.asarray(spec_quantile, dtype=float).tolist()
-    schedules: list[StageSchedule] = []
-    for i in range(m):
-        n_i = int(n_list[i])
-        if n_i < 1:
-            raise ValueError("n_tasks must be >= 1")
-        slots_i = int(slots_list[i])
-        if slots_i < 1:
-            raise ValueError("slots must be >= 1")
-        base_i = base_list[i]
-        if base_i < 0:
-            raise ValueError("base_task_s must be non-negative")
-        if noise:
-            durations = _sample_durations(n_i, base_i, rngs[i], calib)
-        else:
-            durations = np.full(n_i, base_i)
-
-        speculated, wasted = 0, 0.0
-        if spec_list[i] and noise and n_i >= 4:
-            median, cutoff = _median_quantile_1d(durations, q_list[i])
-            threshold = median * max(1.01, mult_list[i])
-            candidates = durations > max(threshold, cutoff)
-            speculated = int(candidates.sum())
-            if speculated:
-                clamped = durations.copy()
-                finish_with_copy = threshold + median
-                clamped[candidates] = np.minimum(
-                    clamped[candidates], finish_with_copy,
-                )
-                wasted = float(speculated * median)
-                extra = np.full(speculated, _median_1d(clamped) * 0.5)
-                durations = np.concatenate([clamped, extra])
-
-        makespan = _list_schedule(durations, slots_i)
-        real = durations[:n_i]
-        p50, p95 = _median_quantile_1d(real, 0.95)
-        metrics = TaskMetrics(
-            count=n_i,
-            mean_s=float(real.sum() / real.size),
-            p50_s=p50,
-            p95_s=p95,
-            max_s=float(real.max()),
-        )
-        schedules.append(StageSchedule(
-            makespan_s=float(makespan),
-            task_metrics=metrics,
-            speculated_tasks=speculated,
-            wasted_task_seconds=wasted,
-        ))
-    return schedules
+    m, n = durations.shape
+    if n <= slots:
+        makespan = durations.max(axis=1)
+    else:
+        # The first ``slots`` tasks each take an idle slot: 0.0 + d == d.
+        times = durations[:, :slots].copy()
+        flat = times.reshape(-1)
+        offsets = np.arange(0, m * slots, slots)
+        for column in durations[:, slots:].T.copy():  # staticcheck: ignore[RA004] -- a recurrence over tasks; each step is vectorized across rows
+            pos = times.argmin(axis=1)
+            pos += offsets
+            flat[pos] += column
+        makespan = times.max(axis=1)
+    mean = durations.sum(axis=1) / n
+    h = n // 2
+    vi = 0.95 * (n - 1)
+    lo = n - 1 if vi >= n - 1 else math.floor(vi)
+    kth = {h, n - 1, lo, min(lo + 1, n - 1)}
+    if n % 2 == 0:
+        kth.add(h - 1)
+    part = np.partition(durations, sorted(kth), axis=1)
+    if n % 2:
+        median = part[:, h]
+    else:
+        median = (part[:, h - 1] + part[:, h]) / 2.0
+    if vi >= n - 1:
+        p95 = part[:, n - 1]
+    else:
+        g = vi - lo
+        a = part[:, lo]
+        b = part[:, lo + 1]
+        diff = b - a
+        p95 = b - diff * (1 - g) if g >= 0.5 else a + diff * g
+    return makespan, mean, median, p95, part[:, n - 1]

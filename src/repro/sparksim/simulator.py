@@ -23,18 +23,35 @@ Three throughput layers sit on top of the single-run path:
   — optionally backed by a cross-process on-disk
   :class:`~repro.sparksim.planstore.PlanStore` so pool workers never
   recompile plans the parent already built;
-* a **candidate-batched joint program** (:meth:`SparkSimulator.run_batch`)
-  that costs *all stages for all candidates* in one fused ``(stages,
-  candidates)`` numpy sweep (:func:`~repro.sparksim.costmodel.
-  compute_plan_cost_batch` over cached
-  :class:`~repro.sparksim.costmodel.PlanArrays`), then replays only the
-  rng-ordered scheduling walk per candidate from bulk-unboxed scalars,
-  with the per-candidate generators pre-seeded by one vectorized
-  sweep (:mod:`repro.sparksim.rngpool`).  Its contract is
-  *bit-identity*: the results equal a loop of
-  :meth:`SparkSimulator.run` exactly, including OOM/reject candidates
-  and injected faults (fault-struck candidates drop out of the batch
-  and finish on the scalar path).
+* a **joint cost program**: :meth:`SparkSimulator.run_batch` costs all
+  stages for the distinct (configuration, environment) object pairs of
+  a batch in one fused ``(stages, columns)`` numpy sweep
+  (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over
+  cached :class:`~repro.sparksim.costmodel.PlanArrays`) — an ingest
+  batch of one deployed configuration costs a single column;
+* **stage-major scheduling**: every stage runs for every candidate
+  before the next stage starts.  Each candidate keeps its own noise
+  generator (pre-seeded by one vectorized sweep,
+  :mod:`repro.sparksim.rngpool`) and draws from it exactly what
+  :meth:`SparkSimulator.run` draws, in the same order — stage by stage,
+  then the run-level noise — so reordering *across* generators is
+  unobservable.  Candidates that share a stage's task count and slot
+  count (every run of an ingest batch does) are sampled and scheduled
+  as one ``(rows, tasks)`` matrix: one masked straggler multiply, the
+  greedy makespan as a vectorized argmin recurrence, and median / p95 /
+  max from one ``np.partition(axis=1)``
+  (:func:`~repro.sparksim.scheduler._schedule_rows`).  Speculating
+  candidates and groups below ``_MIN_MATRIX_ROWS`` are scheduled one
+  row at a time (:func:`~repro.sparksim.scheduler._schedule_1d`, the
+  scalar scheduler's arithmetic on partition-kernel reductions).
+  Results come back as a
+  :class:`~repro.sparksim.metrics.RunBatch`, which keeps the columns
+  and builds an :class:`ExecutionResult` only when indexed.
+
+The contract of all three is *bit-identity*: item ``i`` of a batch
+equals :meth:`SparkSimulator.run` for candidate ``i`` exactly, including
+OOM/reject candidates and injected faults (fault-struck candidates drop
+out of the batch and finish on the scalar path).
 """
 
 from __future__ import annotations
@@ -47,6 +64,7 @@ import numpy as np
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
 from ..config.constraints import grant_resources
+from ..config.space import Configuration
 from .costmodel import (
     Calibration,
     PlanArrays,
@@ -59,20 +77,25 @@ from .dag import CompiledWorkload, compile_workload, fingerprint_jobs
 from .executor import ExecutorModel
 from .faults import NO_FAULTS, FaultPlan
 from .memory import plan_cache
-from .metrics import ExecutionResult, StageMetrics, TaskMetrics
+from .metrics import (
+    BatchColumns,
+    ExecutionResult,
+    RunBatch,
+    StageMetrics,
+    oom_failure_reason,
+)
 from .rngpool import GeneratorPool
 from .scheduler import (
-    _list_schedule,
-    _median_1d,
-    _median_quantile_1d,
-    _sample_durations,
+    _sample_duration_rows,
+    _schedule_1d,
+    _schedule_rows,
     schedule_stage,
 )
 
 if TYPE_CHECKING:
     from ..config.constraints import ResourceGrant
     from ..workloads.base import Workload
-    from .costmodel import StageCost
+    from .costmodel import BatchInputs, PlanCostBatch, StageCost
     from .dag import CompiledStage
     from .planstore import PlanStore
     from .rdd import Job
@@ -85,6 +108,21 @@ _REJECT_S = 25.0
 
 #: failed task attempts before Spark aborts the stage and the application
 _MAX_ATTEMPTS = 4
+
+#: fewest candidates sharing a stage's (task count, slot count) that the
+#: batch path schedules as one matrix; smaller groups are scheduled one
+#: row at a time.  Measured on default-calibration noise (DESIGN.md,
+#: "Stage-major scheduling"): the matrix overtakes the per-row path at
+#: 2-4 rows for up to ~30 tasks on 2-8 slots, the shapes production
+#: ingest sends, and at ~8 rows for 128 tasks on 16 slots.
+_MIN_MATRIX_ROWS = 4
+
+#: one-column cost programs kept across ``run_batch`` calls (LRU).  An
+#: entry is ~8 KB for a 2-stage plan.  A service shard's simulator held
+#: at most 69 (``ingest_closed``), 184 (``burst_mixed``) and 334 (the
+#: 1000-tenant load scenario) live deployments' columns, so this bound
+#: keeps the LRU from cycling in every benchmarked scenario.
+_COST_CACHE_SIZE = 1024
 
 
 class SparkSimulator:
@@ -141,6 +179,13 @@ class SparkSimulator:
         # Holding the compiled plan strongly pins its id, like the plan
         # cache's identity tier.
         self._plan_arrays_cache: OrderedDict = OrderedDict()
+        # Cost-program cache for recurring one-column batches:
+        # (id(plan), id(config), cluster, env, calibration) ->
+        # (plan, config, BatchInputs, PlanCostBatch); the strong refs pin
+        # both ids.
+        self._cost_cache: OrderedDict = OrderedDict()
+        self.cost_cache_hits = 0
+        self.cost_cache_misses = 0
         # Pooled per-candidate noise generators for the batch fast path.
         self._rng_pool = GeneratorPool()
 
@@ -300,10 +345,8 @@ class SparkSimulator:
                         executors_granted=grant.executors,
                         executors_requested=grant.requested_executors,
                         total_slots=slots,
-                        failure_reason=(
-                            f"OOM in stage {stage.stage_id} ({stage.name}): "
-                            f"task working set {cost.task.spilled_mb + 0:.0f}MB+ "
-                            f"exceeds executor execution memory"
+                        failure_reason=oom_failure_reason(
+                            stage.stage_id, stage.name, cost.task.spilled_mb,
                         ),
                         environment_factor=env.combined(),
                         faults_injected=tuple(injected),
@@ -379,14 +422,15 @@ class SparkSimulator:
     def run_batch(self, workload: Workload, input_mb: float, cluster: Cluster,
                   configs: Sequence[Mapping[str, Any]],
                   envs: Sequence[Environment] | None = None,
-                  seeds: Sequence[int] | None = None) -> list[ExecutionResult]:
-        """Evaluate many configurations of one workload; bit-identical to
-        ``[self.run(workload, input_mb, cluster, c, env=e, seed=s) ...]``.
+                  seeds: Sequence[int] | None = None) -> RunBatch:
+        """Evaluate many configurations of one workload; item ``i`` is
+        bit-identical to ``self.run(workload, input_mb, cluster,
+        configs[i], env=envs[i], seed=seeds[i])``.
 
         ``envs``/``seeds`` default to ``QUIET``/``0`` for every candidate
         (matching :meth:`run`'s defaults).  Candidates struck by
-        simulated faults finish on the scalar path; everything else runs
-        through one vectorized cost sweep per stage.
+        simulated faults, and rejected grants, finish on the scalar
+        path; everything else runs stage-major (:meth:`_run_columns`).
         """
         configs = list(configs)
         n = len(configs)
@@ -395,54 +439,49 @@ class SparkSimulator:
         if len(envs) != n or len(seeds) != n:
             raise ValueError("configs, envs and seeds must have equal length")
         if n == 0:
-            return []
+            return RunBatch(workload.name, input_mb, [])
         compiled = self.compile_workload(workload, input_mb)
         if n == 1:
-            return [self._run_compiled(compiled, cluster, configs[0],
-                                       env=envs[0], seed=seeds[0])]
+            return RunBatch(compiled.name, compiled.input_mb, [
+                self._run_compiled(compiled, cluster, configs[0],
+                                   env=envs[0], seed=seeds[0]),
+            ])
         return self._run_batch_compiled(compiled, cluster, configs, envs, seeds)
 
     def _run_batch_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
                             configs: Sequence[Mapping[str, Any]],
                             envs: Sequence[Environment],
-                            seeds: Sequence[int]) -> list[ExecutionResult]:
-        calib = self.calibration
-        n = len(configs)
-        results: list[ExecutionResult | None] = [None] * n
-
+                            seeds: Sequence[int]) -> RunBatch:
         # Screen candidates: simulated faults (stage targets, env spikes)
         # perturb control flow mid-run, so those candidates take the
         # scalar path; rejected grants fail before any rng draw and are
         # also handled scalar (it is the same early-exit code).
         # worker_crash is an infrastructure fault the simulator ignores.
-        scalar: list[int] = []
+        items: list[ExecutionResult | int] = []
         active: list[int] = []
-        grants = {}
-        for i in range(n):
+        grants: list[ResourceGrant] = []
+        for i in range(len(configs)):
             faults = (
                 self.fault_plan.draw(seeds[i]) if self.fault_plan is not None
                 else NO_FAULTS
             )
-            if (faults.loss_stage >= 0 or faults.straggler_stage >= 0
-                    or faults.oom_stage >= 0 or faults.env_multiplier > 1.0):
-                scalar.append(i)
-                continue
             grant = grant_resources(configs[i], cluster)
-            if grant.executors < 1:
-                scalar.append(i)
+            if (faults.loss_stage >= 0 or faults.straggler_stage >= 0
+                    or faults.oom_stage >= 0 or faults.env_multiplier > 1.0
+                    or grant.executors < 1):
+                items.append(self._run_compiled(compiled, cluster, configs[i],
+                                                env=envs[i], seed=seeds[i]))
                 continue
-            grants[i] = grant
+            items.append(len(active))
             active.append(i)
-
+            grants.append(grant)
+        columns = None
         if active:
-            self._run_active_batch(compiled, cluster, configs, envs, seeds,
-                                   active, grants, results)
-        for i in scalar:
-            results[i] = self._run_compiled(compiled, cluster, configs[i],
-                                            env=envs[i], seed=seeds[i])
-        # every index is filled by exactly one of the three paths above,
-        # so the Optional slots are all resolved by now
-        return results  # type: ignore[return-value]
+            columns = self._run_columns(
+                compiled, cluster, [configs[i] for i in active],
+                [envs[i] for i in active], [seeds[i] for i in active], grants,
+            )
+        return RunBatch(compiled.name, compiled.input_mb, items, columns)
 
     def _plan_program(self, compiled: CompiledWorkload) -> PlanArrays:
         """The (cached) joint-program columns for ``compiled``.
@@ -463,171 +502,189 @@ class SparkSimulator:
             self._plan_arrays_cache.popitem(last=False)
         return arrays
 
-    def _run_active_batch(self, compiled: CompiledWorkload, cluster: Cluster,
-                          configs: Sequence[Mapping[str, Any]],
-                          envs: Sequence[Environment], seeds: Sequence[int],
-                          active: Sequence[int],
-                          grants: Mapping[int, ResourceGrant],
-                          results: list[ExecutionResult | None]) -> None:
-        """Joint sweep over the fault-free, granted candidates.
+    def _cost_program(self, plan: PlanArrays, cluster: Cluster,
+                      configs: Sequence[Mapping[str, Any]],
+                      grants: Sequence[ResourceGrant],
+                      envs: Sequence[Environment],
+                      ) -> tuple[BatchInputs, PlanCostBatch]:
+        """The joint cost program of the columns ``configs`` x ``envs``.
 
-        One fused ``(stages, candidates)`` cost program
-        (:func:`compute_plan_cost_batch`) replaces the per-stage batch
-        loop; what remains per candidate is the rng-ordered scheduling
-        walk, driven entirely from bulk-unboxed Python scalars.  Noise
-        generators come pre-seeded from the pooled vectorized seeder.
+        A deployed configuration's recurring runs arrive batch after
+        batch as one (configuration, environment) column, so a one-column
+        program is kept (LRU, ``_COST_CACHE_SIZE`` entries, read-only
+        arrays) and reused while plan, configuration object, cluster,
+        environment and calibration all match.  Only immutable
+        ``Configuration`` columns are kept: a plain mapping may change
+        between calls.  ``plan_cache_size=0`` (cold simulation) keeps
+        none.
+        """
+        key = None
+        if (self.plan_cache_size and len(configs) == 1
+                and isinstance(configs[0], Configuration)):
+            key = (id(plan), id(configs[0]), cluster, envs[0],
+                   self.calibration)
+            hit = self._cost_cache.get(key)
+            if hit is not None and hit[0] is plan and hit[1] is configs[0]:
+                self._cost_cache.move_to_end(key)
+                self.cost_cache_hits += 1
+                return hit[2], hit[3]
+            self.cost_cache_misses += 1
+        b = build_batch_inputs(configs, cluster, grants,
+                               [ExecutorModel.from_config(c) for c in configs],
+                               envs)
+        cost = compute_plan_cost_batch(plan, b, self.calibration)
+        if key is not None:
+            for array in (*vars(b).values(), *vars(cost).values()):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
+            self._cost_cache[key] = (plan, configs[0], b, cost)
+            while len(self._cost_cache) > _COST_CACHE_SIZE:
+                self._cost_cache.popitem(last=False)
+        return b, cost
+
+    def _run_columns(self, compiled: CompiledWorkload, cluster: Cluster,
+                     configs: Sequence[Mapping[str, Any]],
+                     envs: Sequence[Environment], seeds: Sequence[int],
+                     grants: Sequence[ResourceGrant]) -> BatchColumns:
+        """Simulate fault-free, granted candidates stage-major.
+
+        Costs come from one fused ``(stages, columns)`` program over the
+        distinct (configuration, environment) object pairs — an ingest
+        batch of one configuration in one environment costs a single
+        column.  Then every stage runs for every candidate before the
+        next stage starts.  Each candidate's generator still makes its
+        scalar draws in its scalar order (stage by stage, then the
+        run-level noise), so only the interleaving across generators
+        changes, and results stay bit-identical to
+        :meth:`_run_compiled`.  Within a stage, candidates that share a
+        task count and slot count, and do not speculate, are scheduled
+        as one ``(rows, tasks)`` matrix once there are
+        ``_MIN_MATRIX_ROWS`` of them; the rest are scheduled one row at
+        a time (:func:`~repro.sparksim.scheduler._schedule_1d`).
+        Runtimes accumulate as a column, each row receiving the scalar
+        path's additions in the scalar order.
         """
         calib = self.calibration
         noise = self.noise
-        m = len(active)
-        cfgs = [configs[i] for i in active]
-        grant_list = [grants[i] for i in active]
-        executors = [ExecutorModel.from_config(c) for c in cfgs]
-        b = build_batch_inputs(cfgs, cluster, grant_list, executors,
-                               [envs[i] for i in active])
+        n_rows = len(configs)
+        col_of: dict[tuple[int, int], int] = {}
+        col = np.array([col_of.setdefault((id(c), id(e)), len(col_of))
+                        for c, e in zip(configs, envs)], dtype=np.intp)
+        n_cols = len(col_of)
+        order = np.argsort(col, kind="stable")
+        bounds = np.searchsorted(col[order], np.arange(n_cols + 1)).tolist()
+        rows_of = [order[bounds[u]:bounds[u + 1]] for u in range(n_cols)]
+        first = [int(rows[0]) for rows in rows_of]
         plan = self._plan_program(compiled)
-        cost = compute_plan_cost_batch(plan, b, calib)
-        rngs = self._rng_pool.generators([seeds[i] for i in active])
+        b, cost = self._cost_program(plan, cluster,
+                                     [configs[k] for k in first],
+                                     [grants[k] for k in first],
+                                     [envs[k] for k in first])
+        s_count = plan.n_stages
+        slots = np.maximum(1, b.executors * b.concurrent)
+        fail_stage = np.where(cost.oom.any(axis=0), cost.oom.argmax(axis=0),
+                              s_count)
 
-        # One bulk unbox per array instead of a numpy scalar lookup per
-        # field per candidate per stage; tolist() yields the same Python
-        # floats/ints bit for bit.
-        slots_l = np.maximum(1, b.executors * b.concurrent).tolist()
-        startup_l = (
-            calib.app_startup_base_s
-            + calib.app_startup_per_executor_s * b.executors
-        ).tolist()
-        execs_l = b.executors.tolist()
-        req_l = b.requested.tolist()
+        def rows_of_cols(cols: list[int]) -> np.ndarray:
+            if len(cols) == n_cols:
+                return np.arange(n_rows)
+            if len(cols) == 1:
+                return rows_of[cols[0]]
+            return np.concatenate([rows_of[u] for u in cols]) if cols \
+                else np.empty(0, dtype=np.intp)
+
+        rngs = self._rng_pool.generators(seeds)
+        runtime = (calib.app_startup_base_s
+                   + calib.app_startup_per_executor_s * b.executors)[col]
+        # per (row, stage): elapsed time, then task mean, p50, p95, max
+        out = np.zeros((5, n_rows, s_count))
+        fail_l = fail_stage.tolist()
+        slots_l = slots.tolist()
         spec_l = b.speculation.tolist()
-        mult_l = b.spec_multiplier.tolist()
-        q_l = b.spec_quantile.tolist()
+        # (multiplier, quantile) of each speculating column, else None
+        spec_of = [(m, q) if on else None for on, m, q in zip(
+            spec_l, b.spec_multiplier.tolist(), b.spec_quantile.tolist())]
         ntasks_ll = cost.num_tasks.tolist()
         total_ll = cost.total_s.tolist()
         driver_ll = cost.driver_s.tolist()
-        oom_ll = cost.oom.tolist()
-        cpu_ll = cost.cpu_s.tolist()
-        gc_ll = cost.gc_s.tolist()
-        disk_ll = cost.disk_s.tolist()
-        net_ll = cost.net_s.tolist()
-        spill_ll = cost.spill_mb_total.tolist()
-        spilled_ll = cost.spilled_mb.tolist()
-
-        s_count = plan.n_stages
-        submits = plan.job_submits_before
-        stage_ids = plan.stage_ids
-        names = plan.names
-        sigma = calib.run_noise_sigma
         job_submit_s = calib.job_submit_s
 
-        for k in range(m):
-            rng = rngs[k]
-            runtime = startup_l[k]
-            slots_k = slots_l[k]
-            spec_k = spec_l[k]
-            stages_k: list[StageMetrics] = []
-            failed = False
-            for s in range(s_count):
-                for _ in range(submits[s]):
-                    runtime += job_submit_s
-                if oom_ll[s][k]:
-                    # Retries then application abort — same arithmetic as
-                    # the scalar early exit, from the plan arrays.
-                    wasted = total_ll[s][k] * _MAX_ATTEMPTS + driver_ll[s][k]
-                    runtime += wasted
-                    stages_k.append(StageMetrics(
-                        stage_id=stage_ids[s], name=names[s],
-                        num_tasks=ntasks_ll[s][k], duration_s=wasted,
-                        input_mb=plan.input_mb_l[s],
-                        cached_read_mb=plan.cached_read_mb_l[s],
-                        shuffle_read_mb=plan.shuffle_read_mb_l[s],
-                        shuffle_write_mb=plan.shuffle_write_mb_l[s],
-                        spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0,
-                        io_time_s=0.0, net_time_s=0.0, failed=True,
-                    ))
-                    results[active[k]] = ExecutionResult(
-                        workload=compiled.name, input_mb=compiled.input_mb,
-                        runtime_s=runtime, success=False,
-                        stages=stages_k,
-                        executors_granted=execs_l[k],
-                        executors_requested=req_l[k],
-                        total_slots=slots_k,
-                        failure_reason=(
-                            f"OOM in stage {stage_ids[s]} ({names[s]}): "
-                            f"task working set {spilled_ll[s][k] + 0:.0f}MB+ "
-                            f"exceeds executor execution memory"
-                        ),
-                        environment_factor=envs[active[k]].combined(),
-                        faults_injected=(),
-                    )
-                    failed = True
-                    break
-
-                n_i = ntasks_ll[s][k]
-                if noise:
-                    durations = _sample_durations(n_i, total_ll[s][k], rng,
-                                                  calib)
+        live = list(range(n_cols))
+        for s in range(s_count):
+            live = [u for u in live if fail_l[u] >= s]
+            if submits := plan.job_submits_before[s]:
+                live_rows = (slice(None) if len(live) == n_cols
+                             else rows_of_cols(live))
+                for _ in range(submits):
+                    runtime[live_rows] += job_submit_s
+            groups: dict[tuple[int, int], list[int]] = {}
+            single: list[int] = []
+            for u in live:
+                if fail_l[u] == s:
+                    # Retries then application abort — the scalar early
+                    # exit's arithmetic, from the cost columns.
+                    wasted = total_ll[s][u] * _MAX_ATTEMPTS + driver_ll[s][u]
+                    runtime[rows_of[u]] += wasted
+                    out[0, rows_of[u], s] = wasted
+                elif spec_l[u] and noise and ntasks_ll[s][u] >= 4:
+                    single.append(u)
                 else:
-                    durations = np.full(n_i, total_ll[s][k])
-                if spec_k and noise and n_i >= 4:
-                    median, cutoff = _median_quantile_1d(durations, q_l[k])
-                    threshold = median * max(1.01, mult_l[k])
-                    candidates = durations > max(threshold, cutoff)
-                    speculated = int(candidates.sum())
-                    if speculated:
-                        clamped = durations.copy()
-                        finish_with_copy = threshold + median
-                        clamped[candidates] = np.minimum(
-                            clamped[candidates], finish_with_copy,
-                        )
-                        extra = np.full(speculated, _median_1d(clamped) * 0.5)
-                        durations = np.concatenate([clamped, extra])
-                makespan = _list_schedule(durations, slots_k)
-                real = durations[:n_i]
-                p50, p95 = _median_quantile_1d(real, 0.95)
-                elapsed = makespan + driver_ll[s][k]
-                runtime += elapsed
-                stages_k.append(StageMetrics(
-                    stage_id=stage_ids[s],
-                    name=names[s],
-                    num_tasks=n_i,
-                    duration_s=elapsed,
-                    input_mb=plan.input_mb_l[s],
-                    cached_read_mb=plan.cached_read_mb_l[s],
-                    shuffle_read_mb=plan.shuffle_read_mb_l[s],
-                    shuffle_write_mb=plan.shuffle_write_mb_l[s],
-                    spill_mb=spill_ll[s][k],
-                    cpu_time_s=cpu_ll[s][k] * n_i,
-                    gc_time_s=gc_ll[s][k] * n_i,
-                    io_time_s=disk_ll[s][k] * n_i,
-                    net_time_s=net_ll[s][k] * n_i,
-                    task_metrics=TaskMetrics(
-                        count=n_i,
-                        mean_s=float(real.sum() / real.size),
-                        p50_s=p50,
-                        p95_s=p95,
-                        max_s=float(real.max()),
-                    ),
-                    output_mb=plan.out_mb[s],
-                    writes_output=plan.writes_output[s],
-                ))
-            if failed:
-                continue
-            for _ in range(plan.trailing_job_submits):
-                runtime += job_submit_s
-            if noise:
-                runtime *= float(
-                    rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+                    groups.setdefault((ntasks_ll[s][u], slots_l[u]),
+                                      []).append(u)
+            for (n_tasks, n_slots), cols in groups.items():
+                rows = rows_of_cols(cols)
+                if len(rows) < _MIN_MATRIX_ROWS:
+                    single.extend(cols)
+                    continue
+                row_cols = col[rows]
+                base = cost.total_s[s, row_cols]
+                durations = (
+                    _sample_duration_rows(n_tasks, base,
+                                          [rngs[k] for k in rows.tolist()],
+                                          calib)
+                    if noise else np.repeat(base[:, None], n_tasks, axis=1)
                 )
-            results[active[k]] = ExecutionResult(
-                workload=compiled.name, input_mb=compiled.input_mb,
-                runtime_s=runtime, success=True, stages=stages_k,
-                executors_granted=execs_l[k],
-                executors_requested=req_l[k],
-                total_slots=slots_k,
-                environment_factor=envs[active[k]].combined(),
-                faults_injected=(),
-            )
+                makespan, *task = _schedule_rows(durations, n_slots)
+                elapsed = makespan + cost.driver_s[s, row_cols]
+                runtime[rows] += elapsed
+                out[:, rows, s] = (elapsed, *task)
+            if single:
+                rows = rows_of_cols(single)
+                row_cols = col[rows]
+                # (makespan, task mean, p50, p95, max) per row, then the
+                # makespan becomes the elapsed time as _run_compiled adds it
+                scheduled = np.array([
+                    _schedule_1d(ntasks_ll[s][u], total_ll[s][u], slots_l[u],
+                                 spec_of[u], rngs[k], calib, noise)
+                    for k, u in zip(rows.tolist(), row_cols.tolist())
+                ]).T
+                scheduled[0] += cost.driver_s[s, row_cols]
+                runtime[rows] += scheduled[0]
+                out[:, rows, s] = scheduled
+
+        done = rows_of_cols([u for u in live if fail_l[u] == s_count])
+        for _ in range(plan.trailing_job_submits):
+            runtime[done] += job_submit_s
+        if noise:
+            sigma = calib.run_noise_sigma
+            runtime[done] *= np.array([
+                rngs[k].lognormal(mean=-0.5 * sigma**2, sigma=sigma)
+                for k in done.tolist()
+            ])
+        n_tasks_su = cost.num_tasks
+        return BatchColumns(
+            plan=plan, col=col, envs=list(envs), runtime_s=runtime,
+            fail_stage=fail_stage, executors=b.executors,
+            requested=b.requested, slots=slots, num_tasks=n_tasks_su,
+            spill_mb=cost.spill_mb_total,
+            cpu_time_s=cost.cpu_s * n_tasks_su,
+            gc_time_s=cost.gc_s * n_tasks_su,
+            io_time_s=cost.disk_s * n_tasks_su,
+            net_time_s=cost.net_s * n_tasks_su,
+            spilled_mb=cost.spilled_mb, duration_s=out[0],
+            task_mean_s=out[1], task_p50_s=out[2], task_p95_s=out[3],
+            task_max_s=out[4],
+        )
 
     @staticmethod
     def _failed_stage(stage: CompiledStage, cost: StageCost,

@@ -646,11 +646,12 @@ class ExceptionFlowRule(FlowRule):
 _LEAF_NAMES = frozenset({
     "compute_stage_cost", "compute_stage_cost_batch",
     "compute_plan_cost_batch",
-    "schedule_stage", "schedule_stage_batch",
+    "schedule_stage",
     "gc_fraction", "shuffle_read", "shuffle_write", "spill_outcome",
     "serializer_of", "codec_of", "resolve_num_tasks",
     "grant_resources", "_sample_durations", "_apply_speculation",
     "_list_schedule", "_median_1d", "_median_quantile_1d",
+    "_sample_duration_rows", "_schedule_rows",
 })
 
 #: reviewed divergences, keyed by the scalar half's qualified name:
@@ -666,25 +667,23 @@ _PAIR_ALLOWANCES: dict[str, tuple[frozenset[str], frozenset[str]]] = {
                    "shuffle_read", "shuffle_write", "spill_outcome"}),
         frozenset(),
     ),
-    # The batch scheduler replaces numpy median/quantile dispatch inside
-    # _apply_speculation with the local _median_1d/_median_quantile_1d
-    # kernels; equivalence is pinned by the same bit-identity suite.
-    "repro.sparksim.scheduler.schedule_stage": (
-        frozenset({"_apply_speculation"}),
-        frozenset({"_median_1d", "_median_quantile_1d"}),
-    ),
-    # run_batch keeps the scalar path reachable as its screening
-    # fallback, so its closure is a strict superset; the extra batch
-    # leaves are the scheduler kernels above plus the joint
-    # (stages x candidates) plan sweep, which fuses the whole
-    # compute_stage_cost_batch loop into one compiled program —
-    # bit-identity of the fused sweep (OOM masks, spill arithmetic,
-    # noise stream order) is pinned by test_batch_identity.py up to
-    # 512-candidate batches.
+    # run_batch keeps the scalar path reachable for faults and rejected
+    # grants, so its closure is a strict superset of run's.  The extra
+    # batch leaves are the stage-major kernels: the joint (stages x
+    # columns) cost sweep, which fuses the compute_stage_cost loop into
+    # one compiled program; the (rows x tasks) twins of
+    # _sample_durations and the list-schedule/TaskMetrics reductions;
+    # and the partition median/quantile kernels the one-row scheduler
+    # (_schedule_1d) uses where schedule_stage calls np.median /
+    # np.quantile.  Bit-identity of the kernels against numpy is pinned
+    # by test_scheduler_equivalence.py, and of the whole batch (OOM
+    # masks, spill arithmetic, per-generator draw order, makespan and
+    # partition statistics) by test_batch_identity.py, including
+    # one-config batches of up to 128 runs and 512-candidate batches.
     "repro.sparksim.simulator.SparkSimulator.run": (
         frozenset(),
-        frozenset({"_median_1d", "_median_quantile_1d",
-                   "compute_plan_cost_batch"}),
+        frozenset({"compute_plan_cost_batch", "_sample_duration_rows",
+                   "_schedule_rows", "_median_1d", "_median_quantile_1d"}),
     ),
 }
 

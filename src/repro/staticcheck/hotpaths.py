@@ -4,7 +4,7 @@ The perf-sensitive RA rules (hidden copies, python-level element loops,
 loop-invariant allocation) only matter where throughput matters.  Rather
 than guessing from names, the hot set is *declared* here and seeded from
 the surfaces the repo already measures: the ``PhaseProfiler`` phases
-(suggest / evaluate / similarity), the costmodel's joint (S, N) batch
+(suggest / evaluate / ingest / similarity), the costmodel's joint (S, N) batch
 sweep, and the shared-memory columnar codec.  Each entry names root
 functions by qname *suffix* (``engine.shm.decode_configs`` matches both
 ``repro.engine.shm.decode_configs`` and a fixture package's
@@ -58,11 +58,20 @@ HOT_PATHS: tuple[HotPath, ...] = (
             "sparksim.costmodel.compute_stage_cost_batch",
             "sparksim.costmodel.build_plan_arrays",
             "sparksim.costmodel.compute_plan_cost_batch",
-            "sparksim.scheduler.schedule_stage_batch",
         ),
         reason="PhaseProfiler 'evaluate': the (S, N) joint "
                "stage-candidate cost sweep behind the >=50k evals/s "
                "target",
+    ),
+    HotPath(
+        phase="ingest",
+        roots=(
+            "core.serviced.frontend.ingest_production_runs",
+            "core.characterization.signatures",
+        ),
+        reason="PhaseProfiler 'ingest': the production-run firehose — "
+               "stage-major batch simulation, columnar signatures and "
+               "one log append per run",
     ),
     HotPath(
         phase="similarity",

@@ -77,6 +77,12 @@ WAIVERS: tuple[Waiver, ...] = (
         "tuples; the (W, d) distance work above it is fully vectorized",
     ),
     Waiver(
+        "RA004", "src/repro/sparksim/scheduler.py",
+        "the greedy makespan is a recurrence over tasks — each step reads "
+        "the slot times the previous step wrote — and every step is one "
+        "argmin/add vectorized across all rows",
+    ),
+    Waiver(
         "RA006", "src/repro/engine/engine.py",
         "evaluate_batch's documented contract serializes batches on "
         "_lock; the retry backoff sleep is part of answering the "

@@ -1,20 +1,25 @@
 """Property tests: ``run_batch`` is bit-identical to a loop of ``run()``.
 
 The candidate-batched fast path (plan cache + struct-of-arrays stage
-costing) is an optimisation, not an approximation: every
-:class:`ExecutionResult` it produces must equal, field for field, what
-the scalar path returns for the same (config, env, seed).  These tests
-drive the contract across workloads, seeds, environments, batch sizes,
-fault plans, and candidate mixes that include cluster-manager rejections
-and OOM-failing configurations.
+costing + stage-major matrix scheduling) is an optimisation, not an
+approximation: every :class:`ExecutionResult` it produces must equal,
+field for field, what the scalar path returns for the same (config,
+env, seed).  These tests drive the contract across workloads, seeds,
+environments, batch sizes, fault plans, and candidate mixes that include
+cluster-manager rejections and OOM-failing configurations — both with a
+distinct configuration per candidate (a tuning batch) and with one
+configuration for every run (an ingest batch, which is what the matrix
+path schedules).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sparksim.simulator as simulator_module
 from repro.cloud import Cluster
-from repro.cloud.interference import NOISY, QUIET, TYPICAL
+from repro.cloud.interference import NOISY, QUIET, TYPICAL, InterferenceModel
 from repro.config.spark_params import spark_space
 from repro.sparksim import SparkSimulator
 from repro.sparksim.faults import (
@@ -96,6 +101,123 @@ def test_run_batch_matches_scalar_loop(w_idx, plan_idx, batch_size, seed,
     seeds = [seed + 17 * i for i in range(batch_size)]
     sim = SparkSimulator(fault_plan=PLANS[plan_idx])
     _assert_batch_identity(sim, workload, input_mb, configs, envs, seeds)
+
+
+#: ingest-shaped batches: one configuration (these overrides on the space
+#: defaults) for every run
+INGEST_SHAPES = {
+    "defaults": {},
+    "speculation": {"spark.speculation": True,
+                    "spark.speculation.quantile": 0.5},
+    "oom": OOM,
+}
+
+
+def _ingest_batch(shape, n, seed, interference):
+    config = SPACE.default_configuration().replace(**INGEST_SHAPES[shape])
+    if interference:
+        model = InterferenceModel(level=1.0, seed=seed)
+        envs = [model.step() for _ in range(n)]
+    else:
+        envs = [QUIET] * n
+    return [config] * n, envs, [seed + i for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=len(WORKLOADS) - 1),
+    st.sampled_from(sorted(INGEST_SHAPES)),
+    st.integers(min_value=1, max_value=128),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.booleans(),
+    st.sampled_from((None, 2, 3)),
+    st.booleans(),
+)
+def test_one_config_many_seeds_matches_scalar_loop(w_idx, shape, n, seed,
+                                                   noise, plan_idx,
+                                                   interference):
+    """What ingest sends: ``run_batch([c] * n, ...)`` with seeds
+    ``seed + i``, optionally per-run interference and a fault plan
+    whose strikes move some runs onto the scalar path."""
+    workload, input_mb = WORKLOADS[w_idx]
+    configs, envs, seeds = _ingest_batch(shape, n, seed, interference)
+    sim = SparkSimulator(
+        noise=noise,
+        fault_plan=PLANS[plan_idx] if plan_idx is not None else None,
+    )
+    batch = _assert_batch_identity(sim, workload, input_mb, configs, envs,
+                                   seeds)
+    assert batch.runtimes == [r.runtime_s for r in batch]
+    assert batch.successes == [r.success for r in batch]
+    # a recurring batch of one deployment reuses its one-column cost
+    # program and replays the same results
+    hits = sim.cost_cache_hits
+    assert sim.run_batch(workload, input_mb, CLUSTER, configs, envs=envs,
+                         seeds=seeds) == batch
+    if batch.cost_columns() and not interference:
+        assert sim.cost_cache_hits == hits + 1
+
+
+def test_ingest_batches_take_the_matrix_path(monkeypatch):
+    """The cases above really exercise the matrix scheduler: a
+    same-config batch schedules each stage as one matrix."""
+    calls = []
+    schedule_rows = simulator_module._schedule_rows
+
+    def counting(durations, slots):
+        calls.append(durations.shape)
+        return schedule_rows(durations, slots)
+
+    monkeypatch.setattr(simulator_module, "_schedule_rows", counting)
+    n = 64
+    configs, envs, seeds = _ingest_batch("defaults", n, 11, True)
+    sim = SparkSimulator()
+    batch = _assert_batch_identity(sim, KMeans(), 512.0, configs, envs,
+                                   seeds)
+    assert len(calls) == batch[0].num_stages
+    assert all(rows == n for rows, _ in calls)
+    oom_configs, _, _ = _ingest_batch("oom", n, 11, False)
+    failed = sim.run_batch(Sort(), 1024.0, CLUSTER, oom_configs, seeds=seeds)
+    assert not any(failed.successes)
+    assert failed == [sim.run(Sort(), 1024.0, CLUSTER, c, seed=s)
+                      for c, s in zip(oom_configs, seeds)]
+
+
+def test_run_batch_is_a_read_only_sequence():
+    rng = np.random.default_rng(5)
+    configs = _candidates(rng, 6, include_failures=True)
+    sim = SparkSimulator(fault_plan=FaultPlan((straggler(0.5, span=2),)))
+    batch = sim.run_batch(Sort(), 1024.0, CLUSTER, configs,
+                          seeds=list(range(6)))
+    scalar = [sim.run(Sort(), 1024.0, CLUSTER, c, seed=i)
+              for i, c in enumerate(configs)]
+    assert len(batch) == 6 and list(batch) == scalar
+    assert batch[-1] == scalar[-1] and batch[1:4] == scalar[1:4]
+    with pytest.raises(IndexError):
+        batch[6]
+    assert batch != scalar[:5] and batch != "not a sequence"
+    # columnar rows are built on access: a fresh, equal object each time
+    row = int(batch.cost_columns()[0].members[0])
+    first = batch[row]
+    first.runtime_s = -1.0
+    assert batch[row] == scalar[row] and batch[row] is not batch[row]
+    # each cost column's stage totals are its members' stages minus the
+    # noise-drawn duration and task statistics
+    members = []
+    for column in batch.cost_columns():
+        for i in column.members.tolist():
+            stages = scalar[i].stages
+            assert [t._asdict() for t in column.stages] == [
+                {k: v for k, v in vars(m).items()
+                 if k not in ("duration_s", "task_metrics")}
+                for m in stages]
+            assert column.task_p50_s.shape[1] == sum(
+                not m.failed for m in stages)
+        members.extend(column.members.tolist())
+    # the rest (here at least the rejected grant) are stored results
+    scalar_path = [i for i in range(6) if i not in members]
+    assert members and 5 in scalar_path
+    assert all(batch[i] is batch[i] for i in scalar_path)
 
 
 def test_failure_paths_are_exercised_and_identical():

@@ -1,18 +1,29 @@
-"""Property tests: the vectorized list scheduler is exact.
+"""Property tests: the scheduler's fast kernels are exact.
 
 The chunked numpy `_list_schedule` must return bit-identical makespans to
-the reference heap implementation for every input — it is a hot-path
-optimisation, not an approximation.
+the reference heap implementation for every input, the partition-based
+median/quantile kernels bit-identical values to ``np.median`` /
+``np.quantile``, and the row-matrix twins the batch simulator uses
+bit-identical results to the 1-D path row by row — they are hot-path
+optimisations, not approximations.
 """
+
+import struct
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparksim.costmodel import Calibration
 from repro.sparksim.scheduler import (
     _MIN_VECTOR_SLOTS,
     _list_schedule,
     _list_schedule_heap,
+    _median_1d,
+    _median_quantile_1d,
+    _sample_duration_rows,
+    _sample_durations,
+    _schedule_rows,
 )
 
 durations = st.lists(
@@ -64,3 +75,58 @@ def test_descending_and_ascending_orders():
     base = np.exp(np.linspace(-2, 2, 777))
     for d in (base, base[::-1].copy()):
         assert _list_schedule(d, 48) == _list_schedule_heap(d, 48)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+#: task durations as the simulator draws them: positive, with ties
+task_durations = st.lists(
+    st.one_of(st.floats(min_value=1e-6, max_value=1e6),
+              st.sampled_from((0.5, 1.0, 2.0))),
+    min_size=1, max_size=300,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(task_durations,
+       st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                 st.sampled_from((0.0, 0.5, 0.75, 0.95, 1.0))))
+def test_partition_kernels_match_numpy_bitwise(values, q):
+    x = np.array(values)
+    median, quantile = _median_quantile_1d(x, q)
+    assert _bits(median) == _bits(float(np.median(x)))
+    assert _bits(quantile) == _bits(float(np.quantile(x, q)))
+    assert _bits(_median_1d(x)) == _bits(float(np.median(x)))
+    assert x.tolist() == values          # the input is left unpartitioned
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=120),
+    st.sampled_from((1, 2, 3, 8, 47, 48, 64)),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_row_kernels_match_the_scalar_path_row_by_row(rows, n_tasks, slots,
+                                                      seed):
+    calib = Calibration()
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.01, 5.0, rows)
+    seeds = rng.integers(0, 2**31, rows).tolist()
+    scalar_rngs = [np.random.default_rng(s) for s in seeds]
+    batch_rngs = [np.random.default_rng(s) for s in seeds]
+    expected = [_sample_durations(n_tasks, float(b), g, calib)
+                for b, g in zip(base, scalar_rngs)]
+    durations = _sample_duration_rows(n_tasks, base, batch_rngs, calib)
+    assert durations.tobytes() == np.array(expected).tobytes()
+    # every stream is left exactly where the scalar draws leave it
+    assert [g.random() for g in batch_rngs] == \
+        [g.random() for g in scalar_rngs]
+    makespan, mean, p50, p95, max_s = _schedule_rows(durations, slots)
+    for i, d in enumerate(expected):
+        assert makespan[i] == _list_schedule(d, slots)
+        assert mean[i] == float(d.sum() / d.size)
+        assert (p50[i], p95[i]) == _median_quantile_1d(d, 0.95)
+        assert max_s[i] == float(d.max())

@@ -294,6 +294,7 @@ def test_stats_report_interpreter_coverage():
 
 def test_hot_path_table_is_well_formed():
     phases = [entry.phase for entry in HOT_PATHS]
-    assert phases == ["suggest", "evaluate", "similarity", "shm-codec"]
+    assert phases == ["suggest", "evaluate", "ingest", "similarity",
+                      "shm-codec"]
     for entry in HOT_PATHS:
         assert entry.roots and entry.reason

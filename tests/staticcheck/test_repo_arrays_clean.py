@@ -68,7 +68,8 @@ def test_hot_path_table_resolves_the_profiled_surfaces():
     # hot functions call are where hidden copies actually hide
     assert len(hot) > len(roots) * 3, (len(hot), len(roots))
     phases = set(hot.values())
-    assert phases == {"suggest", "evaluate", "similarity", "shm-codec"}
+    assert phases == {"suggest", "evaluate", "ingest", "similarity",
+                      "shm-codec"}
 
 
 def test_interpreter_covers_the_package():
