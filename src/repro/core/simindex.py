@@ -289,16 +289,16 @@ class SignatureIndex:
                 # strictly inside the kth distance, then fill remaining
                 # slots with boundary ties in ascending key order
                 # (candidate_idx is already key-sorted).
-                kth = np.partition(d_valid, k - 1)[k - 1]  # staticcheck: ignore[RA006] -- snapshot-consistent top-k needs the shard lock
+                kth = np.partition(d_valid, k - 1)[k - 1]
                 inner = candidate_idx[d_valid < kth]
                 boundary = candidate_idx[d_valid == kth]
                 take = boundary[: k - len(inner)]
-                chosen = np.concatenate([inner, take])  # staticcheck: ignore[RA006] -- snapshot-consistent top-k needs the shard lock
+                chosen = np.concatenate([inner, take])
             else:
                 chosen = candidate_idx
-            order = np.argsort(distances[chosen], kind="stable")  # staticcheck: ignore[RA006] -- snapshot-consistent top-k needs the shard lock
+            order = np.argsort(distances[chosen], kind="stable")
             out = []
-            for i in chosen[order]:  # staticcheck: ignore[RA004] -- k-bounded result materialization, not the hot (W, d) op
+            for i in chosen[order]:
                 out.append((keys[i], float(distances[i]), means[i].copy()))
             return out
 

@@ -287,7 +287,7 @@ class EvaluationEngine:
                 self._handle_pool_failure()
             if attempt + 1 < policy.max_attempts:
                 self.failures.n_retries += len(pending)
-                time.sleep(policy.backoff_s(attempt, token=len(pending)))  # staticcheck: ignore[RA006] -- batches are serialized by contract; backoff is part of the in-flight batch
+                time.sleep(policy.backoff_s(attempt, token=len(pending)))
         # Attempts exhausted.  Last resort: answer the stragglers on the
         # in-process serial executor (a permanent downgrade), so a sick
         # harness degrades the engine instead of aborting the session.

@@ -200,7 +200,7 @@ def decode_configs(shm: shared_memory.SharedMemory,
         arr = np.frombuffer(buf, dtype=np.dtype(dtype),
                             count=nbytes // np.dtype(dtype).itemsize,
                             offset=data_base + off)
-        picked = arr[rows].tolist()  # staticcheck: ignore[RA003] -- the row-subset gather IS the decode output copy
+        picked = arr[rows].tolist()
         if kind == "bool":
             col_values.append((key, [bool(v) for v in picked]))
         elif kind == "str":

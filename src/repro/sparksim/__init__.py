@@ -3,10 +3,8 @@
 from .costmodel import (
     Calibration,
     StageCost,
-    StageCostBatch,
     TaskCost,
     compute_stage_cost,
-    compute_stage_cost_batch,
     with_overrides,
 )
 from .dag import (
@@ -72,9 +70,7 @@ __all__ = [
     "Calibration",
     "TaskCost",
     "StageCost",
-    "StageCostBatch",
     "compute_stage_cost",
-    "compute_stage_cost_batch",
     "with_overrides",
     "StageSchedule",
     "schedule_stage",

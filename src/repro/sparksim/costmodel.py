@@ -31,9 +31,7 @@ __all__ = [
     "StageCost",
     "compute_stage_cost",
     "BatchInputs",
-    "StageCostBatch",
     "build_batch_inputs",
-    "compute_stage_cost_batch",
     "PlanArrays",
     "PlanCostBatch",
     "build_plan_arrays",
@@ -286,14 +284,15 @@ def with_overrides(calib: Calibration, **kwargs) -> Calibration:
 
 # --- struct-of-arrays batch cost model ----------------------------------------
 #
-# One stage, N candidate configurations, single numpy passes.  The
-# contract is bit-identity with :func:`compute_stage_cost`: every
-# elementwise operation replicates the scalar code's operations in the
-# same order and association, per-candidate branches become exact-zero
-# masked contributions (adding 0.0 to a non-negative accumulator is a
-# bitwise no-op), and every transcendental term (``pow``/``exp``, where
-# numpy's vector kernels differ from Python's scalar libm calls in the
-# last ulp) is computed elementwise with Python arithmetic.
+# N candidate configurations as numpy columns, costed by the plan
+# program below.  The contract is bit-identity with
+# :func:`compute_stage_cost`: every elementwise operation replicates the
+# scalar code's operations in the same order and association,
+# per-candidate branches become exact-zero masked contributions (adding
+# 0.0 to a non-negative accumulator is a bitwise no-op), and every
+# transcendental term (``pow``/``exp``, where numpy's vector kernels
+# differ from Python's scalar libm calls in the last ulp) is computed
+# elementwise with Python arithmetic.
 
 
 @dataclass
@@ -345,23 +344,6 @@ class BatchInputs:
     cache_read_cpu: np.ndarray
     cache_miss_to_disk: np.ndarray
     cache_capacity: np.ndarray
-
-
-@dataclass
-class StageCostBatch:
-    """Per-candidate cost arrays for one stage (columns of ``TaskCost``)."""
-
-    num_tasks: np.ndarray
-    cpu_s: np.ndarray
-    disk_s: np.ndarray
-    net_s: np.ndarray
-    gc_s: np.ndarray
-    idle_s: np.ndarray
-    total_s: np.ndarray
-    driver_s: np.ndarray
-    spilled_mb: np.ndarray       # per-task logical spill
-    spill_mb_total: np.ndarray
-    oom: np.ndarray
 
 
 def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
@@ -464,199 +446,16 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
     )
 
 
-def compute_stage_cost_batch(
-    stage: StageProfile,
-    b: BatchInputs,
-    cached_mb: float,
-    recompute_cpu_s_per_mb: float,
-    recompute_io_mb_per_mb: float,
-    num_map_tasks: np.ndarray,
-    calib: Calibration | None = None,
-) -> StageCostBatch:
-    """Vectorized :func:`compute_stage_cost` over one batch of candidates.
-
-    ``cached_mb`` and the recompute means are the compiled plan's
-    registry snapshot for this stage; ``num_map_tasks`` is the
-    per-candidate upstream map-output count.  Stage-level data volumes
-    are scalars, so the scalar model's outer branches (has input / has
-    cached reads / has shuffle) are uniform across the batch; the
-    per-candidate branches inside them become masked contributions.
-    """
-    if calib is None:
-        calib = Calibration()
-    n = b.n
-    core_speed = b.core_speed
-
-    if stage.num_tasks_hint is not None:
-        n_tasks = np.full(n, max(1, int(stage.num_tasks_hint)), dtype=np.int64)
-    else:
-        n_tasks = np.maximum(1, b.parallelism)
-
-    # --- per-task data volumes ---------------------------------------------
-    input_pt = stage.input_mb / n_tasks
-    cached_pt = stage.cached_read_mb / n_tasks
-    shuffle_read_pt = stage.shuffle_read_mb / n_tasks
-    shuffle_write_pt = stage.shuffle_write_mb / n_tasks
-    output_pt = (stage.output_mb / n_tasks) if stage.writes_output else np.zeros(n)
-
-    # --- per-stage cache fit -----------------------------------------------
-    needed = cached_mb * b.cache_footprint
-    stored = np.minimum(needed, b.cache_capacity)
-    hit = np.divide(stored, needed, out=np.ones(n), where=needed != 0)
-
-    cpu = np.zeros(n)
-    disk = np.zeros(n)
-    net = np.zeros(n)
-
-    # --- operator computation -----------------------------------------------
-    cpu = cpu + stage.cpu_s / n_tasks / core_speed
-
-    # --- external input (HDFS-style: mostly node-local) ----------------------
-    if stage.input_mb > 0:
-        disk = disk + input_pt * (1.0 - b.remote_frac) / b.disk_share
-        net = net + input_pt * b.remote_frac / b.net_share
-
-    # --- cached input ---------------------------------------------------------
-    if stage.cached_read_mb > 0:
-        cpu = cpu + cached_pt * hit * b.cache_read_cpu / core_speed
-        cpu = cpu + cached_pt * hit / calib.cached_read_mb_s  # memory scan
-        miss = cached_pt * (1.0 - hit)
-        missed = miss > 0
-        to_disk = missed & b.cache_miss_to_disk
-        disk = disk + np.where(to_disk, miss / b.disk_share, 0.0)
-        cpu = cpu + np.where(to_disk, miss * b.ser_deserialize / core_speed, 0.0)
-        # Recompute the partition: re-run its producing chain (CPU) and
-        # re-read its inputs — shuffle re-fetches go over the network,
-        # source re-scans over the disk.
-        recompute = missed & ~b.cache_miss_to_disk
-        reread = miss * recompute_io_mb_per_mb
-        disk = disk + np.where(recompute, 0.4 * reread / b.disk_share, 0.0)
-        net = net + np.where(recompute, 0.6 * reread / b.net_share, 0.0)
-        cpu = cpu + np.where(
-            recompute,
-            miss * (recompute_cpu_s_per_mb + calib.recompute_cpu_s_per_mb) / core_speed,
-            0.0,
-        )
-
-    # --- shuffle read ----------------------------------------------------------
-    if stage.shuffle_read_mb > 0:
-        rf = max(0.0, min(1.0, b.remote_nodes_fraction + 0.05))
-        sr_cpu = shuffle_read_pt * b.ser_deserialize
-        sr_cpu = np.where(
-            b.shuffle_compress,
-            sr_cpu + shuffle_read_pt * b.codec_decompress, sr_cpu,
-        )
-        wire = np.where(
-            b.shuffle_compress, shuffle_read_pt * b.codec_ratio, shuffle_read_pt,
-        )
-        sr_cpu = sr_cpu + np.maximum(1, num_map_tasks) * b.per_block_s
-        cpu = cpu + sr_cpu / core_speed
-        disk = disk + wire * (1.0 - rf) / b.disk_share
-        net = net + wire * rf / b.net_share / b.fetch_efficiency
-
-    # --- shuffle write ----------------------------------------------------------
-    if stage.shuffle_write_mb > 0:
-        sw_cpu = shuffle_write_pt * b.ser_serialize
-        sw_cpu = np.where(
-            b.shuffle_compress,
-            sw_cpu + shuffle_write_pt * b.codec_compress, sw_cpu,
-        )
-        sw_disk = np.where(
-            b.shuffle_compress, shuffle_write_pt * b.codec_ratio, shuffle_write_pt,
-        )
-        bypass = b.parallelism <= b.bypass_threshold
-        flush = np.where(bypass, b.flush_base * 1.05, b.flush_base)
-        sw_cpu = np.where(bypass, sw_cpu, sw_cpu + shuffle_write_pt * 0.0030)
-        cpu = cpu + sw_cpu / core_speed
-        disk = disk + sw_disk * flush / b.disk_share
-
-    # --- final output ------------------------------------------------------------
-    if stage.writes_output and stage.output_mb > 0:
-        cpu = cpu + output_pt * b.ser_serialize / core_speed
-        disk = disk + output_pt / b.disk_share
-
-    # --- memory: spill or die ------------------------------------------------------
-    working_set = (
-        shuffle_read_pt * b.ser_expansion
-        + shuffle_write_pt * calib.shuffle_write_buffer_fraction * b.ser_expansion
-        + (input_pt + cached_pt) * calib.map_working_set_fraction * b.ser_expansion
-    )
-    storage_per_exec = stored / b.executors
-    available = (
-        np.maximum(0.0, b.unified_mb - np.minimum(storage_per_exec, b.immune_mb))
-        + b.offheap_mb
-    ) / b.concurrent
-    floor = 32.0 + working_set * stage.unspillable_fraction
-    oom = available < floor
-    spills = ~oom & (working_set > available)
-    spilled_raw = np.where(spills, working_set - available, 0.0)
-    merge_passes = np.where(spills, working_set // np.maximum(available, 1.0), 0.0)
-    spilled_logical = spilled_raw / b.ser_expansion
-    spill_cpu = spilled_logical * (b.ser_serialize + b.ser_deserialize)
-    spill_cpu = np.where(
-        b.spill_compress,
-        spill_cpu + spilled_logical * (b.codec_compress + b.codec_decompress),
-        spill_cpu,
-    )
-    spill_bytes = np.where(
-        b.spill_compress, spilled_logical * b.codec_ratio, spilled_logical,
-    )
-    spill_cpu = spill_cpu + merge_passes * spilled_logical * calib.spill_merge_cpu_s_per_mb
-    cpu = cpu + np.where(spills, spill_cpu / core_speed, 0.0)
-    disk = disk + np.where(spills, 2.0 * spill_bytes / b.disk_share, 0.0)
-
-    # --- GC pressure ----------------------------------------------------------------
-    resident = np.minimum(working_set, available) * b.concurrent
-    occupancy = (storage_per_exec + resident + RESERVED_MB) / np.maximum(b.heap_mb, 1.0)
-    # gc_fraction raises occupancy to the 4th power; numpy's pow kernel
-    # differs from Python's in the last ulp, so evaluate elementwise.
-    gc = np.array([gc_fraction(float(o)) for o in occupancy]) * cpu
-
-    # Interference slows computation too (shared cores / hyperthread pairs).
-    cpu = cpu * b.env_cpu
-    gc = gc * b.env_cpu
-
-    # --- scheduling idle from locality wait -------------------------------------------
-    effective_slots = b.executors * b.concurrent
-    waves = np.maximum(1.0, n_tasks / np.maximum(1, effective_slots))
-    idle = np.zeros(n)
-    if stage.input_mb > 0 or stage.cached_read_mb > 0:
-        raw_idle = np.minimum(
-            b.locality_wait, 0.02 * b.locality_wait * waves,
-        ) / waves
-        idle = np.where(b.locality_wait > 0, raw_idle, 0.0)
-
-    total = cpu + disk + net + gc + calib.task_launch_s + idle
-    driver = (
-        calib.driver_stage_overhead_s
-        + calib.driver_dispatch_s_per_task * n_tasks
-        + stage.collect_mb * calib.collect_s_per_mb
-    )
-    return StageCostBatch(
-        num_tasks=n_tasks,
-        cpu_s=cpu,
-        disk_s=disk,
-        net_s=net,
-        gc_s=gc,
-        idle_s=idle,
-        total_s=total,
-        driver_s=driver,
-        spilled_mb=spilled_logical,
-        spill_mb_total=spilled_logical * n_tasks,
-        oom=oom,
-    )
-
-
 # --- joint stage x candidate plan program --------------------------------------
 #
-# The plan-level twin of :func:`compute_stage_cost_batch`: all S stages of
-# a compiled workload costed for all N candidates in one fused sweep of
-# (S, N) struct-of-arrays operations.  Stage-level branches of the scalar
-# model become per-row masks whose contributions are ``np.where(mask,
-# term, 0.0)`` — adding exact 0.0 to the non-negative accumulators is a
-# bitwise no-op — so the bit-identity contract extends unchanged:
-# elementwise IEEE arithmetic does not care whether it ran per stage or
-# per plan.
+# All S stages of a compiled workload costed for all N candidates in one
+# fused sweep of (S, N) struct-of-arrays operations, bit-identical to
+# :func:`compute_stage_cost` called once per (stage, candidate).
+# Stage-level branches of the scalar model become per-row masks whose
+# contributions are ``np.where(mask, term, 0.0)`` — adding exact 0.0 to
+# the non-negative accumulators is a bitwise no-op — so the bit-identity
+# contract extends unchanged: elementwise IEEE arithmetic does not care
+# whether it ran one (stage, candidate) at a time or per plan.
 
 
 @dataclass
@@ -794,12 +593,12 @@ def compute_plan_cost_batch(
 ) -> PlanCostBatch:
     """All stages x all candidates in one fused struct-of-arrays sweep.
 
-    Bit-identical to running :func:`compute_stage_cost_batch` per stage
-    (and therefore to the scalar model): every elementwise operation is
-    the same IEEE operation in the same order, broadcast over ``(S, N)``
-    instead of ``(N,)``; stage-level ``if`` guards become row masks with
-    exact-zero masked contributions; the ``pow``-carrying GC curve stays
-    an elementwise Python call.
+    Bit-identical to the scalar :func:`compute_stage_cost` called once
+    per (stage, candidate): every elementwise operation is the same IEEE
+    operation in the same order, broadcast over ``(S, N)``; the scalar
+    model's ``if`` guards become masks with exact-zero masked
+    contributions; the ``pow``-carrying GC curve stays an elementwise
+    Python call.
     """
     if calib is None:
         calib = Calibration()

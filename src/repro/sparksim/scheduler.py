@@ -382,7 +382,7 @@ def _schedule_rows(durations: np.ndarray, slots: int
         times = durations[:, :slots].copy()
         flat = times.reshape(-1)
         offsets = np.arange(0, m * slots, slots)
-        for column in durations[:, slots:].T.copy():  # staticcheck: ignore[RA004] -- a recurrence over tasks; each step is vectorized across rows
+        for column in durations[:, slots:].T.copy():
             pos = times.argmin(axis=1)
             pos += offsets
             flat[pos] += column

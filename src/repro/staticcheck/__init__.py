@@ -6,7 +6,7 @@ faults, ``attempt`` excluded from cache keys, slotted hot-path classes)
 are enforced here statically, at PR time, instead of discovered through
 flaky property-test failures.
 
-Two halves:
+Four rule families:
 
 * **AST rules** (``RS001``-``RS006``, :mod:`repro.staticcheck.rules`)
   lint source files for unseeded randomness, wall-clock reads in hot
@@ -30,13 +30,6 @@ Two halves:
   shared-memory segment lifecycle, and lock-order acyclicity.  Enable
   with ``--concurrency``; the runtime twin is
   :mod:`repro.staticcheck.dynsan`.
-* **Array rules** (``RA001``-``RA006``, :mod:`repro.staticcheck.arrays`)
-  run a shape/dtype abstract interpreter over the call graph and lint
-  the numeric kernels: dtype stability in bit-identity modules,
-  provable shape/broadcast errors, hidden copies and python-level
-  element loops on the hot paths the :mod:`repro.staticcheck.hotpaths`
-  table declares, loop-invariant allocation, and expensive array work
-  under locks (reusing the RC lock model).  Enable with ``--arrays``.
 
 Every family's metadata lives in one declarative table
 (:mod:`repro.staticcheck.registry`), which serves ``--list-rules`` and
@@ -50,15 +43,6 @@ suppress individual lines with ``# staticcheck: ignore[RS004]`` plus a
 justifying comment.
 """
 
-from .arrays import (
-    ALL_ARRAY_RULES,
-    ArrayAnalysis,
-    ArraysReport,
-    array_rule_catalogue,
-    get_array_rules,
-    lint_arrays,
-    run_array_rules,
-)
 from .concurrency import (
     ALL_CONCURRENCY_RULES,
     ConcurrencyReport,
@@ -91,32 +75,18 @@ from .flow import (
     run_flow_rules,
 )
 from .graph import CallGraph, build_call_graph
-from .hotpaths import HOT_PATHS, HotPath, resolve_hot_functions
 from .incremental import CACHE_FILE, CheckOutcome, incremental_check
 from .model import Finding, LintResult, Severity
 from .registry import RuleEntry, partition_rule_ids, rule_registry
 from .rules import ALL_RULES, get_rules, rule_catalogue
 from .runner import iter_python_files, lint_paths, lint_source
-from .sarif import findings_from_sarif, render_sarif
 from .waivers import WAIVERS, Waiver, expected_by_rule, reason_for
 
 __all__ = [
-    "ALL_ARRAY_RULES",
-    "ArrayAnalysis",
-    "ArraysReport",
-    "array_rule_catalogue",
-    "get_array_rules",
-    "lint_arrays",
-    "run_array_rules",
-    "HOT_PATHS",
-    "HotPath",
-    "resolve_hot_functions",
     "WAIVERS",
     "Waiver",
     "expected_by_rule",
     "reason_for",
-    "findings_from_sarif",
-    "render_sarif",
     "ALL_CONCURRENCY_RULES",
     "ConcurrencyReport",
     "LockModel",

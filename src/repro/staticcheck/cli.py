@@ -5,23 +5,21 @@ Usage::
     python -m repro.staticcheck                  # lint src/repro + domain
     python -m repro.staticcheck --flow           # + interprocedural RF rules
     python -m repro.staticcheck --concurrency    # + lock/async/shm RC rules
-    python -m repro.staticcheck --arrays         # + shape/dtype RA rules
     python -m repro.staticcheck src/repro        # explicit paths
     python -m repro.staticcheck --format json path/to/file.py
-    python -m repro.staticcheck --format sarif --arrays src/repro
     python -m repro.staticcheck --list-rules
     python -m repro.staticcheck --rules RS001,RF002,RC001 src/repro
     python -m repro.staticcheck --no-domain tests/staticcheck/fixtures
     python -m repro.staticcheck --no-cache       # bypass the warm cache
 
 Rule ids come from one registry (:mod:`repro.staticcheck.registry`):
-``RS`` per-file, ``RD`` domain, ``RF`` flow, ``RC`` concurrency, ``RA``
-arrays.  Naming an ``RF``/``RC``/``RA`` id under ``--rules`` implicitly
-enables that pass; naming ``RD`` ids narrows the domain report to them.
+``RS`` per-file, ``RD`` domain, ``RF`` flow, ``RC`` concurrency.  Naming
+an ``RF``/``RC`` id under ``--rules`` implicitly enables that pass;
+naming ``RD`` ids narrows the domain report to them.
 
 Runs are incremental by default: per-file findings are cached in
 ``.staticcheck_cache.json`` keyed on content hashes (the flow, domain,
-concurrency, and arrays passes on a whole-tree hash), so an unchanged
+and concurrency passes on a whole-tree hash), so an unchanged
 tree re-renders without re-parsing anything.  ``--no-cache`` forces a
 full re-analysis.
 
@@ -34,14 +32,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .arrays import get_array_rules
 from .concurrency import get_concurrency_rules
 from .flow import get_flow_rules
 from .incremental import CACHE_FILE, incremental_check
 from .registry import FAMILY_SCOPES, partition_rule_ids, rule_registry
 from .reporter import render_json, render_text
 from .rules import get_rules
-from .sarif import render_sarif
 
 __all__ = ["main", "build_parser"]
 
@@ -55,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--flow adds the interprocedural pass (seed provenance, "
             "cache-purity closure, pool races, exception flow, "
             "scalar/batch divergence); --concurrency adds the lock-guard/"
-            "async/shared-memory/lock-order pass; --arrays adds the "
-            "shape/dtype abstract interpreter and hot-path perf lint — "
-            "all with call-chain traces."
+            "async/shared-memory/lock-order pass — both with call-chain "
+            "traces."
         ),
     )
     parser.add_argument(
@@ -65,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro if it exists)",
     )
     parser.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="report format (default: text); sarif targets code scanning",
+        "--format", choices=["text", "json"], default="text",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--rules", metavar="IDS",
@@ -85,14 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
             "also run the RC concurrency rules (lock-guard inference, "
             "_locked reachability, async blocking calls, shared-memory "
             "lifecycle, lock-order cycles)"
-        ),
-    )
-    parser.add_argument(
-        "--arrays", action="store_true",
-        help=(
-            "also run the RA array-program rules (shape/dtype abstract "
-            "interpretation, hot-path hidden copies and element loops, "
-            "loop allocation, array work under locks)"
         ),
     )
     parser.add_argument(
@@ -149,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
             per_file_ids = by_family.get("per-file", [])
             flow_ids = by_family.get("flow", [])
             conc_ids = by_family.get("concurrency", [])
-            arr_ids = by_family.get("arrays", [])
             domain_ids = by_family.get("domain", [])
             rules = get_rules(per_file_ids) if per_file_ids else []
             flow_rules = (get_flow_rules(flow_ids) if flow_ids
@@ -158,15 +144,10 @@ def main(argv: list[str] | None = None) -> int:
                 get_concurrency_rules(conc_ids) if conc_ids
                 else (get_concurrency_rules() if args.concurrency else None)
             )
-            arr_rules = (
-                get_array_rules(arr_ids) if arr_ids
-                else (get_array_rules() if args.arrays else None)
-            )
         else:
             rules = get_rules()
             flow_rules = get_flow_rules() if args.flow else None
             conc_rules = get_concurrency_rules() if args.concurrency else None
-            arr_rules = get_array_rules() if args.arrays else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -178,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
             per_file_rules=rules,
             flow_rules=flow_rules,
             concurrency_rules=conc_rules,
-            array_rules=arr_rules,
             respect_scopes=not args.ignore_scopes,
             run_domain=not args.no_domain,
             cache_path=args.cache_file,
@@ -199,8 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         ]
     if args.format == "json":
         print(render_json(result, stats=outcome.stats))
-    elif args.format == "sarif":
-        print(render_sarif(result, stats=outcome.stats))
     else:
         print(render_text(result, stats=outcome.stats))
     return 0 if result.clean else 1

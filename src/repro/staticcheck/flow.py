@@ -644,8 +644,7 @@ class ExceptionFlowRule(FlowRule):
 #: by basename; a ``_batch`` suffix is stripped before comparison so the
 #: vectorized twin of a leaf counts as the same leaf.
 _LEAF_NAMES = frozenset({
-    "compute_stage_cost", "compute_stage_cost_batch",
-    "compute_plan_cost_batch",
+    "compute_stage_cost", "compute_plan_cost_batch",
     "schedule_stage",
     "gc_fraction", "shuffle_read", "shuffle_write", "spill_outcome",
     "serializer_of", "codec_of", "resolve_num_tasks",
@@ -657,16 +656,6 @@ _LEAF_NAMES = frozenset({
 #: reviewed divergences, keyed by the scalar half's qualified name:
 #: (scalar_only, batch_only) leaf basenames that are allowed to differ.
 _PAIR_ALLOWANCES: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    # The batch cost model deliberately inlines the vectorized forms of
-    # the per-stage helpers (task counts, serializer/codec factors,
-    # shuffle and spill arithmetic) and only calls out for gc_fraction;
-    # bit-identity of the inlined math is pinned by
-    # tests/sparksim/test_batch_identity.py.
-    "repro.sparksim.costmodel.compute_stage_cost": (
-        frozenset({"resolve_num_tasks", "serializer_of", "codec_of",
-                   "shuffle_read", "shuffle_write", "spill_outcome"}),
-        frozenset(),
-    ),
     # run_batch keeps the scalar path reachable for faults and rejected
     # grants, so its closure is a strict superset of run's.  The extra
     # batch leaves are the stage-major kernels: the joint (stages x

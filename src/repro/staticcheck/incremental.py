@@ -12,16 +12,13 @@ sections:
   serve stale chains.
 * ``tree.concurrency`` — the RC pass's findings and lock-model stats,
   same tree key (lock inference is whole-program too).
-* ``tree.arrays`` — the RA pass's findings and interpreter stats, same
-  tree key (hot-path closure and summaries are whole-program).
 * ``tree.domain`` — the config-space validator's findings, same key.
 
-When two or more of the flow/concurrency/arrays passes miss the cache,
-they share one call-graph build.
+The flow and concurrency passes run through one load-or-run-then-store
+loop; when both miss the cache they share one call-graph build.
 
 The cache **signature** folds in the cache format version, the active
-rule ids (per-file, flow, concurrency, and arrays), the scope switch,
-and a
+rule ids (per-file, flow, and concurrency), the scope switch, and a
 digest of the staticcheck package's own sources — editing any rule
 (``concurrency.py`` included) invalidates every entry, so a stale
 linter can never replay old verdicts.
@@ -36,13 +33,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .arrays import ArrayRule, lint_arrays
-from .concurrency import ConcurrencyRule, lint_concurrency
-from .flow import ALL_FLOW_RULES, FlowRule, lint_flow
+from .concurrency import ConcurrencyReport, ConcurrencyRule, lint_concurrency
+from .flow import FlowReport, FlowRule, lint_flow
 from .graph import CallGraph, build_call_graph
 from .model import Finding, LintResult
 from .rules import ALL_RULES, Rule
@@ -62,7 +58,8 @@ class CheckOutcome:
     stats: dict[str, object] | None = None
     #: files actually re-analyzed this run (cache misses)
     n_reanalyzed: int = 0
-    #: whether the flow/domain tree sections were served from cache
+    #: whether the tree sections (flow, concurrency, domain) were served
+    #: from cache
     tree_cached: bool = False
 
 
@@ -83,14 +80,12 @@ def _self_digest() -> str:
 def _signature(per_file_rules: Sequence[type[Rule]],
                flow_rules: Sequence[type[FlowRule]] | None,
                concurrency_rules: Sequence[type[ConcurrencyRule]] | None,
-               array_rules: Sequence[type[ArrayRule]] | None,
                respect_scopes: bool, run_domain: bool) -> str:
     parts = [
         f"v{_CACHE_VERSION}",
         ",".join(sorted(r.rule_id for r in per_file_rules)),
         ",".join(sorted(r.rule_id for r in (flow_rules or ()))),
         ",".join(sorted(r.rule_id for r in (concurrency_rules or ()))),
-        ",".join(sorted(r.rule_id for r in (array_rules or ()))),
         f"scopes={respect_scopes}",
         f"domain={run_domain}",
         _self_digest(),
@@ -130,7 +125,6 @@ def incremental_check(
     per_file_rules: Sequence[type[Rule]] = ALL_RULES,
     flow_rules: Sequence[type[FlowRule]] | None = None,
     concurrency_rules: Sequence[type[ConcurrencyRule]] | None = None,
-    array_rules: Sequence[type[ArrayRule]] | None = None,
     respect_scopes: bool = True,
     run_domain: bool = False,
     cache_path: str | Path = CACHE_FILE,
@@ -144,8 +138,7 @@ def incremental_check(
     """
     cache_path = Path(cache_path)
     signature = _signature(per_file_rules, flow_rules, concurrency_rules,
-                           array_rules, respect_scopes,
-                           run_domain) if use_cache else ""
+                           respect_scopes, run_domain) if use_cache else ""
     cache = _load_cache(cache_path, signature) if use_cache else {}
     cached_files: dict = cache.get("files", {})
 
@@ -189,87 +182,42 @@ def incremental_check(
     stats: dict[str, object] | None = None
     new_tree_section: dict[str, object] = {"hash": tree}
 
-    #: one call graph shared by the flow/concurrency/arrays passes when
-    #: more than one misses the cache — rebuilding would re-parse the tree
-    graph: CallGraph | None = None
-
+    tree_passes: list[tuple[
+        str, Sequence[type], Callable[..., FlowReport | ConcurrencyReport],
+    ]] = []
     if flow_rules is not None:
-        if tree_cached and "flow" in cached_tree:
-            flow_entry = cached_tree["flow"]
-            flow_result = LintResult(
-                findings=_load_findings(flow_entry.get("findings", [])),
-                suppressed=_load_findings(flow_entry.get("suppressed", [])),
-            )
-            stats = flow_entry.get("stats")
-        else:
-            tree_cached = False
-            if graph is None and (concurrency_rules is not None
-                                  or array_rules is not None):
-                graph = build_call_graph([str(p) for p in files])
-            report = lint_flow([str(p) for p in files], rules=flow_rules,
-                               graph=graph)
-            flow_result = report.result
-            flow_result.n_files = 0     # files already counted above
-            stats = report.stats
-        new_tree_section["flow"] = {
-            "findings": _dump_findings(flow_result.findings),
-            "suppressed": _dump_findings(flow_result.suppressed),
-            "stats": stats,
-        }
-        result.extend(flow_result)
-
+        tree_passes.append(("flow", flow_rules, lint_flow))
     if concurrency_rules is not None:
-        if tree_cached and "concurrency" in cached_tree:
-            conc_entry = cached_tree["concurrency"]
-            conc_result = LintResult(
-                findings=_load_findings(conc_entry.get("findings", [])),
-                suppressed=_load_findings(conc_entry.get("suppressed", [])),
+        tree_passes.append(("concurrency", concurrency_rules,
+                            lint_concurrency))
+    paths_str = [str(p) for p in files]
+    #: one call graph shared by the tree passes when both miss the cache
+    #: — rebuilding would re-parse the tree
+    graph: CallGraph | None = None
+    for section, rules, lint_fn in tree_passes:
+        if tree_cached and section in cached_tree:
+            entry = cached_tree[section]
+            pass_result = LintResult(
+                findings=_load_findings(entry.get("findings", [])),
+                suppressed=_load_findings(entry.get("suppressed", [])),
             )
-            conc_stats = conc_entry.get("stats")
+            pass_stats = entry.get("stats")
         else:
             tree_cached = False
-            if graph is None and array_rules is not None:
-                graph = build_call_graph([str(p) for p in files])
-            conc_report = lint_concurrency(
-                [str(p) for p in files], rules=concurrency_rules,
-                graph=graph,
-            )
-            conc_result = conc_report.result
-            conc_result.n_files = 0     # files already counted above
-            conc_stats = conc_report.stats
-        new_tree_section["concurrency"] = {
-            "findings": _dump_findings(conc_result.findings),
-            "suppressed": _dump_findings(conc_result.suppressed),
-            "stats": conc_stats,
+            if graph is None and len(tree_passes) > 1:
+                graph = build_call_graph(paths_str)
+            report = lint_fn(paths_str, rules=rules, graph=graph)
+            pass_result = report.result
+            pass_result.n_files = 0     # files already counted above
+            pass_stats = report.stats
+        new_tree_section[section] = {
+            "findings": _dump_findings(pass_result.findings),
+            "suppressed": _dump_findings(pass_result.suppressed),
+            "stats": pass_stats,
         }
-        result.extend(conc_result)
-        if isinstance(conc_stats, dict):
-            stats = {**(stats or {}), **conc_stats}
-
-    if array_rules is not None:
-        if tree_cached and "arrays" in cached_tree:
-            arr_entry = cached_tree["arrays"]
-            arr_result = LintResult(
-                findings=_load_findings(arr_entry.get("findings", [])),
-                suppressed=_load_findings(arr_entry.get("suppressed", [])),
-            )
-            arr_stats = arr_entry.get("stats")
-        else:
-            tree_cached = False
-            arr_report = lint_arrays(
-                [str(p) for p in files], rules=array_rules, graph=graph,
-            )
-            arr_result = arr_report.result
-            arr_result.n_files = 0      # files already counted above
-            arr_stats = arr_report.stats
-        new_tree_section["arrays"] = {
-            "findings": _dump_findings(arr_result.findings),
-            "suppressed": _dump_findings(arr_result.suppressed),
-            "stats": arr_stats,
-        }
-        result.extend(arr_result)
-        if isinstance(arr_stats, dict):
-            stats = {**(stats or {}), **arr_stats}
+        result.extend(pass_result)
+        if isinstance(pass_stats, dict):
+            stats = {**(stats or {}), **pass_stats}
 
     if run_domain:
         if tree_cached and "domain" in cached_tree:

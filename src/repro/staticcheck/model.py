@@ -157,6 +157,10 @@ class Suppressions:
             return False
         return "*" in rules or rule_id in rules
 
+    def rule_ids(self) -> frozenset[str]:
+        """Every rule id the markers name; a bare ignore names none."""
+        return frozenset().union(*self._by_line.values()) - {"*"}
+
     def __len__(self) -> int:
         return len(self._by_line)
 

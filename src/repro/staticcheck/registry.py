@@ -1,9 +1,8 @@
 """One declarative table of every rule the linter serves.
 
-Five rule families grew five hand-rolled catalogues (per-file ``RS``,
-domain ``RD``, flow ``RF``, concurrency ``RC``, arrays ``RA``), each
-with its own id partitioning in the CLI.  This module folds them into
-a single registry
+Four rule families grew four hand-rolled catalogues (per-file ``RS``,
+domain ``RD``, flow ``RF``, concurrency ``RC``), each with its own id
+partitioning in the CLI.  This module folds them into a single registry
 so ``--list-rules`` and ``--rules`` have exactly one source of truth:
 a rule id is valid iff it has a :class:`RuleEntry`, and its ``family``
 says which pass runs it.
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arrays import array_rule_catalogue
 from .concurrency import concurrency_rule_catalogue
 from .flow import flow_rule_catalogue
 from .rules import rule_catalogue
@@ -35,7 +33,6 @@ FAMILY_SCOPES = {
     "domain": "imported domain objects (config spaces, workloads)",
     "flow": "interprocedural (call graph)",
     "concurrency": "interprocedural (call graph + inferred lock model)",
-    "arrays": "interprocedural (call graph + hot-path table)",
 }
 
 
@@ -121,12 +118,6 @@ def rule_registry() -> list[RuleEntry]:
     for row in concurrency_rule_catalogue():
         entries.append(RuleEntry(
             rule_id=row["rule"], family="concurrency",
-            severity=row["severity"], summary=row["summary"],
-            rationale=row["rationale"],
-        ))
-    for row in array_rule_catalogue():
-        entries.append(RuleEntry(
-            rule_id=row["rule"], family="arrays",
             severity=row["severity"], summary=row["summary"],
             rationale=row["rationale"],
         ))

@@ -38,15 +38,6 @@ def _concurrency_line(conc: dict[str, object]) -> str:
     )
 
 
-def _arrays_line(arr: dict[str, object]) -> str:
-    return (
-        f"array interp: {arr.get('functions_interpreted', 0)} "
-        f"function(s), {arr.get('hot_functions', 0)} hot over "
-        f"{arr.get('hot_roots', 0)} root(s), "
-        f"{arr.get('facts', 0)} fact(s)"
-    )
-
-
 def render_text(result: LintResult, verbose: bool = False,
                 stats: dict[str, object] | None = None) -> str:
     """One line per finding plus a summary, ruff/flake8-style.
@@ -75,9 +66,6 @@ def render_text(result: LintResult, verbose: bool = False,
         conc = stats.get("concurrency")
         if isinstance(conc, dict):
             lines.append(_concurrency_line(conc))
-        arr = stats.get("arrays")
-        if isinstance(arr, dict):
-            lines.append(_arrays_line(arr))
     # inventory-backed suppressions render their reasons — the audit
     # trail travels with the report, not just with the gate tests
     lines.extend(waiver_footer(result.sorted_suppressed()))

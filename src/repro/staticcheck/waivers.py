@@ -2,12 +2,11 @@
 
 Every ``# staticcheck: ignore[...]`` marker that silences a *genuine*
 finding in ``src/repro`` must have a row here carrying the reason the
-code is allowed to stay as written.  The clean-gate tests
-(``test_repo_clean.py``, ``test_repo_arrays_clean.py``) pin their
-expected-suppression counts to this table instead of to private dicts,
-and the text reporter renders the reasons as a footer — so the
-inventory cannot drift from either the markers or the gates without a
-test failing.
+code is allowed to stay as written.  The clean-gate tests in
+``test_repo_clean.py`` pin their expected-suppression counts to this
+table instead of to private dicts, and the text reporter renders the
+reasons as a footer — so the inventory cannot drift from either the
+markers or the gates without a test failing.
 
 A row matches a suppressed finding when the rule id is equal and the
 finding's path ends with the row's ``path`` (paths are stored
@@ -32,9 +31,6 @@ class Waiver:
     rule_id: str
     path: str                    #: repo-relative, forward slashes
     reason: str
-    #: number of in-source markers this row covers (one reason can
-    #: justify several lines of the same pattern in one file)
-    count: int = 1
 
 
 WAIVERS: tuple[Waiver, ...] = (
@@ -63,42 +59,6 @@ WAIVERS: tuple[Waiver, ...] = (
         "best-effort resource-tracker unregister; absence of the "
         "segment is the expected race on teardown",
     ),
-    Waiver(
-        "RA006", "src/repro/core/simindex.py",
-        "the k-NN answer must be snapshot-consistent: partition/"
-        "concatenate/argsort over the signature block have to happen "
-        "under the shard lock or a concurrent ingest can tear the "
-        "candidate set",
-        count=3,
-    ),
-    Waiver(
-        "RA004", "src/repro/core/simindex.py",
-        "the output loop materializes at most k (key, distance, mean) "
-        "tuples; the (W, d) distance work above it is fully vectorized",
-    ),
-    Waiver(
-        "RA004", "src/repro/sparksim/scheduler.py",
-        "the greedy makespan is a recurrence over tasks — each step reads "
-        "the slot times the previous step wrote — and every step is one "
-        "argmin/add vectorized across all rows",
-    ),
-    Waiver(
-        "RA006", "src/repro/engine/engine.py",
-        "evaluate_batch's documented contract serializes batches on "
-        "_lock; the retry backoff sleep is part of answering the "
-        "in-flight batch, and releasing mid-batch would interleave "
-        "pool rebuilds",
-    ),
-    Waiver(
-        "RA003", "src/repro/engine/shm.py",
-        "the fancy-index gather over the frombuffer view is the decode "
-        "output itself — the copy is the product, not overhead",
-    ),
-    Waiver(
-        "RA003", "src/repro/tuning/bo/kernels.py",
-        "a @ b.T hands the transposed view to BLAS gemm's trans flag; "
-        "no pack-copy happens for a plain transpose",
-    ),
 )
 
 
@@ -111,12 +71,12 @@ def _matches(waiver: Waiver, rule_id: str, path: str) -> bool:
 
 def expected_by_rule(prefix: str | None = None) -> dict[str, int]:
     """Expected suppression counts per rule id, optionally filtered to
-    one family prefix (``"RF"``, ``"RA"``)."""
+    one family prefix (``"RF"``, ``"RC"``)."""
     out: dict[str, int] = {}
     for waiver in WAIVERS:
         if prefix is not None and not waiver.rule_id.startswith(prefix):
             continue
-        out[waiver.rule_id] = out.get(waiver.rule_id, 0) + waiver.count
+        out[waiver.rule_id] = out.get(waiver.rule_id, 0) + 1
     return out
 
 

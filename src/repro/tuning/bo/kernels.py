@@ -17,7 +17,7 @@ def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared euclidean distances, clipped at zero."""
     aa = np.sum(a**2, axis=1)[:, None]
     bb = np.sum(b**2, axis=1)[None, :]
-    return np.maximum(0.0, aa + bb - 2.0 * (a @ b.T))  # staticcheck: ignore[RA003] -- b.T feeds gemm's trans flag; BLAS reads the view without packing
+    return np.maximum(0.0, aa + bb - 2.0 * (a @ b.T))
 
 
 class Kernel(ABC):

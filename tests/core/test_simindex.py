@@ -223,10 +223,10 @@ class TestLogTail:
 
 
 def test_index_arrays_keep_float64_signatures():
-    """Dtype pins on the index's array surfaces (runtime counterpart of
-    staticcheck's RA001): mean signatures and candidate signatures stay
-    float64, so distance identity with the scan never depends on a
-    narrower accumulator sneaking into the shard arrays."""
+    """Dtype pins on the index's array surfaces: mean signatures and
+    candidate signatures stay float64, so distance identity with the
+    scan never depends on a narrower accumulator sneaking into the shard
+    arrays.  No static check guards these dtypes; this test does."""
     rng = np.random.default_rng(9)
     log = HistoryLog(segment_records=4, compact_after=2)
     store = HistoryStore(log)

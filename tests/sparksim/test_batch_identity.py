@@ -279,12 +279,14 @@ def test_batch_of_one_and_empty():
     _assert_batch_identity(sim, Sort(), 512.0, [config], [TYPICAL], [9])
 
 
-def test_batch_arrays_keep_stable_dtypes():
-    """The batch path's internal arrays stay float64/int64/bool end to
-    end (the runtime counterpart of staticcheck's RA001): bit-identity
-    with the scalar model must not rest on accidental promotion, so a
-    column quietly landing in float32 or a platform-dependent int is a
-    bug even while the identity tests above still pass on this machine.
+def test_batch_arrays_keep_stable_dtypes(monkeypatch):
+    """The batch path's arrays stay float64/int64/bool end to end, from
+    the cost program's inputs to the stage-major ``BatchColumns`` it
+    returns: bit-identity with the scalar model must not rest on
+    accidental promotion, so a column quietly landing in float32 or a
+    platform-dependent int is a bug even while the identity tests above
+    still pass on this machine.  This runtime check is the repo's only
+    dtype guard.
     """
     from repro.config.constraints import grant_resources
     from repro.sparksim.costmodel import (
@@ -339,6 +341,41 @@ def test_batch_arrays_keep_stable_dtypes():
     for name in ("cpu_s", "disk_s", "net_s", "gc_s", "idle_s", "total_s",
                  "driver_s", "spilled_mb", "spill_mb_total"):
         assert getattr(cost, name).dtype == np.float64, name
+
+    # The stage-major output, written by all three of its paths: a
+    # same-config group large enough for the matrix scheduler, one
+    # speculating config (per-row scheduler) and one OOM config (the
+    # fail-stage arithmetic).
+    called = set()
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            called.add(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_schedule_rows", "_schedule_1d"):
+        monkeypatch.setattr(simulator_module, name,
+                            recorded(getattr(simulator_module, name)))
+    default = SPACE.default_configuration()
+    configs = ([default] * simulator_module._MIN_MATRIX_ROWS
+               + [default.replace(**INGEST_SHAPES["speculation"]),
+                  default.replace(**OOM)])
+    batch = sim.run_batch(Sort(), 1024.0, CLUSTER, configs,
+                          seeds=list(range(len(configs))))
+    columns = batch.columns
+    assert columns is not None and len(batch.cost_columns()) == 3
+    assert called == {"_schedule_rows", "_schedule_1d"}
+    assert (columns.fail_stage < columns.plan.n_stages).any()
+
+    for name in ("runtime_s", "duration_s", "task_mean_s", "task_p50_s",
+                 "task_p95_s", "task_max_s", "spill_mb", "cpu_time_s",
+                 "gc_time_s", "io_time_s", "net_time_s", "spilled_mb"):
+        assert getattr(columns, name).dtype == np.float64, name
+    assert columns.col.dtype == np.intp      # a row -> column index array
+    for name in ("fail_stage", "executors", "requested", "slots",
+                 "num_tasks"):
+        assert getattr(columns, name).dtype == np.int64, name
 
 
 def test_histories_identical_under_engine_batching():

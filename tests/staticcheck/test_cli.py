@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -83,14 +85,13 @@ def test_list_rules(capsys):
 
 
 def test_list_rules_covers_every_family(capsys):
-    """The unified registry serves all five catalogues in one listing."""
+    """The unified registry serves all four catalogues in one listing."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule_id in ("RS001", "RD001", "RD007", "RF001", "RF005",
-                    "RC001", "RC005", "RA001", "RA006"):
+                    "RC001", "RC005"):
         assert rule_id in out, rule_id
     assert "interprocedural (call graph + inferred lock model)" in out
-    assert "interprocedural (call graph + hot-path table)" in out
 
 
 def test_concurrency_flag_runs_the_rc_pass(capsys):
@@ -115,38 +116,6 @@ def test_rc_rule_id_implicitly_enables_the_concurrency_pass(capsys):
     capsys.readouterr()
 
 
-def test_arrays_flag_runs_the_ra_pass(capsys):
-    code = main(["--no-domain", "--arrays", "--no-cache",
-                 str(FIXTURES / "ra001_pkg")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "RA001" in out
-    assert "array interp:" in out
-
-
-def test_ra_rule_id_implicitly_enables_the_arrays_pass(capsys):
-    code = main(["--no-domain", "--rules", "RA002", "--no-cache",
-                 str(FIXTURES / "ra002_pkg")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "RA002" in out
-    # and a narrowed RA set really narrows: RA001 sees nothing there
-    code = main(["--no-domain", "--rules", "RA001", "--no-cache",
-                 str(FIXTURES / "ra002_pkg")])
-    assert code == 0
-    capsys.readouterr()
-
-
-def test_sarif_format_from_the_cli(capsys):
-    code = main(["--no-domain", "--arrays", "--no-cache",
-                 "--format", "sarif", str(FIXTURES / "ra001_pkg")])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    results = payload["runs"][0]["results"]
-    assert {row["ruleId"] for row in results} == {"RA001"}
-
-
 def test_mixed_family_rule_spec(capsys):
     """One --rules spec can name ids from several families at once."""
     code = main(["--no-domain", "--rules", "RS001,RC001", "--no-cache",
@@ -156,9 +125,12 @@ def test_mixed_family_rule_spec(capsys):
     assert "RC001" in out
 
 
-def test_unknown_rc_rule_exits_two(capsys):
-    assert main(["--rules", "RC999", str(PACKAGE)]) == 2
-    assert "RC999" in capsys.readouterr().err
+@pytest.mark.parametrize("rule_id", ["RC999", "RA001"])
+def test_unknown_family_rule_exits_two(capsys, rule_id):
+    """An id no family defines — a typo, or a rule that was deleted —
+    is a usage error, never a silently empty pass."""
+    assert main(["--rules", rule_id, str(PACKAGE)]) == 2
+    assert rule_id in capsys.readouterr().err
 
 
 def test_domain_validation_runs_by_default(capsys):

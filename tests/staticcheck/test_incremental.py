@@ -239,95 +239,16 @@ def test_flow_and_concurrency_share_one_graph_build(tmp_path, monkeypatch):
     assert [f.rule_id for f in out.result.findings] == ["RC001"]
 
 
-def test_all_three_tree_passes_share_one_graph_build(tmp_path, monkeypatch):
-    """Flow + concurrency + arrays all missing the cache still build
-    exactly one call graph between them."""
-    from repro.staticcheck import arrays, concurrency, flow, graph, incremental
-    from repro.staticcheck.arrays import ALL_ARRAY_RULES
-
-    builds = {"n": 0}
-    real_build = graph.build_call_graph
-
-    def counting_build(paths):
-        builds["n"] += 1
-        return real_build(paths)
-
-    for module in (incremental, flow, concurrency, arrays):
-        monkeypatch.setattr(module, "build_call_graph", counting_build)
-    pkg = _make_conc_pkg(tmp_path)
-    out = incremental_check(
-        [str(pkg)], per_file_rules=[],
-        flow_rules=list(ALL_FLOW_RULES),
-        concurrency_rules=list(ALL_CONCURRENCY_RULES),
-        array_rules=list(ALL_ARRAY_RULES),
-        cache_path=tmp_path / "cache.json", use_cache=False,
-    )
-    assert builds["n"] == 1
-    assert [f.rule_id for f in out.result.findings] == ["RC001"]
-
-
-def test_arrays_warm_run_parses_nothing_and_renders_identically(
-        tmp_path, monkeypatch):
-    from repro.staticcheck.arrays import ALL_ARRAY_RULES
-
-    pkg = tmp_path / "arr_pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "kernel.py").write_text(
-        "import numpy as np\n"
-        "def weights(n: int):\n"
-        "    return np.zeros(n, dtype=np.float32)\n"
-    )
-    cache = tmp_path / "cache.json"
-
-    def _arr_check(**kwargs):
-        return incremental_check(
-            [str(pkg)], per_file_rules=[],
-            array_rules=list(ALL_ARRAY_RULES),
-            cache_path=cache, **kwargs,
-        )
-
-    cold = _arr_check()
-    assert [f.rule_id for f in cold.result.findings] == ["RA001"]
-    assert not cold.tree_cached
-    assert isinstance(cold.stats["arrays"], dict)
-
-    calls = {"n": 0}
-    real_parse = ast.parse
-
-    def counting_parse(*args, **kwargs):
-        calls["n"] += 1
-        return real_parse(*args, **kwargs)
-
-    monkeypatch.setattr(ast, "parse", counting_parse)
-    warm = _arr_check()
-    assert warm.n_reanalyzed == 0
-    assert warm.tree_cached
-    assert calls["n"] == 0
-    cold_json = render_json(cold.result, stats=cold.stats)
-    warm_json = render_json(warm.result, stats=warm.stats)
-    assert warm_json == cold_json   # interpreter stats round-trip too
-    payload = json.loads(cache.read_text())
-    arr_section = payload["tree"]["arrays"]
-    assert set(arr_section) == {"findings", "suppressed", "stats"}
-    assert arr_section["stats"]["arrays"]["functions_interpreted"] == 1
-
-
 def test_combined_warm_run_is_byte_identical_with_zero_parses(
         tmp_path, capsys, monkeypatch):
-    """The acceptance criterion, end-to-end through the CLI with all
-    three tree passes on: cold vs warm JSON byte-identity and zero
+    """The acceptance criterion, end-to-end through the CLI with both
+    tree passes on: cold vs warm JSON byte-identity and zero
     ``ast.parse`` calls on the warm run."""
     from repro.staticcheck.cli import main
 
     monkeypatch.chdir(tmp_path)
     pkg = _make_conc_pkg(tmp_path)
-    (pkg / "kernel.py").write_text(
-        "import numpy as np\n"
-        "def weights(n: int):\n"
-        "    return np.zeros(n, dtype=np.float32)\n"
-    )
-    argv = ["--no-domain", "--flow", "--concurrency", "--arrays",
+    argv = ["--no-domain", "--flow", "--concurrency",
             "--format", "json", str(pkg)]
     assert main(argv) == 1
     cold = capsys.readouterr().out
@@ -346,8 +267,7 @@ def test_combined_warm_run_is_byte_identical_with_zero_parses(
     assert calls["n"] == 0
     payload = json.loads(warm)
     rules = {f["rule"] for f in payload["findings"]}
-    assert rules == {"RC001", "RA001"}
-    assert payload["call_graph"]["arrays"]["hot_functions"] == 0
+    assert rules == {"RC001"}
 
 
 def test_cli_cold_and_warm_json_byte_identical(tmp_path, capsys, monkeypatch):

@@ -5,16 +5,20 @@ determinism/cache-purity invariants fails here with the rule ID and
 location, instead of surfacing later as a flaky hypothesis failure.
 """
 
+import tokenize
 from pathlib import Path
 
 from repro.staticcheck import (
     expected_by_rule,
+    iter_python_files,
     lint_concurrency,
     lint_flow,
     lint_paths,
     reason_for,
+    rule_registry,
     validate_default_domain,
 )
+from repro.staticcheck.model import parse_suppressions
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -75,6 +79,32 @@ def test_repo_concurrency_clean():
         "per-line ignore"
     )
     assert expected_by_rule("RC") == {}
+
+
+def test_suppression_markers_name_registered_rules():
+    """A marker naming an id no family defines — a typo, or a deleted
+    rule — silences nothing and would live on unnoticed, because the
+    marker parser accepts any id.  Every ``# staticcheck: ignore[...]``
+    comment under ``src/repro`` must name registered ids only; a bare
+    ``ignore`` names none and stays allowed."""
+    known = {entry.rule_id for entry in rule_registry()}
+    stale: list[str] = []
+    n_named = 0
+    for path in iter_python_files([PACKAGE]):
+        with tokenize.open(path) as handle:
+            tokens = list(tokenize.generate_tokens(handle.readline))
+        # comments only: docstrings quote placeholder markers such as
+        # ``ignore[RFxxx]``
+        for tok in tokens:
+            if tok.type != tokenize.COMMENT:
+                continue
+            named = parse_suppressions(tok.string).rule_ids()
+            n_named += len(named)
+            stale.extend(f"{path}:{tok.start[0]}: {rule_id}"
+                         for rule_id in sorted(named - known))
+    assert stale == [], "markers name unknown rules:\n" + "\n".join(stale)
+    # the scan must see at least the inventory's own markers
+    assert n_named >= sum(expected_by_rule().values()), n_named
 
 
 def test_repo_lock_model_covers_the_service_layer():
