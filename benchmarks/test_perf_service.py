@@ -13,7 +13,7 @@ and are gated by ``check_bench_regression.py`` in the bench-smoke job:
 
 * ``runs_per_s`` — production-run ingest throughput over the whole
   scenario wall time (higher is better, loose tolerance: the asyncio +
-  shard-thread interleaving moves with the host);
+  shard-runner interleaving moves with the host);
 * ``tune_latency_p99_s`` — p99 submit-to-deploy latency across all
   1000 tune requests (lower is better).  Under a full-population burst
   against a 256-slot admission queue this includes queueing time, which
@@ -22,7 +22,9 @@ and are gated by ``check_bench_regression.py`` in the bench-smoke job:
 The scenario block also records the pool-wide **per-phase wall-time
 breakdown** (suggest vs evaluate vs ingest vs similarity, merged across
 shards) so a regression in either SLI can be attributed to the phase
-that grew; the bench-smoke job uploads it as its own artifact.
+that grew; the bench-smoke job uploads it as its own artifact.  The
+phases run one at a time on the pool's runner thread, so their sum is
+asserted to fit within the scenario's wall time.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_service.py -s``
 """
@@ -91,6 +93,10 @@ def test_perf_service_load():
     assert set(report.per_phase) >= {"suggest", "evaluate", "ingest"}
     for phase in report.per_phase.values():
         assert phase["seconds"] >= 0.0 and phase["calls"] >= 1
+    # One runner thread runs the phases one at a time, so they add up to
+    # at most the wall clock.
+    phase_s = sum(phase["seconds"] for phase in report.per_phase.values())
+    assert phase_s <= report.wall_s
 
     out = {
         "benchmark": "multi-tenant service load",

@@ -78,7 +78,8 @@ class HistoryStore:
         return list(self._log.snapshot())
 
     def for_workload(self, tenant: str, workload_label: str) -> list[ExecutionRecord]:
-        return [r for r in self._log.snapshot() if r.key == (tenant, workload_label)]
+        """The key's records in log order, from the index's per-key list."""
+        return self.index().records_for(tenant, workload_label)
 
     def tenants(self) -> list[str]:
         return sorted({r.tenant for r in self._log.snapshot()})

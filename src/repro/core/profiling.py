@@ -12,8 +12,10 @@ justified the suggest-path work and guards it against regressing.
 Timing uses ``time.perf_counter`` (monotonic, telemetry-grade — the
 wall-clock functions are banned from the deterministic scopes by
 staticcheck RS002, perf_counter explicitly is not).  Accumulation is a
-single lock-guarded float add, cheap enough to leave on in production;
-profilers are thread-safe because shard workers record concurrently.
+single lock-guarded float add, cheap enough to leave on in production.
+Profilers are thread-safe for any caller, but a shard pool's services
+all record from its one runner thread, one phase at a time — so a
+pool's phase seconds sum to at most the wall time they were spent in.
 """
 
 from __future__ import annotations

@@ -131,7 +131,7 @@ class TuningService:
         #: per-phase wall-time split of this service's hot path —
         #: suggest (surrogate + acquisition), evaluate (simulator),
         #: ingest (production recording), similarity (transfer + SLO
-        #: reference).  Thread-safe; shard workers record concurrently.
+        #: reference).  Thread-safe for any caller.
         self.profiler = PhaseProfiler()
 
     def _next_seed(self, n_runs: int = 1) -> int:

@@ -17,6 +17,8 @@ running aggregates maintained **incrementally** against
 * per-key success counts, best successful record, and best runtime,
   plus the global best — serving ``best_for``/``best_runtime_overall``
   in O(1)/O(workloads);
+* per-key record lists in log order, failures included — serving
+  ``HistoryStore.for_workload`` (transfer planning) in O(the key's runs);
 * a key-sorted mean matrix answering top-k similarity with one (W, d)
   distance computation and ``np.argpartition`` instead of a Python loop
   over full-log scans.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,12 +53,15 @@ __all__ = ["SignatureIndex", "signature_index"]
 
 @dataclass
 class _KeyAggregate:
-    """Running aggregates of one (tenant, label)'s successful runs."""
+    """Running aggregates of one (tenant, label): its records, and the
+    signatures and best of its successful runs."""
 
     row: int
     sigs: np.ndarray                      # (capacity, d) signature buffer
     n_success: int = 0
     best: ExecutionRecord | None = None
+    #: every record of the key, failures included, in log order
+    records: list[ExecutionRecord] = field(default_factory=list)
 
     def append(self, signature: np.ndarray) -> None:
         n = self.n_success
@@ -124,13 +129,14 @@ class SignatureIndex:
             # log, but a foreign/replaced log gets correctness over speed.
             self._reset_locked()
             self.n_rebuilds += 1
-        new = self._log.tail(self._synced_count)
-        for record in new:
+        for record in self._log.tail(self._synced_count):
             self._ingest_locked(record)
-        self._synced_count += len(new)
+            # Counted per record: after a record raises, the next sync
+            # resumes at it instead of folding its predecessors twice.
+            self._synced_count += 1
+            self.n_records_indexed += 1
         self._synced_version = version
         self.n_syncs += 1
-        self.n_records_indexed += len(new)
 
     def _ingest_locked(self, record: ExecutionRecord) -> None:
         key = record.key
@@ -138,6 +144,7 @@ class SignatureIndex:
         if agg is None:
             agg = self._add_key_locked(key, record)
         if not record.success:
+            agg.records.append(record)
             return
         sig = np.asarray(record.signature, dtype=float)
         if self._dim is None:
@@ -148,6 +155,7 @@ class SignatureIndex:
                 f"signature dimension {sig.shape} does not match the "
                 f"log's established ({self._dim},)"
             )
+        agg.records.append(record)
         agg.append(sig)
         row = agg.row
         self._counts[row] += 1
@@ -221,6 +229,18 @@ class SignatureIndex:
                 self._dirty.discard(agg.row)
                 self.n_mean_refreshes += 1
             return self._means[agg.row].copy()
+
+    def records_for(self, tenant: str,
+                    workload_label: str) -> list[ExecutionRecord]:
+        """Every record of one (tenant, label) in log order, as a copy.
+
+        O(the key's runs): transfer planning reads its sources' runs
+        here instead of filtering a snapshot of the whole log.
+        """
+        self.sync()
+        with self._lock:
+            agg = self._keys.get((tenant, workload_label))
+            return list(agg.records) if agg is not None else []
 
     def best_for(self, tenant: str, workload_label: str) -> ExecutionRecord | None:
         self.sync()

@@ -745,8 +745,8 @@ class AsyncBlockingRule(ConcurrencyRule):
                 for site in graph.sites_of(qname):
                     _held, nested = model.held_at_site(site)
                     if nested:
-                        # a nested def is deferred work — it runs on a
-                        # shard thread, not on the event loop
+                        # a nested def is deferred work — it runs on the
+                        # shard pool's runner thread, not on the event loop
                         continue
                     if site.kind == "internal":
                         callee = site.callee

@@ -2,6 +2,8 @@
 
 import threading
 
+import pytest
+
 from repro.cloud.cluster import Cluster
 from repro.core import PhaseProfiler, TuningService
 from repro.core.serviced.frontend import ingest_production_runs
@@ -94,3 +96,14 @@ class TestServiceWiring:
             assert phase["seconds"] >= 0.0 and phase["calls"] >= 1
         shards = report.stats["shards"]
         assert len(shards["phases_by_shard"]) == 2
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_pool_phase_seconds_add_up_within_wall_time(self, seed):
+        """Phases of one pool run one at a time on its runner thread, so
+        their pool-wide seconds cannot exceed the scenario's wall time."""
+        report = run_load(LoadScenario(
+            n_tenants=16, runs_per_tenant=40, n_shards=4, seed=seed,
+        ))
+        assert report.runs_submitted == 16 * 40
+        phase_s = sum(p["seconds"] for p in report.per_phase.values())
+        assert 0.0 < phase_s <= report.wall_s

@@ -1,14 +1,18 @@
 """Concurrency stress tests for the shared service state.
 
-The multi-tenant front end runs sessions on several shard threads at
-once; these tests pin the thread-safety fixes that makes that sound:
-seed allocation, ledger charges, engine batch dispatch and the shard
-pool itself under concurrent load.  The final class re-runs the shard
-stress with the service locks wrapped in the runtime lock-order
-sanitizer (``repro.staticcheck.dynsan``) so an AB/BA inversion that a
-schedule never happens to trip still fails the suite.
+The shard pool runs every job on one runner thread, but the state its
+services share — seed allocation, ledger charges, the history log and
+its signature index, engine batch dispatch — is documented thread-safe
+for any caller, and these tests pin the fixes that make it so.  The
+pool tests pin its accounting and the lock order along its job path.
+Pool jobs never overlap, so the last class runs the same job body
+from eight plain threads with a one-microsecond switch interval,
+with the service locks wrapped in the runtime lock-order sanitizer
+(``repro.staticcheck.dynsan``), so an AB/BA inversion that a schedule
+never happens to trip still fails the suite.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -76,7 +80,7 @@ class TestLedgerCharges:
 
 class TestEngineDispatch:
     def test_concurrent_objectives_agree_and_counters_balance(self):
-        """Several shard threads driving one engine must get identical
+        """Several threads driving one engine must get identical
         answers for identical candidates, with every lookup accounted
         as either a hit or a miss."""
         simulator = SparkSimulator()
@@ -201,6 +205,78 @@ class TestLockOrderUnderStress:
             with ledger_lock:
                 with log_lock:
                     pass
+
+
+class TestSharedStateFromPlainThreads:
+    def test_job_body_from_eight_threads_with_sanitized_locks(self):
+        """The pool stress job body, run by eight threads at once (more
+        than the cores) that switch every microsecond: ids and seeds stay
+        unique, every ledger counts exactly its own charges, each thread
+        reads its own appends back from the index in log order, and no
+        lock-order inversion is observed."""
+        san = LockOrderSanitizer()
+        log = HistoryLog(segment_records=32, compact_after=2)
+        instrument_attr(log, "_lock", san, name="HistoryLog._lock")
+        store = HistoryStore(log)
+        instrument_attr(store.index(), "_lock", san,
+                        name="SignatureIndex._lock")
+        ledgers = [CostLedger() for _ in range(3)]
+        services = []
+        for i, ledger in enumerate(ledgers):
+            instrument_attr(ledger, "_lock", san,
+                            name=f"CostLedger#{i}._lock")
+            service = TuningService(store=HistoryStore(log), ledger=ledger,
+                                    executor="serial", seed=300 + i)
+            instrument_attr(service, "_seed_lock", san,
+                            name=f"TuningService#{i}._seed_lock")
+            services.append(service)
+        cluster = Cluster.of("m5.xlarge", 4)
+        seeds: list[int] = []
+        errors: list[BaseException] = []
+        collect = threading.Lock()
+
+        def worker(k):
+            service = services[k % 3]
+            mine = []
+            try:
+                for _ in range(30):
+                    seed = service._next_seed()
+                    service.ledger.charge_tuning(cluster, 30.0)
+                    record = service.store.record(
+                        f"t{seed % 5}", "wc", 1_000.0, cluster.describe(),
+                        service.disc_space.default_configuration(),
+                        _Result(30.0, True), np.ones(4),
+                    )
+                    listed = service.store.for_workload(record.tenant, "wc")
+                    assert any(r is record for r in listed)
+                    ids = [r.record_id for r in listed]
+                    assert ids == sorted(ids)
+                    mine.append(seed)
+            except BaseException as exc:
+                errors.append(exc)
+            with collect:
+                seeds.extend(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seeds) == 240 and len(set(seeds)) == 240
+        snap = log.snapshot()
+        assert len(snap) == 240
+        assert len({r.record_id for r in snap}) == 240
+        # threads k, k+3, k+6 share service k: 3, 3 and 2 threads x 30
+        assert [ledger.tuning_runs for ledger in ledgers] == [90, 90, 60]
+        assert san.cycles() == []
 
 
 class _Result:

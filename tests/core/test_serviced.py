@@ -1,6 +1,8 @@
 """Tests for the multi-tenant service layer (repro.core.serviced)."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +149,111 @@ class TestFingerprints:
         fp = workload_fingerprint(Wordcount(), 1000)
         for n in (1, 2, 7):
             assert 0 <= shard_index(fp, n) < n
+
+
+class TestShardPoolRunner:
+    """One runner thread executes every shard's jobs, in submission order.
+
+    Shards here are stand-in services (the factory returns the shard
+    index), which is all the runner hands its jobs.
+    """
+
+    @staticmethod
+    def _close(pool):
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert not pool._runner.is_alive()
+
+    def test_jobs_on_different_shards_run_in_submission_order(self):
+        pool = ShardPool(3, lambda i: i)
+        started, gate, ran = threading.Event(), threading.Event(), []
+
+        def first(shard):
+            started.set()
+            assert gate.wait(timeout=30)
+            ran.append(("first", shard))
+
+        try:
+            futures = [pool.submit(0, first)]
+            assert started.wait(timeout=30)
+            # Queued behind a blocked job on shard 0: with a thread per
+            # shard, the shard 1 and 2 jobs would overtake it.
+            futures += [pool.submit(i % 3, lambda shard, i=i: ran.append(
+                (i, shard))) for i in range(12)]
+            time.sleep(0.05)
+            gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            self._close(pool)
+        assert ran == [("first", 0)] + [(i, i % 3) for i in range(12)]
+        assert [s.n_jobs for s in pool._shards] == [5, 4, 4]
+
+    def test_never_two_jobs_in_flight(self):
+        pool = ShardPool(4, lambda i: i)
+        lock, state = threading.Lock(), {"now": 0, "max": 0}
+
+        def job(shard):
+            with lock:
+                state["now"] += 1
+                state["max"] = max(state["max"], state["now"])
+            time.sleep(0.001)
+            with lock:
+                state["now"] -= 1
+
+        try:
+            futures = [pool.submit(i % 4, job) for i in range(40)]
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            self._close(pool)
+        assert state == {"now": 0, "max": 1}
+
+    def test_failing_job_reaches_its_future_and_the_next_job_runs(self):
+        pool = ShardPool(2, lambda i: i)
+
+        def boom(shard):
+            raise ValueError(f"boom on shard {shard}")
+
+        try:
+            failed = pool.submit(1, boom)
+            after = pool.submit(1, lambda shard: shard * 10)
+            with pytest.raises(ValueError, match="boom on shard 1"):
+                failed.result(timeout=30)
+            assert after.result(timeout=30) == 10
+        finally:
+            self._close(pool)
+        assert pool._shards[1].n_jobs == 2
+
+    def test_close_runs_every_queued_job_before_joining(self):
+        pool = ShardPool(2, lambda i: i)
+        gate = threading.Event()
+        blocked = pool.submit(0, lambda shard: gate.wait(timeout=30))
+        queued = [pool.submit(i % 2, lambda shard, i=i: (i, shard))
+                  for i in range(10)]
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        deadline = time.monotonic() + 30
+        while not pool._closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert pool._closed                  # close() began with jobs queued
+        assert not any(f.done() for f in queued)
+        gate.set()
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert not pool._runner.is_alive()
+        assert blocked.result(timeout=0) is True
+        assert [f.result(timeout=0) for f in queued] == \
+            [(i, i % 2) for i in range(10)]
+
+    def test_submit_after_close_raises(self):
+        pool = ShardPool(2, lambda i: i)
+        self._close(pool)
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.submit(0, lambda shard: shard)
+        pool.close()                          # idempotent
 
 
 def _stack(n_shards=2, **admission_kw):

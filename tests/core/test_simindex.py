@@ -36,8 +36,9 @@ _record = st.tuples(
 )
 
 
-def _fill(records, segment_records=5):
-    """Append hypothesis-drawn records, compacting where flagged."""
+def _fill(records, segment_records=5, after_step=None):
+    """Append hypothesis-drawn records, compacting where flagged; call
+    ``after_step(log, store)`` after every append and every compaction."""
     log = HistoryLog(segment_records=segment_records, compact_after=2)
     store = HistoryStore(log)
     cfg = Configuration({})
@@ -47,8 +48,12 @@ def _fill(records, segment_records=5):
             cluster="c", config=cfg, runtime_s=float(runtime),
             success=success, signature=np.asarray(sig, dtype=float),
         )
+        if after_step is not None:
+            after_step(log, store)
         if compact:
             log.compact()
+            if after_step is not None:
+                after_step(log, store)
     return log, store
 
 
@@ -75,6 +80,26 @@ class TestAggregateIdentity:
         succ = [r for r in snap if r.success]
         expected = min((r.runtime_s for r in succ), default=None)
         assert store.best_runtime_overall() == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_record, min_size=0, max_size=60))
+    def test_for_workload_lists_the_snapshot_records_of_each_key(self, records):
+        """Per-key record lists vs a snapshot filter after every step,
+        forced compactions included: the same objects in log order, and
+        ``[]`` for a key the log has not seen (yet)."""
+        keys = [(f"t{t}", f"w{w}") for t in range(4) for w in range(3)]
+
+        def check(log, store):
+            snap = log.snapshot()
+            for key in keys:
+                got = store.for_workload(*key)
+                want = [r for r in snap if r.key == key]
+                assert len(got) == len(want)
+                assert all(a is b for a, b in zip(got, want)), key
+            assert store.for_workload("ghost", "w0") == []
+
+        log, store = _fill(records, after_step=check)
+        check(log, store)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_record, min_size=0, max_size=60),
@@ -212,6 +237,25 @@ class TestIndexMechanics:
                        success=True, signature=np.ones(3))
         with pytest.raises(ValueError):
             store.index().sync()
+
+    def test_failed_sync_resumes_at_the_record_that_raised(self):
+        """Records folded before a bad signature are not folded again by
+        the next sync, and the bad record is never listed for its key."""
+        log = HistoryLog()
+        store = HistoryStore(log)
+        cfg = Configuration({})
+        for dim in (N_FEATURES, 3):
+            log.append_new(tenant="t", workload_label="w", input_mb=1.0,
+                           cluster="c", config=cfg, runtime_s=1.0,
+                           success=True, signature=np.ones(dim))
+        index = store.index()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                index.sync()
+        assert index.counters()["records_indexed"] == 1
+        agg = index._keys[("t", "w")]
+        assert agg.n_success == 1
+        assert len(agg.records) == 1 and agg.records[0] is log.snapshot()[0]
 
 
 class TestLogTail:
