@@ -6,11 +6,9 @@ tolerance.  The gate table is selected by the report's ``benchmark``
 field, so one checker serves every ``BENCH_*.json`` in the repo:
 
 * **evaluation engine throughput** (``BENCH_throughput.json``) gates
-  ``evals_per_s`` per scenario.  Cold single-process paths are tight
-  (their noise is the code under guard); pool-backed scenarios get a
-  looser bound — their numbers also move with host core count and
-  fork/IPC weather.  Warm-cache scenarios are excluded entirely: they
-  measure cache bookkeeping, not simulation.
+  ``evals_per_s`` per scenario.  Cold paths are tight (their noise is
+  the code under guard).  Warm-cache scenarios are excluded entirely:
+  they measure cache bookkeeping, not simulation.
 * **multi-tenant service load** (``BENCH_service.json``) gates the two
   service SLIs: ``runs_per_s`` (higher is better; loose — the asyncio +
   shard-thread interleaving moves with the host) and
@@ -20,10 +18,6 @@ field, so one checker serves every ``BENCH_*.json`` in the repo:
   200 observations; tight — pure single-thread numpy) and the indexed
   ``lookups_per_s`` over the 1M-record history (loose — sub-millisecond
   quantities move with timer resolution on shared runners).
-
-A scenario whose report entry carries a ``"skipped"`` marker — in the
-baseline **or** the fresh report — is host-gated (e.g. the two-worker
-pool scenario on a single-core runner) and is not compared.
 
 Usage::
 
@@ -64,7 +58,6 @@ GATED_BENCHMARKS: dict[str, dict[str, tuple[Gate, ...]]] = {
         "sim_batch_repeated": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "engine_serial_scalar": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
         "engine_serial": (Gate("evals_per_s", DEFAULT_TOLERANCE),),
-        "engine_parallel_shm": (Gate("evals_per_s", 0.60),),
     },
     "multi-tenant service load": {
         "load_1000x100": (
@@ -101,11 +94,6 @@ def check(baseline: dict, fresh: dict, max_regression: float) -> list[str]:
             continue
         if new is None:
             failures.append(f"{scenario}: missing from fresh report")
-            continue
-        if "skipped" in base or "skipped" in new:
-            # Host-gated scenario (e.g. needs >= 2 cores): either side
-            # recorded a skip marker instead of numbers, so there is
-            # nothing meaningful to compare.
             continue
         for gate in scenario_gates:
             allowed = gate.tolerance * scale
@@ -151,9 +139,6 @@ def main(argv=None) -> int:
             fresh.get("benchmark"), {}).items():
         data = fresh.get("scenarios", {}).get(scenario)
         if not data:
-            continue
-        if "skipped" in data:
-            print(f"{scenario}: skipped ({data['skipped']})")
             continue
         for gate in scenario_gates:
             print(f"{scenario}.{gate.metric:<32}"

@@ -37,25 +37,14 @@ trajectory is tracked across PRs:
   shared, so the stage-major path schedules each stage as one
   ``(runs, tasks)`` matrix; results must equal the loop bit for bit and
   the scenario reports runs/s as ``evals_per_s``.
-* ``engine_parallel``: the same, through the process-pool executor.  On
-  a single-core host this is *honestly* reported as ≈1× or worse — the
-  pool cannot beat the GIL-free serial loop without cores (and
-  ``executor_kind`` in its counters records that the engine resolved
-  the pool to serial dispatch).
-* ``engine_parallel_shm``: an explicit two-worker
-  :class:`~repro.engine.executors.ParallelExecutor` with zero-copy
-  shared-memory dispatch and a shared on-disk plan store — the
-  saturation configuration.  Its counters record pool size and
-  per-worker chunk counts.  The whole scenario is gated on
-  ``os.cpu_count() >= 2``: a forked pool on one core measures pure
-  dispatch overhead, not parallelism, so a single-core host records a
-  ``{"skipped": ...}`` marker instead of a misleading number (and the
-  regression checker skips the scenario in either report direction).
-* ``engine_parallel_memoized``: the same 200-candidate batch
-  re-evaluated through the warm cache, i.e. the paper's provider-side
-  amortization (principle 3): a recurring or cross-tenant session whose
-  candidates the provider has already paid for.  Must be ≥ 5× the seed
-  serial loop.
+* ``engine_memoized``: the same 200-candidate campaign re-evaluated
+  through the default serial engine's warm cache, i.e. the paper's
+  provider-side amortization (principle 3): a recurring or cross-tenant
+  session whose candidates the provider has already paid for.  Must be
+  ≥ 5× the seed serial loop.
+
+Every scenario runs in-process, on one thread; the engine has no other
+executor.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_throughput.py -s``
 """
@@ -65,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 import time
 from pathlib import Path
 
@@ -76,7 +64,7 @@ from repro.config.space import Configuration
 from repro.config.spark_params import SPARK_DEFAULTS, spark_core_space
 from repro.cloud import Cluster
 from repro.engine import EngineObjective, EvaluationEngine
-from repro.engine.executors import ParallelExecutor, SerialExecutor
+from repro.engine.executors import SerialExecutor
 from repro.sparksim import SparkSimulator
 from repro.sparksim.costmodel import Calibration
 from repro.sparksim.scheduler import (
@@ -107,12 +95,6 @@ SPACE = spark_core_space()
 #: slots, vectorized at or above) may never be this much slower than the
 #: path it rejected — guards the crossover constant against drift
 MAX_WRONG_PATH_PENALTY = 1.5
-
-#: the saturation target for a multi-core provider host (joint batches
-#: on every worker of a warm shared plan store); recorded in the report
-#: so a multi-core runner regenerating the JSON checks itself against
-#: it — unreachable and therefore not asserted on a single-core box
-MULTI_CORE_TARGET_EVALS_PER_S = 50_000
 
 
 def _tuner():
@@ -152,13 +134,6 @@ def _scenario_engine_scalar(plan_cache_size):
     sim = SparkSimulator(plan_cache_size=plan_cache_size)
     executor = SerialExecutor(sim, group_batches=False)
     return _scenario_engine(executor, simulator=sim)
-
-
-def _scenario_engine_parallel_shm():
-    """Two workers, zero-copy request dispatch, shared on-disk plan store."""
-    with tempfile.TemporaryDirectory(prefix="bench-planstore-") as store_dir:
-        executor = ParallelExecutor(max_workers=2, plan_store_dir=store_dir)
-        return _scenario_engine(executor)
 
 
 def _resolved_candidates():
@@ -315,14 +290,8 @@ def test_perf_throughput():
     plancache_result, plancache_elapsed, plancache_counters = \
         _scenario_engine_scalar(plan_cache_size=64)
     serial_result, serial_elapsed, serial_counters = _scenario_engine("serial")
-    par_result, par_elapsed, par_counters = _scenario_engine("process")
-    # A forked two-worker pool on one core measures dispatch overhead,
-    # not parallelism — skip the scenario and record why.
-    shm_supported = (os.cpu_count() or 1) >= 2
-    if shm_supported:
-        shm_result, shm_elapsed, shm_counters = _scenario_engine_parallel_shm()
     warm_result, warm_elapsed, warm_counters = _scenario_engine(
-        "process", warm=True)
+        "serial", warm=True)
 
     # Same tuner seed everywhere: every scenario evaluates the identical
     # 200-candidate stream.  Engine scenarios also agree on every cost
@@ -332,9 +301,7 @@ def test_perf_throughput():
     assert [o.config for o in seed_result.history] == \
            [o.config for o in serial_result.history]
     engine_results = [scalar_result, plancache_result, serial_result,
-                      par_result, warm_result]
-    if shm_supported:
-        engine_results.append(shm_result)
+                      warm_result]
     costs = [o.cost for o in engine_results[0].history]
     for result in engine_results[1:]:
         assert [o.cost for o in result.history] == costs
@@ -367,19 +334,9 @@ def test_perf_throughput():
         "engine_serial": {"elapsed_s": serial_elapsed,
                           "evals_per_s": eps(serial_elapsed),
                           "counters": serial_counters},
-        "engine_parallel": {"elapsed_s": par_elapsed,
-                            "evals_per_s": eps(par_elapsed),
-                            "counters": par_counters},
-        "engine_parallel_shm": (
-            {"elapsed_s": shm_elapsed, "evals_per_s": eps(shm_elapsed),
-             "counters": shm_counters}
-            if shm_supported
-            else {"skipped": "requires cpu_count >= 2",
-                  "cpu_count": os.cpu_count()}
-        ),
-        "engine_parallel_memoized": {"elapsed_s": warm_elapsed,
-                                     "evals_per_s": eps(warm_elapsed),
-                                     "counters": warm_counters},
+        "engine_memoized": {"elapsed_s": warm_elapsed,
+                            "evals_per_s": eps(warm_elapsed),
+                            "counters": warm_counters},
     }
     amortized_speedup = eps(warm_elapsed) / eps(seed_elapsed)
     batch_speedup = eps(serial_elapsed) / eps(scalar_elapsed)
@@ -394,22 +351,18 @@ def test_perf_throughput():
         "scenarios": scenarios,
         "speedup_vs_seed": {
             name: s["evals_per_s"] / scenarios["seed_serial"]["evals_per_s"]
-            for name, s in scenarios.items() if "evals_per_s" in s
+            for name, s in scenarios.items()
         },
         "batch_speedup_vs_scalar": batch_speedup,
         "fastpath_speedup_vs_scalar": fastpath_speedup,
         "joint_speedup_vs_scalar": joint_speedup,
         "repeated_speedup_vs_scalar_loop": repeated_speedup,
-        "multi_core_target_evals_per_s": MULTI_CORE_TARGET_EVALS_PER_S,
         "scheduler_microbench": _scheduler_microbench(),
     }
     OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
     print(f"\n{'scenario':<28}{'elapsed':>10}{'evals/s':>10}{'speedup':>9}")
     for name, s in scenarios.items():
-        if "skipped" in s:
-            print(f"{name:<28}  skipped ({s['skipped']})")
-            continue
         print(f"{name:<28}{s['elapsed_s']:>9.2f}s{s['evals_per_s']:>10.1f}"
               f"{report['speedup_vs_seed'][name]:>8.1f}x")
 
@@ -432,25 +385,13 @@ def test_perf_throughput():
     assert joint_speedup >= 3.0, (
         f"joint run_batch only {joint_speedup:.1f}x the cold run() loop"
     )
-    # On a multi-core host the shm scenario ran: its two-worker pool
-    # telemetry must account for the dispatched chunks, and parallel
-    # dispatch must actually beat the serial loop.
-    if shm_supported:
-        workers = shm_counters["workers"]
-        assert workers["pool_size"] == 2
-        assert workers["workers_used"] >= 1
-        assert eps(shm_elapsed) > eps(serial_elapsed), (
-            f"shm pool ({eps(shm_elapsed):.0f} evals/s) not faster than "
-            f"serial ({eps(serial_elapsed):.0f}) despite "
-            f"{os.cpu_count()} cores"
-        )
     # End-to-end the same campaign pays ~80 µs/eval of tuner + objective
     # + engine harness on both sides, which dilutes the ratio; the
     # engine-level guard is correspondingly lower.
     assert batch_speedup >= 2.0, (
         f"batched engine only {batch_speedup:.1f}x the scalar cold path"
     )
-    # PR 1 acceptance: parallel + memoized engine >= 5x the seed loop.
+    # PR 1 acceptance: the memoized engine >= 5x the seed loop.
     assert amortized_speedup >= 5.0, (
         f"amortized engine only {amortized_speedup:.1f}x the seed serial loop"
     )

@@ -93,7 +93,6 @@ class TuningService:
                  interference_level: float = 0.0,
                  engine: EvaluationEngine | None = None,
                  executor: str = "serial",
-                 max_workers: int | None = None,
                  store: HistoryStore | None = None,
                  ledger: CostLedger | None = None,
                  seed: int = 0):
@@ -126,7 +125,6 @@ class TuningService:
         #: lost amortization.
         self.engine = engine or EvaluationEngine(
             simulator=self.simulator, executor=executor,
-            max_workers=max_workers,
         )
         #: per-phase wall-time split of this service's hot path —
         #: suggest (surrogate + acquisition), evaluate (simulator),
@@ -350,7 +348,7 @@ class TuningService:
 
         The provider-side bulk path ("more than 2000 configurations
         tested"): population tuners propose whole batches, the engine
-        memoizes repeats and can fan misses out to parallel workers, and
+        memoizes repeats and simulates the misses as one batch, and
         every execution is charged to the provider ledger.
         """
         objective = EngineObjective(

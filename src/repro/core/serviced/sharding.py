@@ -27,7 +27,8 @@ bought no parallelism: numpy's ``Generator`` releases the interpreter
 lock on every array draw, so simulating shard threads convoyed on it
 (on a 2-vCPU VM, 3,200 ingest batches kept two shard threads busy 16.7 s
 for 12.2 s of CPU, one runner 8.5 s for 8.1 s).  A job that blocks
-holds the runner, so every pool in the repo runs serial-executor services.
+holds the runner, and every service engine evaluates its batches
+in-process, on that runner.
 """
 
 from __future__ import annotations

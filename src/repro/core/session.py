@@ -131,9 +131,9 @@ class TuningSession:
         """Tune until the budget, the EI rule, or the SLO target stops us.
 
         With ``batch_size > 1``, suggestions are drawn through the
-        tuner's ``suggest_batch`` and evaluated together (memoized and,
-        with a parallel engine, concurrently); stopping rules are
-        checked at batch boundaries.
+        tuner's ``suggest_batch`` and evaluated together (memoized, and
+        simulated as one batch); stopping rules are checked at batch
+        boundaries.
         """
         cfg = session_config
         if batch_size < 1:

@@ -1,8 +1,8 @@
-"""Batch evaluation engine: memoized, parallel candidate evaluation."""
+"""Batch evaluation engine: memoized, batched candidate evaluation."""
 
 from .cache import CacheStats, EvaluationCache, config_fingerprint
 from .engine import EngineObjective, EvalRecord, EvalRequest, EvaluationEngine
-from .executors import ParallelExecutor, SerialExecutor, default_worker_count
+from .executors import SerialExecutor
 from .retry import FailureCounters, RetryError, RetryPolicy
 
 __all__ = [
@@ -14,8 +14,6 @@ __all__ = [
     "EvaluationEngine",
     "EngineObjective",
     "SerialExecutor",
-    "ParallelExecutor",
-    "default_worker_count",
     "RetryPolicy",
     "RetryError",
     "FailureCounters",

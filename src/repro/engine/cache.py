@@ -24,8 +24,8 @@ def config_fingerprint(config: Mapping[str, Any]) -> str:
     """Stable digest of a configuration's items.
 
     Python's built-in ``hash`` is salted per process (``PYTHONHASHSEED``),
-    so it cannot key a cache that must agree across parallel workers and
-    across runs.  This digest is derived from the sorted ``repr`` of the
+    so it cannot key a cache, or seed a candidate, that must agree across
+    runs.  This digest is derived from the sorted ``repr`` of the
     items, which is deterministic for the str/int/float/bool values
     configurations hold.
     """

@@ -5,21 +5,22 @@ evaluate *thousands* of candidate configurations cheaply ("more than
 2000 configurations tested across 5 types of workloads").  The engine is
 that layer: tuners hand it whole batches of candidates, it answers
 repeats from an LRU cache (cross-tenant amortization, principle 3 of the
-paper), dispatches the rest to a pluggable executor — in-process, or a
-process pool with per-worker simulators — and reports hit/miss/latency
-counters so the service can account for what tuning actually cost.
+paper), runs the rest in-process through the simulator's batched path,
+and reports hit/miss/latency counters so the service can account for
+what tuning actually cost.
 
 Determinism contract: every request carries its own noise seed, assigned
-by the caller *before* dispatch, so a batch produces bit-identical
-results whether it runs serially or across workers.
+by the caller *before* dispatch, so a batch's results do not depend on
+how it is grouped, retried or answered from the cache.  No engine branch
+reads the wall clock; the clock only feeds the latency counters.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import Any, ClassVar
+from dataclasses import dataclass
+from typing import Any
 
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
@@ -29,7 +30,7 @@ from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
 from .cache import CacheStats, EvaluationCache, config_fingerprint
-from .executors import ParallelExecutor, SerialExecutor, default_worker_count
+from .executors import SerialExecutor
 from .retry import FailureCounters, RetryError, RetryPolicy
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]
@@ -45,14 +46,6 @@ class EvalRequest:
     config: Configuration            # full Spark config, already resolved
     env: Environment = QUIET
     seed: int = 0
-    #: dispatch attempt (0 = first try).  Deliberately NOT part of the
-    #: cache key: results are pure functions of the request identity, so
-    #: a retried request must answer — and memoize — identically.
-    attempt: int = 0
-
-    #: fields outside the evaluation identity; staticcheck rule RS006
-    #: verifies cache_key() covers everything else and never reads these
-    _cache_key_excluded: ClassVar[tuple[str, ...]] = ("attempt",)
 
     def cache_key(self) -> tuple:
         return (
@@ -81,24 +74,24 @@ class EvaluationEngine:
     Parameters
     ----------
     executor:
-        ``"serial"`` (default), ``"process"`` for a multiprocessing pool
-        with per-worker simulators, or any object implementing
-        ``run_batch(requests) -> list[ExecutionResult]``.
+        ``"serial"`` (default) runs every batch in-process, on the
+        caller's thread; any object implementing
+        ``run_batch(requests) -> list[ExecutionResult]`` is used as given
+        (test fakes, or an ungrouped :class:`SerialExecutor`).
     cache_size:
         LRU capacity; 0 disables memoization entirely.
     retry:
-        :class:`~repro.engine.retry.RetryPolicy` governing how dispatch
-        failures (worker crashes, broken pools, timeouts) are retried and
-        when the engine degrades to serial execution.  On by default;
-        pass ``None`` to fail fast on the first executor error.
+        :class:`~repro.engine.retry.RetryPolicy` governing how executor
+        failures are retried before the engine falls back to the serial
+        executor.  On by default; pass ``None`` to fail fast on the
+        first executor error.
     """
 
-    #: duck-typed: SerialExecutor, ParallelExecutor, or any run_batch() object
+    #: duck-typed: SerialExecutor or any run_batch() object
     _executor: Any
 
     def __init__(self, simulator: SparkSimulator | None = None,
                  executor: str | object = "serial",
-                 max_workers: int | None = None,
                  cache_size: int = 4096,
                  calibration: Calibration | None = None,
                  noise: bool = True,
@@ -108,41 +101,17 @@ class EvaluationEngine:
         self.simulator = simulator
         if executor == "serial":
             self._executor = SerialExecutor(simulator)
-        elif executor == "process":
-            # A pool of one worker is pure overhead (fork + pickle per
-            # chunk with zero parallelism — the throughput bench measures
-            # it *slower* than in-process), so "process" on a single-core
-            # host resolves to the serial executor.
-            effective_workers = max_workers or default_worker_count()
-            if effective_workers <= 1:
-                self._executor = SerialExecutor(simulator)
-            else:
-                store = getattr(simulator, "plan_store", None)
-                self._executor = ParallelExecutor(
-                    max_workers=effective_workers,
-                    calibration=simulator.calibration,
-                    noise=simulator.noise,
-                    fault_plan=simulator.fault_plan,
-                    plan_store_dir=(
-                        store.directory if store is not None else None
-                    ),
-                )
         elif hasattr(executor, "run_batch"):
             self._executor = executor
         else:
-            raise ValueError(
-                "executor must be 'serial', 'process', or expose run_batch()"
-            )
+            raise ValueError("executor must be 'serial' or expose run_batch()")
         self.retry = retry
         self.cache = EvaluationCache(capacity=cache_size) if cache_size else None
         # One batch in flight at a time: the cache, the hit/miss/latency
-        # counters and above all the executor machinery (pool futures,
-        # shared-memory segment reaping, the simulator's plan cache) are
-        # single-owner structures.  The concurrent service front end may
-        # call evaluate_batch from several threads; this lock makes that
-        # safe — lost counter updates were real data races — while
-        # parallelism comes from per-shard engines and the process pool
-        # *inside* a dispatch, not from interleaved dispatches.
+        # counters and the simulator's plan and cost caches are
+        # single-owner structures.  Callers may share an engine across
+        # threads; this lock makes that safe — lost counter updates were
+        # real data races.
         self._lock = threading.Lock()
         self.failures = FailureCounters()
         self.n_evaluated = 0         # simulations actually run (cache misses)
@@ -152,7 +121,6 @@ class EvaluationEngine:
         #: cannot deliver under interference (env is part of the key)
         self.n_env_distinct_misses = 0
         self._env_free_keys: set[tuple] = set()
-        self._pool_failures = 0      # consecutive pool-level dispatch failures
 
     @property
     def stats(self) -> CacheStats:
@@ -162,14 +130,11 @@ class EvaluationEngine:
     def executor_kind(self) -> str:
         """Which executor is answering requests right now.
 
-        ``"serial"`` / ``"process"``, or the class name of a custom
-        executor.  Surfaces both the single-core resolution at
-        construction and any mid-session degradation to serial.
+        ``"serial"``, or the class name of a custom executor; surfaces a
+        custom executor's mid-session fallback to serial.
         """
         if isinstance(self._executor, SerialExecutor):
             return "serial"
-        if isinstance(self._executor, ParallelExecutor):
-            return "process"
         return type(self._executor).__name__
 
     def counters(self) -> dict[str, Any]:
@@ -179,9 +144,6 @@ class EvaluationEngine:
                     n_env_distinct_misses=self.n_env_distinct_misses)
         snap.update(self.failures.snapshot())
         snap["executor_kind"] = self.executor_kind
-        utilization = getattr(self._executor, "utilization", None)
-        if utilization is not None:
-            snap["workers"] = utilization()
         return snap
 
     # --- evaluation ----------------------------------------------------------
@@ -255,10 +217,8 @@ class EvaluationEngine:
         """Run cache-miss requests through the executor, surviving failures.
 
         Each attempt re-dispatches only the requests that never produced
-        a result; results are pure functions of the request (the
-        ``attempt`` field is excluded from identity), so retries cannot
-        change observations.  Broken pools are rebuilt, and repeated
-        pool-level failures downgrade the engine to serial execution.
+        a result; results are pure functions of the request, so retries
+        cannot change observations.
         """
         if self.retry is None:
             return self._executor.run_batch(requests)
@@ -266,11 +226,7 @@ class EvaluationEngine:
         results: list = [None] * len(requests)
         pending = list(range(len(requests)))
         for attempt in range(policy.max_attempts):
-            batch = [
-                replace(requests[i], attempt=attempt) if attempt else requests[i]
-                for i in pending
-            ]
-            partial, error = self._run_attempt(batch, policy.batch_timeout_s)
+            partial = self._run_attempt([requests[i] for i in pending])
             still_pending = []
             for slot, result in zip(pending, partial):
                 if result is None:
@@ -281,10 +237,6 @@ class EvaluationEngine:
                 return results
             pending = still_pending
             self.failures.n_failures += len(pending)
-            if isinstance(error, TimeoutError):
-                self.failures.n_timeouts += 1
-            if error is not None:
-                self._handle_pool_failure()
             if attempt + 1 < policy.max_attempts:
                 self.failures.n_retries += len(pending)
                 time.sleep(policy.backoff_s(attempt, token=len(pending)))
@@ -293,11 +245,8 @@ class EvaluationEngine:
         # harness degrades the engine instead of aborting the session.
         self.failures.n_exhausted += len(pending)
         self._degrade_to_serial()
-        fallback = [
-            replace(requests[i], attempt=policy.max_attempts) for i in pending
-        ]
         try:
-            answered = self._executor.run_batch(fallback)
+            answered = self._executor.run_batch([requests[i] for i in pending])
         except Exception as exc:
             raise RetryError(
                 f"{len(pending)} request(s) failed after "
@@ -307,51 +256,24 @@ class EvaluationEngine:
             results[slot] = result
         return results
 
-    def _run_attempt(self, batch, timeout_s):
-        """One dispatch attempt: failed slots come back ``None`` + first error."""
-        partial_fn = getattr(self._executor, "run_batch_partial", None)
-        if partial_fn is not None:
-            try:
-                return partial_fn(batch, timeout_s=timeout_s)
-            except Exception as exc:
-                return [None] * len(batch), exc
-        try:
-            return list(self._executor.run_batch(batch)), None
-        except Exception as exc:
-            if len(batch) == 1:
-                return [None], exc
-        # Whole batch failed on an executor without partial support:
-        # isolate per request so one poisoned request cannot sink the rest.
-        results, error = [], None
-        for request in batch:
-            try:
-                results.append(self._executor.run_batch([request])[0])
-            except Exception as exc:
-                if error is None:
-                    error = exc
-                results.append(None)
-        return results, error
+    def _run_attempt(self, batch) -> list:
+        """One dispatch attempt; failed requests come back as ``None``.
 
-    def _handle_pool_failure(self) -> None:
-        """Rebuild a broken pool; degrade to serial once failures repeat."""
-        policy = self.retry
-        if policy is None or not hasattr(self._executor, "rebuild"):
-            return
-        self._pool_failures += 1
-        if self._pool_failures >= policy.degrade_after:
-            self._degrade_to_serial()
-        else:
-            self._executor.rebuild()
-            self.failures.n_pool_rebuilds += 1
+        A failed batch is re-run one request at a time, so one poisoned
+        request cannot sink the rest.
+        """
+        try:
+            return list(self._executor.run_batch(batch))
+        except Exception:
+            if len(batch) == 1:
+                return [None]
+        return [self._run_attempt([request])[0] for request in batch]
 
     def _degrade_to_serial(self) -> None:
         """One-way downgrade to in-process execution (counted, auditable)."""
         if isinstance(self._executor, SerialExecutor):
             return
-        try:
-            self._executor.close()
-        except Exception:  # staticcheck: ignore[RF004] -- best-effort close of an already-broken pool; n_degraded is bumped just below
-            pass                     # a broken pool may refuse clean shutdown
+        self._executor.close()
         self._executor = SerialExecutor(self.simulator)
         self.failures.n_degraded += 1
 
@@ -372,10 +294,10 @@ class EngineObjective(SimulationObjective):
     Adds ``evaluate_batch(configs)`` — the protocol
     :func:`repro.tuning.base.run_tuner_batched` looks for — while staying
     a drop-in single-candidate callable.  All stateful bookkeeping
-    (interference stepping, seeding, ledger charges) happens here in the
-    parent, in request order, before dispatch; the engine and its
-    workers only ever see pure ``EvalRequest``s.  Serial and parallel
-    executors therefore produce identical observation histories.
+    (interference stepping, seeding, ledger charges) happens here, in
+    request order, before dispatch; the engine only ever sees pure
+    ``EvalRequest``s, so grouping, retries and cache hits cannot change
+    the observation history.
 
     ``seed_mode`` controls per-candidate seeding:
 

@@ -1,66 +1,23 @@
-"""Pluggable batch executors for the evaluation engine.
+"""The evaluation engine's batch executor.
 
 A batch executor turns a list of :class:`~repro.engine.engine.EvalRequest`
 into the matching list of
-:class:`~repro.sparksim.metrics.ExecutionResult`, in order.  Because
-every request carries its own noise seed and the simulator derives all
-randomness from it, the results are bit-identical whether a batch runs
-serially in-process or fanned out across worker processes — parallelism
-changes wall-clock, never observations.
+:class:`~repro.sparksim.metrics.ExecutionResult`, in order.  Every batch
+runs in-process, on the caller's thread, through :class:`SerialExecutor`.
+Every request carries its own noise seed and the simulator derives all
+randomness from it, so grouping a batch into ``run_batch`` calls changes
+wall-clock, never observations.
 
-Failure surface: :class:`ParallelExecutor` additionally exposes
-``run_batch_partial`` (per-chunk futures, so a crashed worker loses only
-its own chunk while completed chunks keep their results) and
-``rebuild()`` (tear down a broken pool and start a fresh one) — the two
-hooks :mod:`repro.engine.retry`-driven dispatch needs to survive
-``BrokenProcessPool`` without aborting the batch.
+The engine also accepts any object with a ``run_batch(requests)``
+method; tests use that seam for failing fakes, and the throughput bench
+for the ungrouped per-candidate baseline.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import Counter, OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, wait
-from dataclasses import replace
-from multiprocessing import resource_tracker, shared_memory
-
-from ..config.space import Configuration
-from ..sparksim.costmodel import Calibration
-from ..sparksim.faults import FaultPlan
-from ..sparksim.planstore import PlanStore
 from ..sparksim.simulator import SparkSimulator
-from .shm import (
-    _segment_name,
-    decode_configs,
-    encode_configs,
-    read_payload,
-    unlink_segment,
-    write_payload,
-)
 
-__all__ = [
-    "SerialExecutor",
-    "ParallelExecutor",
-    "default_worker_count",
-    "run_grouped",
-]
-
-#: workers beyond this stop paying for simulated executions (milliseconds
-#: each) and start costing fork + pickle overhead on big hosts
-DEFAULT_WORKER_CAP = 8
-
-
-def default_worker_count(cap: int = DEFAULT_WORKER_CAP) -> int:
-    """Sensible worker count: the machine's cores, capped at ``cap``.
-
-    Tiny hosts still get at least one worker; big hosts are capped so a
-    128-core box does not fork 128 simulator processes for
-    millisecond-scale tasks.  Pass a larger ``cap`` to override.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    return max(1, min(os.cpu_count() or 1, cap))
+__all__ = ["SerialExecutor", "run_grouped"]
 
 
 def run_grouped(simulator: SparkSimulator, requests) -> list:
@@ -70,9 +27,7 @@ def run_grouped(simulator: SparkSimulator, requests) -> list:
     one :meth:`~repro.sparksim.simulator.SparkSimulator.run_batch` call
     (one plan-cache lookup + one vectorized cost sweep), which is
     bit-identical to running them one by one.  Grouping keys on the
-    workload's *identity*: within one process (or one unpickled chunk,
-    where pickle memoization preserves shared references) same-origin
-    requests carry the same object.
+    workload's *identity*: same-origin requests carry the same object.
     """
     requests = list(requests)
     groups: dict[tuple, list[int]] = {}
@@ -102,14 +57,12 @@ def run_grouped(simulator: SparkSimulator, requests) -> list:
 
 
 class SerialExecutor:
-    """Run every request in-process on one simulator (the baseline).
+    """Run every request in-process on one simulator.
 
     With ``group_batches`` (the default), same-workload requests dispatch
     through the simulator's candidate-batched fast path; results stay
-    bit-identical to the per-request loop.  Ignores ``worker_crash``
-    faults by construction: those model pool workers dying, and there is
-    no pool here — which is exactly why the engine degrades to this
-    executor when pools keep breaking.
+    bit-identical to the per-request loop.  This is also the executor a
+    custom one degrades to when its attempts run out.
     """
 
     def __init__(self, simulator: SparkSimulator | None = None,
@@ -131,333 +84,3 @@ class SerialExecutor:
 
     def close(self) -> None:
         pass
-
-
-# Per-worker simulator, built once by the pool initializer so workers do
-# not re-construct (or worse, share) simulator state per task.
-_WORKER_SIMULATOR: SparkSimulator | None = None
-
-# Per-worker cache of attached request segments, so several chunks of
-# one batch map the segment once.  Names are pid+counter unique and
-# never reused, so a cached entry can never go stale — only unused.
-_SEG_CACHE: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
-_SEG_CACHE_CAP = 4
-
-
-def _init_worker(calibration: Calibration | None, noise: bool,
-                 fault_plan: FaultPlan | None = None,
-                 plan_store_dir: str | None = None) -> None:
-    global _WORKER_SIMULATOR
-    plan_store = PlanStore(plan_store_dir) if plan_store_dir else None
-    _WORKER_SIMULATOR = SparkSimulator(
-        calibration=calibration, noise=noise, fault_plan=fault_plan,
-        plan_store=plan_store,
-    )
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    seg = _SEG_CACHE.get(name)
-    if seg is not None:
-        _SEG_CACHE.move_to_end(name)
-        return seg
-    seg = shared_memory.SharedMemory(name=name)   # attach, parent unlinks
-    try:
-        # On 3.11 *attaching* also registers with this worker's resource
-        # tracker, which would warn (and race the parent's unlink) at
-        # worker shutdown; the parent owns this segment's lifetime.
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:
-        pass
-    _SEG_CACHE[name] = seg  # staticcheck: ignore[RF003] -- deliberately worker-local: per-worker attachment cache; entries must never reach the parent
-    while len(_SEG_CACHE) > _SEG_CACHE_CAP:
-        _, old = _SEG_CACHE.popitem(last=False)
-        old.close()
-    return seg
-
-
-def _run_one(request):
-    plan = _WORKER_SIMULATOR.fault_plan
-    if (
-        plan is not None
-        and getattr(request, "attempt", 0) == 0
-        and plan.draw(request.seed).crash_worker
-    ):
-        # Injected infrastructure fault: die like a real OOM-killed or
-        # segfaulted worker — no exception, no cleanup — so the parent
-        # sees a genuine BrokenProcessPool.  First attempt only: the
-        # retried request (attempt > 0) computes the true result, keeping
-        # recovered histories bit-identical to fault-free runs.
-        os._exit(13)
-    return _WORKER_SIMULATOR.run(
-        request.workload, request.input_mb, request.cluster, request.config,
-        env=request.env, seed=request.seed,
-    )
-
-
-def _maybe_crash(requests) -> None:
-    # Crash faults fire before any work, exactly as the per-request loop
-    # would: the whole chunk is lost either way (os._exit kills the
-    # worker), and retried requests (attempt > 0) never crash.
-    plan = _WORKER_SIMULATOR.fault_plan
-    if plan is not None:
-        for r in requests:
-            if getattr(r, "attempt", 0) == 0 and plan.draw(r.seed).crash_worker:
-                os._exit(13)
-
-
-def _run_chunk(requests):
-    _maybe_crash(requests)
-    return "raw", run_grouped(_WORKER_SIMULATOR, requests), os.getpid()
-
-
-def _run_chunk_shm(seg_name: str, indices, light_requests,
-                   result_name: str):
-    """One chunk of a shared-memory batch.
-
-    ``light_requests`` are the chunk's requests with ``config`` stripped
-    (the heavy part); the configs come out of the batch segment by row
-    index.  Results go back through a payload segment created under the
-    *parent-assigned* ``result_name`` — so the parent can reap it even
-    if this worker's result tuple never arrives (broken pool, timeout)
-    — and the future's pickle is just ``(kind, name, size, pid)``.
-    """
-    _maybe_crash(light_requests)
-    seg = _attach_segment(seg_name)
-    configs = decode_configs(seg, indices)
-    requests = [
-        replace(r, config=c) for r, c in zip(light_requests, configs)
-    ]
-    results = run_grouped(_WORKER_SIMULATOR, requests)
-    name, size = write_payload(results, name=result_name)
-    return "shm", name, size, os.getpid()
-
-
-class ParallelExecutor:
-    """Fan requests out over a process pool of per-worker simulators.
-
-    Workers are seeded per-request, so results are bit-identical to
-    :class:`SerialExecutor` for the same batch.  Requests are chunked to
-    amortize dispatch overhead — simulated executions are only
-    milliseconds each, so per-task dispatch would dominate — and each
-    chunk is its own future, so a worker crash forfeits one chunk's
-    results, not the whole batch.
-
-    With ``use_shm`` (the default), batches of at least
-    ``shm_min_batch`` :class:`~repro.config.space.Configuration`
-    candidates ship through one columnar shared-memory segment
-    (:mod:`repro.engine.shm`) instead of per-chunk config pickles, and
-    chunk results return through worker-created payload segments.
-    Segment lifecycle is parent-owned: request segments are unlinked
-    when their batch settles (success, timeout, or broken pool alike),
-    and result segment *names are assigned by the parent at submit
-    time*, so results a broken pool never delivered — or a straggler
-    produced after its batch was abandoned — are reaped by name on the
-    next dispatch, ``rebuild()`` or ``close()``; nothing survives the
-    executor.
-
-    ``plan_store_dir`` points workers at a shared on-disk
-    :class:`~repro.sparksim.planstore.PlanStore`, so each compiled
-    workload plan is built once across the whole pool.
-    """
-
-    def __init__(self, max_workers: int | None = None,
-                 calibration: Calibration | None = None, noise: bool = True,
-                 fault_plan: FaultPlan | None = None, use_shm: bool = True,
-                 shm_min_batch: int = 8,
-                 plan_store_dir: str | os.PathLike | None = None):
-        self.max_workers = max_workers or default_worker_count()
-        self._calibration = calibration
-        self._noise = noise
-        self._fault_plan = fault_plan
-        self.use_shm = use_shm
-        self.shm_min_batch = shm_min_batch
-        self.plan_store_dir = (
-            os.fspath(plan_store_dir) if plan_store_dir is not None else None
-        )
-        #: chunks answered per worker pid (utilisation audit surface)
-        self.worker_chunks: Counter[int] = Counter()
-        self._lock = threading.Lock()
-        self._request_segments: set[str] = set()
-        self._orphan_results: set[str] = set()
-        self._pool = self._new_pool()
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            initializer=_init_worker,
-            initargs=(self._calibration, self._noise, self._fault_plan,
-                      self.plan_store_dir),
-        )
-
-    def rebuild(self) -> None:
-        """Replace a (possibly broken) pool with a fresh one."""
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._reap_segments()
-        self._pool = self._new_pool()
-
-    # --- shared-memory bookkeeping ---------------------------------------
-    def _note_result_segment(self, future: Future) -> None:
-        """Done-callback: re-register straggler result segments.
-
-        Result names are parent-assigned and registered at submit time,
-        so most reaping needs no callback.  This covers the one gap: a
-        straggler whose pre-registered name was already reaped (batch
-        timed out, next dispatch unlinked a segment that did not exist
-        yet) and who then *created* the segment — the callback re-adds
-        the name so a later reap gets it.  Names the result loop
-        consumes are discarded right after their unlink, so the orphan
-        set only ever holds unconsumed (or just-unlinked) segments.
-        """
-        if future.cancelled() or future.exception() is not None:
-            return
-        payload = future.result()
-        if isinstance(payload, tuple) and payload and payload[0] == "shm":
-            with self._lock:
-                self._orphan_results.add(payload[1])
-
-    def _reap_segments(self) -> None:
-        """Unlink every outstanding segment this executor knows about."""
-        with self._lock:
-            names = list(self._orphan_results) + list(self._request_segments)
-            self._orphan_results.clear()
-            self._request_segments.clear()
-        for name in names:
-            unlink_segment(name)
-
-    def _unwrap(self, payload):
-        """Chunk future payload -> results list (+ utilisation tally)."""
-        if isinstance(payload, tuple) and payload:
-            if payload[0] == "shm":
-                _, name, size, pid = payload
-                self.worker_chunks[pid] += 1
-                results = read_payload(name, size)
-                with self._lock:
-                    self._orphan_results.discard(name)
-                return results
-            if payload[0] == "raw":
-                _, results, pid = payload
-                self.worker_chunks[pid] += 1
-                return results
-        return payload
-
-    def _encode_batch(self, requests) -> shared_memory.SharedMemory | None:
-        """The batch's config segment, or ``None`` for pickled dispatch."""
-        if not self.use_shm or len(requests) < self.shm_min_batch:
-            return None
-        if not all(isinstance(r.config, Configuration) for r in requests):
-            return None
-        try:
-            seg = encode_configs([r.config for r in requests])
-        except ValueError:          # heterogeneous key sets
-            return None
-        with self._lock:
-            self._request_segments.add(seg.name)
-        return seg
-
-    def utilization(self) -> dict:
-        """Pool-size and per-worker chunk counts (pids elided)."""
-        counts = sorted(self.worker_chunks.values(), reverse=True)
-        return {
-            "pool_size": self.max_workers,
-            "workers_used": len(counts),
-            "chunks_by_worker": counts,
-        }
-
-    def run_batch(self, requests) -> list:
-        results, error = self.run_batch_partial(requests)
-        if error is not None:
-            raise error
-        return results
-
-    def run_batch_partial(
-        self, requests, timeout_s: float | None = None,
-    ) -> tuple[list, Exception | None]:
-        """Run ``requests``; failed/unfinished slots come back as ``None``.
-
-        Returns ``(results, first_error)`` where ``results`` aligns with
-        ``requests``.  A broken pool fails only the chunks that had not
-        completed; a ``timeout_s`` deadline fails whatever is still
-        pending when it expires (reported as a ``TimeoutError``).
-        """
-        requests = list(requests)
-        if not requests:
-            return [], None
-        self._reap_segments()       # straggler results from past batches
-        chunksize = max(1, len(requests) // (self.max_workers * 4))
-        chunks = [
-            requests[i:i + chunksize]
-            for i in range(0, len(requests), chunksize)
-        ]
-        seg = self._encode_batch(requests)
-        try:
-            futures: list[Future | None] = []
-            error: Exception | None = None
-            start = 0
-            for chunk in chunks:
-                indices = list(range(start, start + len(chunk)))
-                start += len(chunk)
-                try:
-                    if seg is not None:
-                        light = [replace(r, config=None) for r in chunk]
-                        # Parent-assigned result name, registered BEFORE
-                        # submit: if the pool breaks (or times out) with
-                        # the chunk's result written but undelivered,
-                        # the segment is still reapable by name.
-                        result_name = _segment_name("r")
-                        with self._lock:
-                            self._orphan_results.add(result_name)
-                        future = self._pool.submit(
-                            _run_chunk_shm, seg.name, indices, light,
-                            result_name,
-                        )
-                    else:
-                        future = self._pool.submit(_run_chunk, chunk)
-                    future.add_done_callback(self._note_result_segment)
-                    futures.append(future)
-                except Exception as exc:   # pool already broken / shut down
-                    error = error or exc
-                    futures.append(None)
-            # A broken pool settles every future immediately, so waiting
-            # for all of them never blocks on a crash — only on a real
-            # deadline.
-            live = [f for f in futures if f is not None]
-            not_done: set[Future] = set()
-            if live:
-                _, not_done = wait(live, timeout=timeout_s)
-            if not_done:
-                error = error or TimeoutError(
-                    f"{len(not_done)} chunk(s) unfinished after {timeout_s}s"
-                )
-            results: list = []
-            for chunk, future in zip(chunks, futures):
-                if future is None or future in not_done:
-                    if future is not None:
-                        future.cancel()
-                    results.extend([None] * len(chunk))
-                    continue
-                try:
-                    results.extend(self._unwrap(future.result(timeout=0)))
-                except Exception as exc:
-                    error = error or exc
-                    results.extend([None] * len(chunk))
-            return results, error
-        finally:
-            if seg is not None:
-                seg.close()
-                try:
-                    seg.unlink()
-                except FileNotFoundError:
-                    pass
-                with self._lock:
-                    self._request_segments.discard(seg.name)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-        self._reap_segments()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

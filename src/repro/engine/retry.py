@@ -1,12 +1,8 @@
 """Retry, backoff, and graceful-degradation policy for batch evaluation.
 
-A provider-side engine that fans batches over worker processes inherits
-every infrastructure failure mode a real cluster has: a worker dies and
-poisons the pool (``BrokenProcessPool``), a batch hangs, a host loses
-its process budget.  The paper's premise — "any failed test execution is
-expensive and has a long fix-execute-debug cycle" — cuts both ways: the
-*evaluation harness* must not turn one crashed worker into an aborted
-tuning session.
+The paper's premise — "any failed test execution is expensive and has a
+long fix-execute-debug cycle" — cuts both ways: the *evaluation harness*
+must not turn one failing executor call into an aborted tuning session.
 
 :class:`RetryPolicy` is the knob set, consumed by
 :meth:`repro.engine.engine.EvaluationEngine.evaluate_batch`:
@@ -14,14 +10,13 @@ tuning session.
 * bounded attempts with exponential backoff and *deterministic* jitter
   (a stable hash of the attempt index and a caller token — reproducible
   runs stay reproducible, while concurrent engines still de-synchronize);
-* a per-dispatch timeout so a wedged pool surfaces as a retryable
-  failure instead of a hang;
-* pool rebuilds on ``BrokenProcessPool``, re-dispatching only the
-  requests that never finished (results are pure functions of the
-  request, so retries cannot change observations);
-* after ``degrade_after`` pool-level failures, a one-way downgrade to
-  the in-process serial executor — slower, but the batch completes and
-  the downgrade is recorded in :class:`FailureCounters`.
+* per-request isolation: a failed batch is re-run one request at a time,
+  and each attempt re-dispatches only the requests that never produced
+  a result (results are pure functions of the request, so retries cannot
+  change observations);
+* once attempts run out, a one-way downgrade to the in-process serial
+  executor answers the stragglers, and the downgrade is recorded in
+  :class:`FailureCounters`.
 """
 
 from __future__ import annotations
@@ -50,21 +45,12 @@ class RetryPolicy:
         Backoff is stretched by up to this fraction, derived
         deterministically from ``(attempt, token)`` — no wall-clock or
         global RNG, so retried runs remain reproducible.
-    batch_timeout_s:
-        Per-dispatch deadline for executors that support partial results;
-        requests unfinished at the deadline count as failed and retry.
-        ``None`` disables the deadline.
-    degrade_after:
-        Pool-level failures (broken pool / timeout) tolerated before the
-        engine downgrades to the serial executor for good.
     """
 
     max_attempts: int = 3
     backoff_base_s: float = 0.02
     backoff_factor: float = 2.0
     jitter_fraction: float = 0.25
-    batch_timeout_s: float | None = None
-    degrade_after: int = 2
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -75,10 +61,6 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1.0")
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise ValueError("jitter_fraction must be in [0, 1]")
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive (or None)")
-        if self.degrade_after < 1:
-            raise ValueError("degrade_after must be >= 1")
 
     def backoff_s(self, attempt: int, token: int = 0) -> float:
         """Sleep before re-dispatching attempt ``attempt + 1``.
@@ -102,16 +84,12 @@ class RetryPolicy:
 class FailureCounters:
     """Failure/retry/degradation tallies for one engine (audit surface)."""
 
-    #: request-attempts that produced no result (crash, broken pool, timeout)
+    #: request-attempts that produced no result (the executor raised)
     n_failures: int = 0
     #: requests re-dispatched after a failed attempt
     n_retries: int = 0
-    #: process pools torn down and rebuilt after a pool-level failure
-    n_pool_rebuilds: int = 0
-    #: one-way downgrades from the parallel to the serial executor
+    #: one-way downgrades from a custom executor to the serial one
     n_degraded: int = 0
-    #: dispatches that hit the per-batch deadline
-    n_timeouts: int = 0
     #: requests only answered by the last-resort serial pass
     n_exhausted: int = 0
 
@@ -119,8 +97,6 @@ class FailureCounters:
         return {
             "n_failures": self.n_failures,
             "n_retries": self.n_retries,
-            "n_pool_rebuilds": self.n_pool_rebuilds,
             "n_degraded": self.n_degraded,
-            "n_timeouts": self.n_timeouts,
             "n_exhausted": self.n_exhausted,
         }

@@ -28,7 +28,6 @@ from .faults import (
     executor_loss,
     oom_kill,
     straggler,
-    worker_crash,
 )
 from .memory import CachePlan, SpillOutcome, gc_fraction, plan_cache, spill_outcome
 from .metrics import ExecutionResult, RunBatch, StageMetrics, TaskMetrics
@@ -57,7 +56,6 @@ __all__ = [
     "straggler",
     "oom_kill",
     "env_spike",
-    "worker_crash",
     "CachePlan",
     "SpillOutcome",
     "plan_cache",

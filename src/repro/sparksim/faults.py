@@ -12,26 +12,18 @@ a given run.
 Determinism contract: :meth:`FaultPlan.draw` uses its own generator
 derived from ``(salt, seed)`` — it never touches the simulator's noise
 stream — so (a) the same request always experiences the same faults, no
-matter which process or executor evaluates it (fault scenarios are
+matter how the engine groups or retries it (fault scenarios are
 cacheable under the engine's seed-keyed memoization), and (b) a plan
 whose faults do not fire leaves the execution bit-identical to a run
 with no plan at all.
 
-Two fault families:
-
-* **Simulated faults** change the :class:`ExecutionResult` itself and are
-  applied inside the simulator: ``executor_loss`` (a fraction of
-  executors die mid-run; in-flight work re-runs and the remaining stages
-  run on fewer slots), ``straggler`` (one stage's tasks slow down),
-  ``oom_kill`` (the application is killed at a stage, a failed run), and
-  ``env_spike`` (a transient interference burst multiplies the
-  environment factors for this run only).
-* **Infrastructure faults** attack the harness, not the result:
-  ``worker_crash`` makes an evaluation-engine *pool worker* die hard
-  (``os._exit``) on the first attempt, exercising the retry path in
-  :mod:`repro.engine.retry`.  Serial execution ignores it, and retries
-  carry ``attempt > 0``, so the recovered result is bit-identical to a
-  fault-free run — the property the engine's recovery tests assert.
+Every fault changes the :class:`ExecutionResult` itself and is applied
+inside the simulator: ``executor_loss`` (a fraction of executors die
+mid-run; in-flight work re-runs and the remaining stages run on fewer
+slots), ``straggler`` (one stage's tasks slow down), ``oom_kill`` (the
+application is killed at a stage, a failed run), and ``env_spike`` (a
+transient interference burst multiplies the environment factors for
+this run only).
 """
 
 from __future__ import annotations
@@ -53,10 +45,9 @@ __all__ = [
     "straggler",
     "oom_kill",
     "env_spike",
-    "worker_crash",
 ]
 
-FAULT_KINDS = ("executor_loss", "straggler", "oom_kill", "env_spike", "worker_crash")
+FAULT_KINDS = ("executor_loss", "straggler", "oom_kill", "env_spike")
 
 _SEED_MASK = 2**63 - 1
 
@@ -68,7 +59,7 @@ class FaultSpec:
     ``severity`` is interpreted per kind: fraction of executors lost
     (``executor_loss``), task slowdown factor (``straggler``), or the
     multiplier on the interference factors (``env_spike``); it is unused
-    for ``oom_kill`` and ``worker_crash``.  ``span`` is the number of
+    for ``oom_kill``.  ``span`` is the number of
     leading stage ordinals a stage-targeted fault may strike (the stage
     is drawn uniformly from ``[0, span)``); the default of 1 pins the
     fault to the first stage, which keeps single-fault scenarios exactly
@@ -105,7 +96,6 @@ class FaultDraw:
     straggler_stage: int = -1        # ...this stage ordinal (-1 = none)
     oom_stage: int = -1              # application killed here (-1 = none)
     env_multiplier: float = 1.0      # transient interference spike
-    crash_worker: bool = False       # pool worker dies on first attempt
 
     @property
     def any(self) -> bool:
@@ -114,7 +104,6 @@ class FaultDraw:
             or self.straggler_stage >= 0
             or self.oom_stage >= 0
             or self.env_multiplier > 1.0
-            or self.crash_worker
         )
 
     def spike_env(self, env: Environment) -> Environment:
@@ -138,8 +127,7 @@ NO_FAULTS = FaultDraw()
 class FaultPlan:
     """An ordered set of fault specs plus the salt that keys their draws.
 
-    Frozen and hashable, so a plan travels through pickled process-pool
-    initializers unchanged, and two simulators built from the same plan
+    Frozen and hashable, so two simulators built from the same plan
     inject identical faults for identical seeds.  When several specs
     share a kind, the later spec's draw wins.
     """
@@ -181,8 +169,6 @@ class FaultPlan:
                 fields["oom_stage"] = stage
             elif spec.kind == "env_spike":
                 fields["env_multiplier"] = spec.severity
-            elif spec.kind == "worker_crash":
-                fields["crash_worker"] = True
         if not fields:
             return NO_FAULTS
         return FaultDraw(**fields)
@@ -210,8 +196,3 @@ def oom_kill(probability: float, span: int = 1) -> FaultSpec:
 def env_spike(probability: float, multiplier: float = 1.5) -> FaultSpec:
     """Transient interference burst multiplying all environment factors."""
     return FaultSpec("env_spike", probability, severity=multiplier)
-
-
-def worker_crash(probability: float) -> FaultSpec:
-    """Hard-kill the pool worker evaluating the request (first attempt only)."""
-    return FaultSpec("worker_crash", probability)

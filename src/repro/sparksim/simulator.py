@@ -19,10 +19,7 @@ Three throughput layers sit on top of the single-run path:
 * a **compiled-plan cache**: the stage DAG and the cache-registry
   evolution are config-independent, so each ``(workload, input_mb,
   job-list fingerprint)`` compiles once and every candidate evaluation
-  replays the immutable :class:`~repro.sparksim.dag.CompiledWorkload`
-  — optionally backed by a cross-process on-disk
-  :class:`~repro.sparksim.planstore.PlanStore` so pool workers never
-  recompile plans the parent already built;
+  replays the immutable :class:`~repro.sparksim.dag.CompiledWorkload`;
 * a **joint cost program**: :meth:`SparkSimulator.run_batch` costs all
   stages for the distinct (configuration, environment) object pairs of
   a batch in one fused ``(stages, columns)`` numpy sweep
@@ -97,7 +94,6 @@ if TYPE_CHECKING:
     from ..workloads.base import Workload
     from .costmodel import BatchInputs, PlanCostBatch, StageCost
     from .dag import CompiledStage
-    from .planstore import PlanStore
     from .rdd import Job
 
 __all__ = ["SparkSimulator"]
@@ -146,24 +142,16 @@ class SparkSimulator:
         uses this to measure the cache's contribution).  Plans are
         immutable and config-independent; the cache only trades memory
         for re-compilation time, never changes results.
-    plan_store:
-        Optional :class:`~repro.sparksim.planstore.PlanStore` — a
-        shared on-disk tier below the content cache.  Content-tier
-        misses consult the store before compiling and publish fresh
-        plans to it, so processes sharing a store directory (a pool
-        parent and its workers) compile each plan once, cluster-wide.
     """
 
     def __init__(self, calibration: Calibration | None = None, noise: bool = True,
-                 fault_plan: FaultPlan | None = None, plan_cache_size: int = 64,
-                 plan_store: "PlanStore | None" = None):
+                 fault_plan: FaultPlan | None = None, plan_cache_size: int = 64):
         self.calibration = calibration or Calibration()
         self.noise = noise
         self.fault_plan = fault_plan
         if plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0")
         self.plan_cache_size = plan_cache_size
-        self.plan_store = plan_store
         # Identity tier: (id(workload), input_mb) -> (workload, compiled).
         # Holding the workload object strongly pins its id, so a hit is
         # guaranteed to be the same object (ids are only reused after
@@ -219,22 +207,9 @@ class SparkSimulator:
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
-            # Disk tier: another process (typically the pool parent) may
-            # already have compiled this exact content key.
-            stored = (
-                self.plan_store.get(workload.name, input_mb, fingerprint)
-                if self.plan_store is not None else None
+            compiled = compile_workload(
+                workload.name, input_mb, jobs, fingerprint=fingerprint,
             )
-            if stored is not None:
-                compiled = stored
-            else:
-                compiled = compile_workload(
-                    workload.name, input_mb, jobs, fingerprint=fingerprint,
-                )
-                if self.plan_store is not None:
-                    self.plan_store.put(
-                        workload.name, input_mb, fingerprint, compiled,
-                    )
             self._plan_cache_by_content[content_key] = compiled
             while len(self._plan_cache_by_content) > self.plan_cache_size:
                 self._plan_cache_by_content.popitem(last=False)
@@ -456,7 +431,6 @@ class SparkSimulator:
         # perturb control flow mid-run, so those candidates take the
         # scalar path; rejected grants fail before any rng draw and are
         # also handled scalar (it is the same early-exit code).
-        # worker_crash is an infrastructure fault the simulator ignores.
         items: list[ExecutionResult | int] = []
         active: list[int] = []
         grants: list[ResourceGrant] = []

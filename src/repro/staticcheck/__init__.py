@@ -2,7 +2,7 @@
 
 The determinism and cache-purity invariants earlier PRs established by
 hand (bit-identical ``run_batch`` vs scalar ``run()``, seed-keyed
-faults, ``attempt`` excluded from cache keys, slotted hot-path classes)
+faults, complete cache keys, slotted hot-path classes)
 are enforced here statically, at PR time, instead of discovered through
 flaky property-test failures.
 
@@ -17,19 +17,18 @@ Four rule families:
   constraints, and workload registry and checks them for structural
   sanity — defaults inside bounds, round-tripping encodings, anchored
   constraints, feasible grid corners, log-scale consistency.
-* **Flow rules** (``RF001``-``RF005``, :mod:`repro.staticcheck.flow`)
-  walk the project-wide call graph (:mod:`repro.staticcheck.graph`) and
-  enforce the invariants interprocedurally: seed provenance, cache-key
-  purity closure, process-pool race freedom, exception-flow auditing,
-  and scalar/batch leaf-set agreement — each finding carries its call
-  chain.  Enable with ``--flow``.
-* **Concurrency rules** (``RC001``-``RC005``,
+* **Flow rules** (``RF001``, ``RF002``, ``RF004``, ``RF005``,
+  :mod:`repro.staticcheck.flow`) walk the project-wide call graph
+  (:mod:`repro.staticcheck.graph`) and enforce the invariants
+  interprocedurally: seed provenance, cache-key purity closure,
+  exception-flow auditing, and scalar/batch leaf-set agreement — each
+  finding carries its call chain.  Enable with ``--flow``.
+* **Concurrency rules** (``RC001``-``RC003``, ``RC005``,
   :mod:`repro.staticcheck.concurrency`) infer the repo's lock set and
   enforce the service layer's threading discipline: lock-guard
   consistency, ``_*_locked`` reachability, async-loop blocking calls,
-  shared-memory segment lifecycle, and lock-order acyclicity.  Enable
-  with ``--concurrency``; the runtime twin is
-  :mod:`repro.staticcheck.dynsan`.
+  and lock-order acyclicity.  Enable with ``--concurrency``; the
+  runtime twin is :mod:`repro.staticcheck.dynsan`.
 
 Every family's metadata lives in one declarative table
 (:mod:`repro.staticcheck.registry`), which serves ``--list-rules`` and

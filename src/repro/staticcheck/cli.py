@@ -3,8 +3,8 @@
 Usage::
 
     python -m repro.staticcheck                  # lint src/repro + domain
-    python -m repro.staticcheck --flow           # + interprocedural RF rules
-    python -m repro.staticcheck --concurrency    # + lock/async/shm RC rules
+    python -m repro.staticcheck --flow           # + RF001, RF002, RF004, RF005
+    python -m repro.staticcheck --concurrency    # + RC001-RC003, RC005
     python -m repro.staticcheck src/repro        # explicit paths
     python -m repro.staticcheck --format json path/to/file.py
     python -m repro.staticcheck --list-rules
@@ -49,10 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
             "AST invariant linter + config-space validator for the repro "
             "package: determinism, cache-key purity, and domain sanity. "
             "--flow adds the interprocedural pass (seed provenance, "
-            "cache-purity closure, pool races, exception flow, "
-            "scalar/batch divergence); --concurrency adds the lock-guard/"
-            "async/shared-memory/lock-order pass — both with call-chain "
-            "traces."
+            "cache-purity closure, exception flow, scalar/batch "
+            "divergence); --concurrency adds the lock-guard/async/"
+            "lock-order pass — both with call-chain traces."
         ),
     )
     parser.add_argument(
@@ -78,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", action="store_true",
         help=(
             "also run the RC concurrency rules (lock-guard inference, "
-            "_locked reachability, async blocking calls, shared-memory "
-            "lifecycle, lock-order cycles)"
+            "_locked reachability, async blocking calls, lock-order "
+            "cycles)"
         ),
     )
     parser.add_argument(

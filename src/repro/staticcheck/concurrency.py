@@ -1,12 +1,11 @@
-"""Concurrency invariant rules (``RC001``—``RC005``) over the call graph.
+"""Concurrency invariant rules (``RC001``—``RC003``, ``RC005``).
 
 The service layer (threaded ``ShardPool``, asyncio ``ServiceFrontEnd``,
-lock-disciplined ``HistoryLog``/``SignatureIndex``, ``/dev/shm`` segment
-handoff) relies on conventions a reviewer has to *remember*: every
-telemetry counter is written under its owner's lock, ``_*_locked``
-helpers are only entered with the lock held, nothing blocks inside an
-``async def``, every shared-memory segment reaches a close/unlink, and
-locks nest in one global order.  This pass infers the repo's lock set
+lock-disciplined ``HistoryLog``/``SignatureIndex``) relies on
+conventions a reviewer has to *remember*: every telemetry counter is
+written under its owner's lock, ``_*_locked`` helpers are only entered
+with the lock held, nothing blocks inside an ``async def``, and locks
+nest in one global order.  This pass infers the repo's lock set
 and enforces those conventions as RC-series rules:
 
 * **RC001** lock-guard inference — an attribute written under
@@ -16,9 +15,6 @@ and enforces those conventions as RC-series rules:
 * **RC003** blocking calls (``time.sleep``, ``Lock.acquire``,
   ``Future.result``, file I/O) reachable from an ``async def`` without
   an executor hand-off.
-* **RC004** shared-memory lifecycle — every ``SharedMemory`` creation
-  must reach a close/unlink or a registered hand-off on all edges,
-  including exception paths.
 * **RC005** lock-acquisition-order cycles across the inferred lock set
   (potential deadlocks), plus non-reentrant re-acquisition.
 
@@ -810,249 +806,6 @@ class AsyncBlockingRule(ConcurrencyRule):
 
 
 # --------------------------------------------------------------------------
-# RC004 — shared-memory segment lifecycle
-# --------------------------------------------------------------------------
-
-def _walk_no_nested(root: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without descending into nested defs."""
-    stack = list(ast.iter_child_nodes(root))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _is_direct_creation(call: ast.Call) -> bool:
-    parts = _dotted_parts(call.func)
-    return bool(parts) and parts[-1] == "SharedMemory"
-
-
-class _SegWalker:
-    """Track SharedMemory creations, release evidence, and risky calls."""
-
-    def __init__(self, graph: CallGraph, info: FunctionInfo,
-                 creators: set[str]):
-        self._info = info
-        self._creators = creators
-        self._sites_at = {
-            (s.line, s.col): s for s in graph.sites_of(info.qname)
-        }
-        #: (var name or None for unbound, line, col)
-        self.creations: list[tuple[str | None, int, int]] = []
-        #: var -> [(line, protected)] — protected = handler/finally
-        self.evidence: dict[str, list[tuple[int, bool]]] = {}
-        #: (line, swallowed) of every other call
-        self.risky: list[tuple[int, bool]] = []
-
-    def creating(self, node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        if _is_direct_creation(node):
-            return True
-        site = self._sites_at.get((node.lineno, node.col_offset))
-        return site is not None and site.kind == "internal" \
-            and site.callee in self._creators
-
-    def run(self) -> None:
-        for stmt in self._info.node.body:
-            self._visit(stmt, False, False)
-
-    @staticmethod
-    def _swallows(node: ast.Try) -> bool:
-        """A broad handler with no re-raise stops exception propagation."""
-        for handler in node.handlers:
-            broad = handler.type is None or (
-                isinstance(handler.type, ast.Name)
-                and handler.type.id in {"Exception", "BaseException"}
-            )
-            if broad and not any(
-                isinstance(n, ast.Raise) for n in ast.walk(handler)
-            ):
-                return True
-        return False
-
-    def _note_evidence(self, var: str, line: int, protected: bool) -> None:
-        self.evidence.setdefault(var, []).append((line, protected))
-
-    def _visit(self, node: ast.AST, protected: bool, swallowed: bool) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            return
-        if isinstance(node, ast.Try):
-            swallow = swallowed or self._swallows(node)
-            for stmt in node.body:
-                self._visit(stmt, protected, swallow)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._visit(stmt, True, swallowed)
-            for stmt in node.orelse:
-                self._visit(stmt, protected, swallowed)
-            for stmt in node.finalbody:
-                self._visit(stmt, True, swallowed)
-            return
-        if isinstance(node, ast.Assign):
-            if len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and self.creating(node.value):
-                self.creations.append((
-                    node.targets[0].id,
-                    node.value.lineno, node.value.col_offset,
-                ))
-                for child in ast.iter_child_nodes(node.value):
-                    self._visit(child, protected, swallowed)
-                return
-            if isinstance(node.value, ast.Name):
-                # storing the segment into a container/attribute is a
-                # hand-off: something else now owns the close
-                for target in node.targets:
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        self._note_evidence(
-                            node.value.id, node.lineno, protected
-                        )
-        elif isinstance(node, ast.Return):
-            if isinstance(node.value, ast.Name):
-                self._note_evidence(node.value.id, node.lineno, protected)
-                return
-        elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) \
-                and self.creating(node.value):
-            self.creations.append((
-                None, node.value.lineno, node.value.col_offset,
-            ))
-            for child in ast.iter_child_nodes(node.value):
-                self._visit(child, protected, swallowed)
-            return
-        elif isinstance(node, ast.Call):
-            func = node.func
-            is_release = False
-            if isinstance(func, ast.Attribute) \
-                    and isinstance(func.value, ast.Name) \
-                    and func.attr in {"close", "unlink"}:
-                self._note_evidence(func.value.id, node.lineno, protected)
-                is_release = True
-            for arg in [*node.args, *(kw.value for kw in node.keywords)]:
-                if isinstance(arg, ast.Name):
-                    self._note_evidence(arg.id, node.lineno, protected)
-                elif isinstance(arg, ast.Attribute) \
-                        and isinstance(arg.value, ast.Name):
-                    # seg.name / shm._name handed to a reaper/unregister
-                    self._note_evidence(
-                        arg.value.id, node.lineno, protected
-                    )
-            if not is_release and not self.creating(node):
-                self.risky.append((node.lineno, swallowed))
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, protected, swallowed)
-
-
-def _segment_creators(graph: CallGraph) -> set[str]:
-    """Functions that return a freshly created segment (wrapper fixpoint)."""
-    creators: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for qname, info in graph.functions.items():
-            if qname in creators:
-                continue
-            sites_at = {
-                (s.line, s.col): s for s in graph.sites_of(qname)
-            }
-
-            def _creates(expr: ast.expr) -> bool:
-                if not isinstance(expr, ast.Call):
-                    return False
-                if _is_direct_creation(expr):
-                    return True
-                site = sites_at.get((expr.lineno, expr.col_offset))
-                return site is not None and site.kind == "internal" \
-                    and site.callee in creators
-
-            local_segments: set[str] = set()
-            for node in _walk_no_nested(info.node):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                        and isinstance(node.targets[0], ast.Name) \
-                        and _creates(node.value):
-                    local_segments.add(node.targets[0].id)
-            for node in _walk_no_nested(info.node):
-                if not isinstance(node, ast.Return) or node.value is None:
-                    continue
-                if _creates(node.value) or (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id in local_segments
-                ):
-                    creators.add(qname)
-                    changed = True
-                    break
-    return creators
-
-
-class SegmentLifecycleRule(ConcurrencyRule):
-    """RC004: every created segment reaches a close/unlink or hand-off."""
-
-    rule_id = "RC004"
-    summary = (
-        "every SharedMemory creation must reach a close/unlink, a "
-        "return, or a registered hand-off on all paths, including "
-        "exception edges"
-    )
-    rationale = (
-        "A leaked /dev/shm segment outlives the process and eats a "
-        "bounded kernel resource; the engine's encode/dispatch/reap "
-        "protocol only works because every segment has exactly one "
-        "owner responsible for its unlink."
-    )
-
-    def check(self, graph: CallGraph, model: LockModel) -> list[Finding]:
-        findings: list[Finding] = []
-        creators = _segment_creators(graph)
-        for qname in sorted(graph.functions):
-            info = graph.functions[qname]
-            if qname in creators:
-                # a wrapper's whole job is returning the live segment;
-                # its callers own the lifecycle
-                continue
-            walker = _SegWalker(graph, info, creators)
-            walker.run()
-            for var, line, col in walker.creations:
-                if var is None:
-                    findings.append(self.report(
-                        info.path, line, col,
-                        f"{qname} creates a SharedMemory segment without "
-                        f"binding it — it can never be closed or unlinked",
-                    ))
-                    continue
-                events = [
-                    e for e in walker.evidence.get(var, ()) if e[0] >= line
-                ]
-                if not events:
-                    findings.append(self.report(
-                        info.path, line, col,
-                        f"segment `{var}` created in {qname} is never "
-                        f"closed, unlinked, or handed off",
-                    ))
-                    continue
-                if any(protected for _line, protected in events):
-                    continue                 # finally/handler path covers it
-                first = min(evt_line for evt_line, _p in events)
-                exposed = [
-                    r_line for r_line, r_swallowed in walker.risky
-                    if line < r_line < first and not r_swallowed
-                ]
-                if exposed:
-                    findings.append(self.report(
-                        info.path, line, col,
-                        f"segment `{var}` created in {qname} may leak: "
-                        f"{len(exposed)} call(s) between creation (line "
-                        f"{line}) and first release/hand-off (line "
-                        f"{first}) can raise — add try/finally or an "
-                        f"except-path close",
-                        ))
-        return findings
-
-
-# --------------------------------------------------------------------------
 # RC005 — lock-acquisition-order cycles
 # --------------------------------------------------------------------------
 
@@ -1220,7 +973,6 @@ ALL_CONCURRENCY_RULES: tuple[type[ConcurrencyRule], ...] = (
     LockGuardRule,
     LockedSuffixRule,
     AsyncBlockingRule,
-    SegmentLifecycleRule,
     LockOrderRule,
 )
 

@@ -1,4 +1,4 @@
-"""Interprocedural flow rules (``RF001``—``RF005``) over the call graph.
+"""Interprocedural flow rules (``RF001``, ``RF002``, ``RF004``, ``RF005``).
 
 Where the per-file rules (:mod:`repro.staticcheck.rules`) pin invariants
 inside one function, these walk :class:`~repro.staticcheck.graph.CallGraph`
@@ -417,162 +417,6 @@ def _store_name(target: ast.expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# RF003 — process-pool race detector
-# --------------------------------------------------------------------------
-
-class PoolRaceRule(FlowRule):
-    """RF003: functions shipped to worker processes must not race on globals."""
-
-    rule_id = "RF003"
-    summary = (
-        "functions shipped to ParallelExecutor/ProcessPoolExecutor workers "
-        "must not write module-level state nor read module-level mutables "
-        "written elsewhere in the package"
-    )
-    rationale = (
-        "A forked worker sees a stale copy of module state and its writes "
-        "are lost on exit; both bugs are invisible locally and flaky in "
-        "CI.  Per-worker state installed by a pool initializer is the "
-        "sanctioned pattern and stays allowed."
-    )
-
-    def check(self, graph: CallGraph) -> list[Finding]:
-        shipped_roots, init_roots = self._discover_shipped(graph)
-        shipped_parents = graph.reach_parents(shipped_roots)
-        initializer_closure = graph.closure(init_roots)
-        findings: list[Finding] = []
-        for qname in sorted(shipped_parents):
-            if qname in initializer_closure:
-                # initializer closure is the sanctioned per-worker-state
-                # pattern: it runs once per worker before any task
-                continue
-            info = graph.functions[qname]
-            chain = graph.chain_to(shipped_parents, qname)
-            findings.extend(self._check_function(
-                graph, info, chain, initializer_closure
-            ))
-        return findings
-
-    @staticmethod
-    def _discover_shipped(graph: CallGraph) -> tuple[list[str], list[str]]:
-        """Functions passed to ``.submit``/``.map`` and ``initializer=``."""
-        shipped: list[str] = []
-        initializers: list[str] = []
-        for info in graph.functions.values():
-            mod = graph.modules.get(info.module)
-            if mod is None:
-                continue
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                attr = func.attr if isinstance(func, ast.Attribute) else None
-                if attr in {"submit", "map"} and node.args:
-                    first = node.args[0]
-                    if isinstance(first, ast.Name):
-                        target = mod.functions.get(first.id) \
-                            or mod.imports.get(first.id)
-                        if target in graph.functions:
-                            shipped.append(target)
-                for kw in node.keywords:
-                    if kw.arg == "initializer" \
-                            and isinstance(kw.value, ast.Name):
-                        target = mod.functions.get(kw.value.id) \
-                            or mod.imports.get(kw.value.id)
-                        if target in graph.functions:
-                            initializers.append(target)
-        return shipped, initializers
-
-    def _check_function(self, graph: CallGraph, info: FunctionInfo,
-                        chain: tuple[str, ...],
-                        initializer_closure: set[str]) -> list[Finding]:
-        mod = graph.modules.get(info.module)
-        if mod is None:                  # pragma: no cover - defensive
-            return []
-        findings: list[Finding] = []
-        declared: set[str] = set()
-        local_names: set[str] = set()
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Global):
-                declared.update(node.names)
-                findings.append(self.report(
-                    info.path, node.lineno, node.col_offset,
-                    f"{info.qname} runs in worker processes but writes "
-                    f"module-level state (`global "
-                    f"{', '.join(node.names)}`); worker writes are lost "
-                    f"at task exit",
-                    chain=chain,
-                ))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for t in targets:
-                    if isinstance(t, ast.Name):
-                        local_names.add(t.id)
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                for t in ast.walk(node.target):
-                    if isinstance(t, ast.Name):
-                        local_names.add(t.id)
-        args = info.node.args
-        for a in (list(args.posonlyargs) + list(args.args)
-                  + list(args.kwonlyargs)
-                  + ([args.vararg] if args.vararg else [])
-                  + ([args.kwarg] if args.kwarg else [])):
-            local_names.add(a.arg)
-        local_names -= declared
-        # in-place mutation of module-level containers
-        for node in ast.walk(info.node):
-            if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                continue
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for t in targets:
-                if not isinstance(t, (ast.Subscript, ast.Attribute)):
-                    continue
-                base = t.value
-                while isinstance(base, (ast.Subscript, ast.Attribute)):
-                    base = base.value
-                if isinstance(base, ast.Name) \
-                        and base.id not in local_names \
-                        and base.id in mod.global_kinds:
-                    findings.append(self.report(
-                        info.path, t.lineno, t.col_offset,
-                        f"{info.qname} runs in worker processes but "
-                        f"mutates module-level `{base.id}`; the write "
-                        f"never leaves the worker",
-                        chain=chain,
-                    ))
-        # reads of module-level mutable state written elsewhere
-        reported: set[tuple[str, int]] = set()
-        for node in ast.walk(info.node):
-            if not (isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Load)):
-                continue
-            name = node.id
-            if name in local_names or name in declared:
-                continue
-            if name not in mod.global_kinds:
-                continue
-            writers = graph.global_writers.get((mod.name, name), set())
-            mutable = mod.global_kinds[name] == "mutable" or bool(writers)
-            outside = {
-                w for w in writers
-                if w not in initializer_closure and w != info.qname
-            }
-            if mutable and outside and (name, node.lineno) not in reported:
-                reported.add((name, node.lineno))
-                writer_names = ", ".join(sorted(outside))
-                findings.append(self.report(
-                    info.path, node.lineno, node.col_offset,
-                    f"{info.qname} runs in worker processes but reads "
-                    f"module-level mutable `{name}`, written by "
-                    f"{writer_names}; forked workers see a stale copy",
-                    chain=chain,
-                ))
-        return findings
-
-
-# --------------------------------------------------------------------------
 # RF004 — exception-flow audit
 # --------------------------------------------------------------------------
 
@@ -767,7 +611,6 @@ class ScalarBatchDivergenceRule(FlowRule):
 ALL_FLOW_RULES: tuple[type[FlowRule], ...] = (
     SeedProvenanceRule,
     CachePurityRule,
-    PoolRaceRule,
     ExceptionFlowRule,
     ScalarBatchDivergenceRule,
 )

@@ -6,7 +6,7 @@ them.  This module builds the structure the flow rules walk instead:
 
 * a **module index** — every analyzed file parsed once, its imports
   resolved to absolute dotted targets (relative imports included), its
-  top-level functions, classes, and module-level assignments recorded;
+  top-level functions and classes recorded;
 * a **function table** keyed by qualified name
   (``repro.engine.engine.EvaluationEngine.evaluate_batch``), where a
   nested ``def`` belongs to its enclosing function's analysis unit;
@@ -66,12 +66,6 @@ _BUILTIN_METHODS = frozenset({
 
 _BUILTIN_NAMES = frozenset(dir(builtins))
 
-#: constructor calls whose result is a fresh, function-local object
-_FRESH_BUILTINS = frozenset({
-    "list", "dict", "set", "tuple", "frozenset", "bytearray",
-    "OrderedDict", "defaultdict", "Counter", "deque",
-})
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -85,8 +79,6 @@ class CallSite:
     kind: str                    #: "internal" | "external" | "unresolved"
     callee: str | None = None    #: qualified name when kind == "internal"
     external: str | None = None  #: absolute dotted name when kind == "external"
-    #: keyword argument names present at the site (for initializer= detection)
-    keywords: tuple[str, ...] = ()
 
 
 @dataclass
@@ -150,8 +142,6 @@ class ModuleInfo:
     imports: dict[str, str] = field(default_factory=dict)
     functions: dict[str, str] = field(default_factory=dict)  # name -> qname
     classes: dict[str, str] = field(default_factory=dict)    # name -> qname
-    #: module-level assigned names -> "mutable" | "immutable" | "opaque"
-    global_kinds: dict[str, str] = field(default_factory=dict)
 
 
 def module_name_for(path: Path) -> str:
@@ -239,8 +229,6 @@ class CallGraph:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.sites: dict[str, list[CallSite]] = {}
-        #: (module, global name) -> set of function qnames that rebind it
-        self.global_writers: dict[tuple[str, str], set[str]] = {}
 
     # --- lookups ----------------------------------------------------------
     def module_of_path(self, path: str) -> ModuleInfo | None:
@@ -407,7 +395,7 @@ def build_call_graph(paths: Iterable[str | Path]) -> CallGraph:
     for mod in graph.modules.values():
         _infer_attr_types(graph, mod)
 
-    # Pass 5: call sites + module-global writers.
+    # Pass 5: call sites.
     for mod in graph.modules.values():
         for fn_qname in list(graph.functions):
             info = graph.functions[fn_qname]
@@ -430,13 +418,6 @@ def _index_module(mod: ModuleInfo) -> None:
             for alias in stmt.names:
                 local = alias.asname or alias.name
                 mod.imports[local] = f"{base}.{alias.name}" if base else alias.name
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-            value = stmt.value
-            for target in targets:
-                if isinstance(target, ast.Name) and value is not None:
-                    mod.global_kinds[target.id] = _mutability(value)
 
 
 def _is_package_init(mod: ModuleInfo) -> bool:
@@ -453,22 +434,6 @@ def _relative_base(package: str, level: int, module: str | None) -> str:
     if module:
         base_parts.append(module)
     return ".".join(base_parts)
-
-
-def _mutability(value: ast.expr) -> str:
-    if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                          ast.ListComp, ast.DictComp, ast.SetComp)):
-        return "mutable"
-    if isinstance(value, ast.Call):
-        chain = _dotted(value.func)
-        if chain and chain[-1] in _FRESH_BUILTINS:
-            return "mutable"
-        if chain and chain[-1] == "frozenset":
-            return "immutable"
-        return "opaque"
-    if isinstance(value, (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple)):
-        return "immutable"
-    return "opaque"
 
 
 def _index_definitions(graph: CallGraph, mod: ModuleInfo) -> None:
@@ -721,51 +686,9 @@ def _collect_sites(graph: CallGraph, mod: ModuleInfo, info: FunctionInfo) -> Non
     state = _LocalState(graph, mod, info)
     sites: list[CallSite] = []
     for node in ast.walk(info.node):
-        if isinstance(node, (ast.Global,)):
-            # handled below for writer tracking
-            continue
         if isinstance(node, ast.Call):
             sites.append(_resolve_call(graph, mod, info, state, node))
     graph.sites[info.qname] = sites
-    # Module-global writers, two shapes: rebinding through a ``global``
-    # declaration, and in-place mutation (``CACHE[k] = v`` / ``OBJ.x = v``
-    # / ``COUNTS[k] += 1``) of a name defined at module scope.
-    declared: set[str] = set()
-    local_names = set(state.params)
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Global):
-            declared.update(node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for t in targets:
-                if isinstance(t, ast.Name):
-                    local_names.add(t.id)
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            target = node.target
-            for t in ast.walk(target):
-                if isinstance(t, ast.Name):
-                    local_names.add(t.id)
-    local_names -= declared
-    for node in ast.walk(info.node):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            continue
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target])
-        for t in targets:
-            if isinstance(t, ast.Name) and t.id in declared:
-                graph.global_writers.setdefault((mod.name, t.id), set()).add(
-                    info.qname
-                )
-            elif isinstance(t, (ast.Subscript, ast.Attribute)):
-                base = t.value
-                while isinstance(base, (ast.Subscript, ast.Attribute)):
-                    base = base.value
-                if isinstance(base, ast.Name) and base.id not in local_names \
-                        and base.id in mod.global_kinds:
-                    graph.global_writers.setdefault(
-                        (mod.name, base.id), set()
-                    ).add(info.qname)
 
 
 def _site(info: FunctionInfo, node: ast.Call, text: str, kind: str,
@@ -774,7 +697,6 @@ def _site(info: FunctionInfo, node: ast.Call, text: str, kind: str,
         caller=info.qname, path=info.path, line=node.lineno,
         col=node.col_offset, text=text, kind=kind, callee=callee,
         external=external,
-        keywords=tuple(kw.arg for kw in node.keywords if kw.arg),
     )
 
 

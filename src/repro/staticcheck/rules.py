@@ -426,10 +426,10 @@ class CacheKeyPurity(Rule):
     rationale = (
         "Engine memoization and retry bit-identity hinge on cache_key() "
         "covering the *full* evaluation identity and nothing volatile: a "
-        "field silently missing conflates distinct runs; reading an "
-        "excluded field (EvalRequest.attempt) makes retried results "
-        "diverge from first-try results.  Exclusions are declared in "
-        "``_cache_key_excluded`` so they are auditable."
+        "field silently missing conflates distinct runs; reading a field "
+        "outside the identity (a retry counter, say) makes retried "
+        "results diverge from first-try results.  Exclusions are "
+        "declared in ``_cache_key_excluded`` so they are auditable."
     )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:

@@ -44,21 +44,6 @@ WAIVERS: tuple[Waiver, ...] = (
         "idempotent config-fingerprint memo: recomputing yields the "
         "identical value, so the benign race is harmless",
     ),
-    Waiver(
-        "RF003", "src/repro/engine/executors.py",
-        "deliberately worker-local: each worker process owns its own "
-        "attachment cache and never shares it",
-    ),
-    Waiver(
-        "RF004", "src/repro/engine/engine.py",
-        "best-effort close of an already-broken pool; any exception "
-        "here would mask the original failure",
-    ),
-    Waiver(
-        "RF004", "src/repro/engine/shm.py",
-        "best-effort resource-tracker unregister; absence of the "
-        "segment is the expected race on teardown",
-    ),
 )
 
 

@@ -185,8 +185,8 @@ def run_tuner_batched(tuner: Tuner, objective: Callable[[Configuration], float],
     ``objective`` may be a plain callable or expose
     ``evaluate_batch(configs) -> list[(cost, succeeded)]`` (the
     :class:`repro.engine.EvaluationEngine` adapter protocol), in which
-    case whole batches are dispatched at once — memoized, and optionally
-    evaluated by parallel workers.
+    case whole batches are dispatched at once — memoized, and simulated
+    through the batched fast path.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

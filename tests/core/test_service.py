@@ -206,3 +206,10 @@ class TestCloudStopGuardFix:
         )
         _, evaluations = service.tune_cloud(Sort(), 10_000, budget=12)
         assert evaluations == 6      # n_init = min(6, 12): first consult wins
+
+
+class TestEngineExecutor:
+    def test_process_executor_is_rejected(self):
+        # Batches run in-process only; no option builds a worker pool.
+        with pytest.raises(ValueError):
+            TuningService(executor="process")

@@ -15,7 +15,6 @@ from repro.sparksim import (
     executor_loss,
     oom_kill,
     straggler,
-    worker_crash,
 )
 from repro.workloads import PageRank, Sort
 
@@ -56,7 +55,7 @@ class TestFaultSpecValidation:
 
 class TestDeterministicDraws:
     def test_same_seed_same_draw(self):
-        plan = FaultPlan.of(straggler(0.5), oom_kill(0.3), worker_crash(0.2))
+        plan = FaultPlan.of(straggler(0.5), oom_kill(0.3))
         for seed in range(50):
             assert plan.draw(seed) == plan.draw(seed)
 
@@ -68,7 +67,7 @@ class TestDeterministicDraws:
     def test_probability_zero_never_fires(self):
         plan = FaultPlan.of(
             executor_loss(0.0), straggler(0.0), oom_kill(0.0),
-            env_spike(0.0), worker_crash(0.0),
+            env_spike(0.0),
         )
         assert not any(plan.draw(seed).any for seed in range(100))
 
@@ -82,7 +81,7 @@ class TestDeterministicDraws:
         assert any(a.draw(s) != b.draw(s) for s in range(64))
 
     def test_plan_is_hashable_and_picklable(self):
-        plan = FaultPlan.of(straggler(0.3), worker_crash(0.1))
+        plan = FaultPlan.of(straggler(0.3))
         assert hash(plan) == hash(pickle.loads(pickle.dumps(plan)))
         assert pickle.loads(pickle.dumps(plan)) == plan
 
@@ -141,15 +140,6 @@ class TestSimulatorIntegration:
         base = run(SparkSimulator(noise=False), seed=3, env=TYPICAL)
         assert spiked.environment_factor > base.environment_factor
         assert spiked.runtime_s > base.runtime_s
-
-    def test_worker_crash_does_not_change_the_simulated_result(self):
-        # worker_crash is an infrastructure fault: the simulator itself
-        # (serial path) must produce the fault-free result.
-        base = run(SparkSimulator(noise=False), seed=3)
-        sim = SparkSimulator(
-            noise=False, fault_plan=FaultPlan.of(worker_crash(1.0)),
-        )
-        assert run(sim, seed=3).runtime_s == base.runtime_s
 
     def test_faults_reproducible_across_simulator_instances(self):
         plan = FaultPlan.of(oom_kill(0.5), straggler(0.5, slowdown=2.0))

@@ -1,4 +1,4 @@
-"""Concurrency rules RC001-RC005: exact findings, chains, suppression.
+"""Concurrency rules RC001-RC003, RC005: exact findings, chains, suppression.
 
 Each RC rule has a dedicated fixture *package* under ``fixtures/`` and
 the tests pin the exact reported line, column, and message — plus the
@@ -195,53 +195,6 @@ def test_rc003_awaited_and_executor_shipped_calls_stay_silent():
     assert all(f.rule_id == "RC003" for f in report.result.findings)
 
 
-# --- RC004 ----------------------------------------------------------------
-
-def test_rc004_segment_lifecycle_findings():
-    report = _report("rc004_pkg", rules=get_concurrency_rules(["RC004"]))
-    segments = str(FIXTURES / "rc004_pkg" / "segments.py")
-    never, exposed, unbound, wrapper = report.result.sorted_findings()
-    assert (never.line, never.col) == (11, 10)
-    assert never.message == (
-        "segment `shm` created in rc004_pkg.segments.stage_payload is "
-        "never closed, unlinked, or handed off"
-    )
-    assert (exposed.line, exposed.col) == (17, 10)
-    assert exposed.message == (
-        "segment `seg` created in rc004_pkg.segments.publish may leak: "
-        "1 call(s) between creation (line 17) and first release/hand-off "
-        "(line 19) can raise — add try/finally or an except-path close"
-    )
-    assert (unbound.line, unbound.col) == (24, 4)
-    assert unbound.message == (
-        "rc004_pkg.segments.warm_cache creates a SharedMemory segment "
-        "without binding it — it can never be closed or unlinked"
-    )
-    # the creator-wrapper fixpoint: _fresh_segment itself is exempt, but
-    # its caller owns the lifecycle and leaks
-    assert (wrapper.line, wrapper.col) == (43, 10)
-    assert "created in rc004_pkg.segments.borrow" in wrapper.message
-    assert all(f.path == segments for f in report.result.findings)
-    # roundtrip's try/finally close+unlink keeps it silent
-    assert not any("roundtrip" in f.message for f in report.result.findings)
-
-
-def test_rc004_handoff_as_call_argument_is_evidence(tmp_path):
-    pkg = _write_pkg(tmp_path, "ok4_pkg", ship=(
-        "from multiprocessing import shared_memory\n"
-        "def _register(seg):\n"
-        "    return seg\n"
-        "def ship(size):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=size)\n"
-        "    _register(seg)\n"
-        "    return size\n"
-    ))
-    report = lint_concurrency(
-        [str(pkg)], rules=get_concurrency_rules(["RC004"])
-    )
-    assert report.result.findings == []
-
-
 # --- RC005 ----------------------------------------------------------------
 
 def test_rc005_inversion_and_reacquisition():
@@ -392,7 +345,7 @@ def test_report_carries_lock_model_stats():
 
 def test_concurrency_rule_registry():
     ids = [r.rule_id for r in ALL_CONCURRENCY_RULES]
-    assert ids == ["RC001", "RC002", "RC003", "RC004", "RC005"]
+    assert ids == ["RC001", "RC002", "RC003", "RC005"]
     assert [r["rule"] for r in concurrency_rule_catalogue()] == ids
     assert [r.rule_id for r in get_concurrency_rules(["rc003"])] == ["RC003"]
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Flow rules RF001-RF005: exact findings, exact call chains, suppression.
+"""Flow rules RF001, RF002, RF004, RF005: exact findings, call chains,
+suppression.
 
 Each RF rule has a dedicated multi-module fixture *package* under
 ``fixtures/`` and the tests pin the full reported chain — the
@@ -83,50 +84,6 @@ def test_rf002_impure_cache_key_closure_reports_both_sins():
         f"rf002_pkg.hashing.stamp",
     )
     assert all(f.path == hashing for f in report.result.findings)
-
-
-# --- RF003 ----------------------------------------------------------------
-
-def test_rf003_worker_task_races_on_module_state():
-    report = _findings("rf003_pkg", rules=get_flow_rules(["RF003"]))
-    pool = str(FIXTURES / "rf003_pkg" / "pool.py")
-    by_line = {(f.line, f.col): f for f in report.result.findings}
-    assert set(by_line) == {(10, 4), (15, 11), (15, 23)}
-    write = by_line[(10, 4)]
-    assert "mutates module-level `_RESULTS`" in write.message
-    assert write.chain == (
-        f"{pool}:16 rf003_pkg.pool._work -> rf003_pkg.pool._record",
-    )
-    stale_read = by_line[(15, 11)]
-    assert "reads module-level mutable `_RESULTS`" in stale_read.message
-    assert stale_read.chain == ()       # _work is itself the shipped root
-    limit_read = by_line[(15, 23)]
-    assert "`_LIMIT`" in limit_read.message
-    assert "rf003_pkg.pool.reset" in limit_read.message
-
-
-def test_rf003_initializer_pattern_is_sanctioned(tmp_path):
-    """Per-worker state installed by the pool initializer (the
-    _WORKER_SIMULATOR pattern) must stay allowed."""
-    pkg = tmp_path / "init_pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "pool.py").write_text(
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "_STATE = None\n"
-        "def _init_worker(payload):\n"
-        "    global _STATE\n"
-        "    _STATE = payload\n"
-        "def _work(item):\n"
-        "    return (_STATE, item)\n"
-        "def run_all(items, payload):\n"
-        "    with ProcessPoolExecutor(initializer=_init_worker,\n"
-        "                             initargs=(payload,)) as pool:\n"
-        "        futs = [pool.submit(_work, i) for i in items]\n"
-        "    return [f.result() for f in futs]\n"
-    )
-    report = lint_flow([str(pkg)], rules=get_flow_rules(["RF003"]))
-    assert report.result.findings == []
 
 
 # --- RF004 ----------------------------------------------------------------
@@ -257,9 +214,9 @@ def test_suppression_on_entry_point_line_does_not_silence(tmp_path):
 
 def test_flow_rule_registry():
     ids = [r.rule_id for r in ALL_FLOW_RULES]
-    assert ids == ["RF001", "RF002", "RF003", "RF004", "RF005"]
+    assert ids == ["RF001", "RF002", "RF004", "RF005"]
     assert [r["rule"] for r in flow_rule_catalogue()] == ids
-    assert [r.rule_id for r in get_flow_rules(["rf003"])] == ["RF003"]
+    assert [r.rule_id for r in get_flow_rules(["rf004"])] == ["RF004"]
     with pytest.raises(ValueError):
         get_flow_rules(["RF999"])
 

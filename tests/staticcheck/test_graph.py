@@ -124,30 +124,6 @@ def test_closure_and_chain_rendering(graph):
     assert all(":" in hop.split(" ")[0] for hop in chain)
 
 
-def test_global_writer_tracking(tmp_path):
-    pkg = tmp_path / "wpkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "state.py").write_text(
-        "COUNTS = {}\n"
-        "TOTAL = 0\n"
-        "def bump(key):\n"
-        "    COUNTS[key] = COUNTS.get(key, 0) + 1\n"
-        "def reset():\n"
-        "    global TOTAL\n"
-        "    TOTAL = 0\n"
-    )
-    graph = build_call_graph([pkg])
-    assert graph.global_writers[("wpkg.state", "COUNTS")] == {
-        "wpkg.state.bump"
-    }
-    assert graph.global_writers[("wpkg.state", "TOTAL")] == {
-        "wpkg.state.reset"
-    }
-    assert graph.modules["wpkg.state"].global_kinds["COUNTS"] == "mutable"
-    assert graph.modules["wpkg.state"].global_kinds["TOTAL"] == "immutable"
-
-
 def test_syntax_error_files_are_skipped_not_fatal(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("def broken(:\n")

@@ -13,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.staticcheck.concurrency import ALL_CONCURRENCY_RULES
+from repro.staticcheck.concurrency import (
+    ALL_CONCURRENCY_RULES,
+    get_concurrency_rules,
+)
 from repro.staticcheck.flow import ALL_FLOW_RULES
 from repro.staticcheck.incremental import incremental_check
 from repro.staticcheck.reporter import render_json
@@ -206,7 +209,7 @@ def test_concurrency_rule_set_change_invalidates_the_signature(tmp_path):
     _conc_check(pkg, cache)
     narrowed = incremental_check(
         [str(pkg)], per_file_rules=[],
-        concurrency_rules=[ALL_CONCURRENCY_RULES[4]],
+        concurrency_rules=get_concurrency_rules(["RC005"]),
         cache_path=cache,
     )
     assert narrowed.n_reanalyzed == 2   # different signature: full rerun

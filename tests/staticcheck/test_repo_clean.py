@@ -36,7 +36,8 @@ def test_repo_lints_clean():
 
 
 def test_repo_flow_clean():
-    """The interprocedural gate: RF001-RF005 over the whole call graph.
+    """The interprocedural gate: RF001, RF002, RF004 and RF005 over the
+    whole call graph.
 
     Every genuine violation must be either fixed or carry a per-line
     ``# staticcheck: ignore[RFxxx]`` with a justifying comment AND a
@@ -60,7 +61,7 @@ def test_repo_flow_clean():
 
 
 def test_repo_concurrency_clean():
-    """The concurrency gate: RC001-RC005 over the inferred lock model.
+    """The concurrency gate: RC001-RC003 and RC005 over the inferred lock model.
 
     The pass earned its keep on arrival by catching a real RC001 in
     ``SignatureIndex.find_similar`` (the ``n_lookups`` telemetry bump
@@ -139,26 +140,3 @@ def test_domain_definitions_validate():
     pretty = "\n".join(f.format() for f in findings)
     assert findings == [], f"domain violations:\n{pretty}"
 
-
-def test_eval_request_exclusions_match_runtime_fields():
-    """The declared cache-key exclusion names real EvalRequest fields."""
-    import dataclasses
-
-    from repro.engine.engine import EvalRequest
-
-    field_names = {f.name for f in dataclasses.fields(EvalRequest)}
-    assert set(EvalRequest._cache_key_excluded) <= field_names
-    # And the runtime behaviour matches the declaration: attempt must not
-    # influence the cache key.
-    import dataclasses as dc
-
-    from repro.cloud.cluster import Cluster
-    from repro.config.spark_params import SPARK_DEFAULTS
-    from repro.config.space import Configuration
-
-    request = EvalRequest(
-        workload="w", input_mb=100.0, cluster=Cluster.of("m5.xlarge", 2),
-        config=Configuration(SPARK_DEFAULTS), seed=3,
-    )
-    retried = dc.replace(request, attempt=2)
-    assert request.cache_key() == retried.cache_key()
