@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import cross_validate, render_table
-from repro.config import OneHotEncoder, UnitEncoder, spark_core_space
+from repro.config import OneHotEncoder, spark_core_space
 from repro.sparksim import SparkSimulator
 from repro.tuning import (
     ErnestModel,
@@ -69,7 +69,6 @@ def _dataset(workload_name, cluster):
     simulator = SparkSimulator()
     space = spark_core_space()
     onehot = OneHotEncoder(space)
-    unit = UnitEncoder(space)
     workload = get_workload(workload_name)
     input_mb = workload.inputs.ds1_mb
     rng = np.random.default_rng(11)
@@ -86,7 +85,7 @@ def _dataset(workload_name, cluster):
                               seed=3 * i + r) for r in range(3)]
         i += 1
         if all(r.success for r in runs):
-            X.append((onehot.encode(config), unit.encode(config)))
+            X.append((onehot.encode(config), space.encode(config)))
             y.append(float(np.mean([r.runtime_s for r in runs])))
     X_onehot = np.array([a for a, _ in X])
     X_unit = np.array([b for _, b in X])

@@ -118,7 +118,7 @@ def _scenario_suggest_throughput():
 def _synthetic_history():
     """1M records over 16 workload keys in one append-only log."""
     rng = np.random.default_rng(13)
-    log = HistoryLog(segment_records=200_000)
+    log = HistoryLog()
     store = HistoryStore(log)
     config = Configuration({})          # shared: configs are not indexed
     signatures = rng.random((N_RECORDS, N_FEATURES)) * 8.0

@@ -2,7 +2,7 @@
 
 from .cloud_params import cloud_space, joint_space
 from .constraints import ResourceGrant, grant_resources, repair
-from .encoding import OneHotEncoder, UnitEncoder
+from .encoding import OneHotEncoder
 from .space import (
     BoolParameter,
     CategoricalParameter,
@@ -32,5 +32,4 @@ __all__ = [
     "repair",
     "ResourceGrant",
     "OneHotEncoder",
-    "UnitEncoder",
 ]

@@ -1,9 +1,10 @@
 """Feature encodings of configurations for surrogate models.
 
-Two encoders are provided:
+The compact encoding — one column per parameter, values in [0, 1],
+ordinal treatment of categoricals — is ``ConfigurationSpace.encode``
+(inverted by ``decode``), which GP tuners call directly.  This module
+adds:
 
-* :class:`UnitEncoder` — one column per parameter, values in [0, 1]
-  (ordinal treatment of categoricals).  Compact; used by GP tuners.
 * :class:`OneHotEncoder` — categoricals and booleans expand into indicator
   columns.  Used by tree ensembles and linear models, where ordinal
   treatment of unordered choices would invent spurious structure.
@@ -18,11 +19,10 @@ import numpy as np
 from .space import (
     BoolParameter,
     CategoricalParameter,
-    Configuration,
     ConfigurationSpace,
 )
 
-__all__ = ["UnitEncoder", "OneHotEncoder", "ConfigColumns"]
+__all__ = ["OneHotEncoder", "ConfigColumns"]
 
 
 class ConfigColumns:
@@ -58,30 +58,6 @@ class ConfigColumns:
     def mapped(self, fn) -> np.ndarray:
         """One float per candidate via an arbitrary per-config function."""
         return np.array([fn(c) for c in self.configs], dtype=float)
-
-
-class UnitEncoder:
-    """Encode configurations as unit-hypercube vectors (invertible)."""
-
-    def __init__(self, space: ConfigurationSpace):
-        self.space = space
-
-    @property
-    def dimension(self) -> int:
-        return self.space.dimension
-
-    @property
-    def feature_names(self) -> list[str]:
-        return self.space.names
-
-    def encode(self, config: Mapping) -> np.ndarray:
-        return self.space.encode(config)
-
-    def encode_many(self, configs) -> np.ndarray:
-        return np.array([self.encode(c) for c in configs], dtype=float)
-
-    def decode(self, vector: np.ndarray) -> Configuration:
-        return self.space.decode(vector)
 
 
 class OneHotEncoder:

@@ -9,12 +9,10 @@ modules mine it *without* access to ground-truth workload identity
 across tenants (labels are per-tenant opaque strings).
 
 Storage lives in an append-only :class:`~repro.core.histlog.HistoryLog`
-(sealed immutable segments, periodic snapshot compaction, lock-free
-concurrent readers); this class is the *query view* over one log.  The
-view API is unchanged from the original in-memory store, so similarity,
-transfer, SLO references and persistence work record-for-record
-identically — but many tenants can now append and query concurrently,
-and a single log can back several service shards at once.
+(one list of immutable records under one lock); this class is the
+*query view* over one log.  Per-workload aggregates come from the log's
+shared :class:`~repro.core.simindex.SignatureIndex`, so several views —
+one per service shard — can share a single log and its index.
 """
 
 from __future__ import annotations
@@ -86,12 +84,9 @@ class HistoryStore:
 
     def workload_keys(self) -> list[tuple[str, str]]:
         """Every (tenant, label) recorded, sorted — from the index's
-        cached key order (invalidated by log version), not a fresh
-        materialize-and-sort of the full snapshot per call."""
+        cached key order (invalidated when a new key appears), not a
+        fresh materialize-and-sort of the full snapshot per call."""
         return self.index().workload_keys()
-
-    def successful(self) -> list[ExecutionRecord]:
-        return [r for r in self._log.snapshot() if r.success]
 
     def best_for(self, tenant: str, workload_label: str) -> ExecutionRecord | None:
         return self.index().best_for(tenant, workload_label)
@@ -100,16 +95,7 @@ class HistoryStore:
         """Averaged characterization across a workload's executions."""
         return self.index().mean_signature(tenant, workload_label)
 
-    def best_runtime_overall(self, workload_label_filter=None) -> float | None:
-        """Best runtime of any similar-labelled workload (SLO reference).
-
-        The unfiltered form is O(1) off the index's running global best;
-        an arbitrary record predicate cannot be pre-aggregated, so the
-        filtered form still scans.
-        """
-        if workload_label_filter is None:
-            return self.index().best_runtime_overall()
-        runs = [r for r in self.successful() if workload_label_filter(r)]
-        if not runs:
-            return None
-        return min(r.runtime_s for r in runs)
+    def best_runtime_overall(self) -> float | None:
+        """Best successful runtime of any workload, O(1) off the index's
+        running global best."""
+        return self.index().best_runtime_overall()

@@ -29,7 +29,7 @@ from ..config.space import Configuration, ConfigurationSpace
 from ..config.spark_params import spark_core_space
 from ..engine import EngineObjective, EvaluationEngine
 from ..sparksim.simulator import SparkSimulator
-from ..tuning.base import Tuner, TuningResult, run_tuner_batched
+from ..tuning.base import Tuner
 from ..tuning.bo.bayesopt import BayesOptTuner
 from .characterization import probe_configuration, signature
 from .history import HistoryStore
@@ -145,10 +145,6 @@ class TuningService:
             first = self._session_counter + 1
             self._session_counter += slots
             return self.seed + _SEED_STRIDE * first
-
-    def engine_counters(self) -> dict[str, float]:
-        """Hit/miss/latency counters of the shared evaluation engine."""
-        return self.engine.counters()
 
     def counters(self) -> dict:
         """One telemetry snapshot: engine, per-phase time, index state."""
@@ -339,24 +335,6 @@ class TuningService:
             ),
             transferred_from=sources,
         )
-
-    def bulk_evaluate(self, workload, input_mb: float, cluster: Cluster,
-                      tuner: Tuner, budget: int,
-                      batch_size: int = 16,
-                      metric: str = "runtime") -> TuningResult:
-        """Screen many candidates through the shared engine, batched.
-
-        The provider-side bulk path ("more than 2000 configurations
-        tested"): population tuners propose whole batches, the engine
-        memoizes repeats and simulates the misses as one batch, and
-        every execution is charged to the provider ledger.
-        """
-        objective = EngineObjective(
-            self.engine, workload, input_mb, cluster=cluster,
-            interference=self.interference, ledger=self.ledger,
-            metric=metric, seed=self.seed, repair=True,
-        )
-        return run_tuner_batched(tuner, objective, budget, batch_size=batch_size)
 
     def _slo_reference(self, slo: TuningSLO, tenant: str, label: str,
                        session: TuningSession) -> tuple[float | None, int]:

@@ -4,7 +4,7 @@ The :mod:`repro.core` service made operational (paper Section IV read as
 a provider service, KEA-style): admission control at the front door,
 per-tenant SLO budgets driving a priority scheduler, tuning sessions
 sharded by workload fingerprint so similar tenants share warm models,
-all appending to one lock-free history log.
+all appending to one shared history log.
 
 Modules:
 

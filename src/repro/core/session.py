@@ -1,7 +1,9 @@
-"""A single tuning campaign: probe, tune, record — with stopping rules.
+"""A single tuning campaign: tune and record, with stopping rules.
 
 Wraps a tuner + simulation objective so every exploratory execution is
 recorded into the provider history store and charged to a cost ledger.
+The characterization probe that precedes a campaign is run, recorded
+and observed by :meth:`repro.core.service.TuningService.tune_disc`.
 Stopping combines a hard budget with CherryPick's EI rule and an
 optional SLO-attained early exit — bounding tuning cost is principle 3
 of the paper's vision.
@@ -11,8 +13,6 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..cloud.cluster import Cluster
 from ..cloud.pricing import CostLedger
@@ -25,7 +25,7 @@ from ..tuning.base import (
     _call_succeeded,
 )
 from ..tuning.bo.bayesopt import BayesOptTuner
-from .characterization import probe_configuration, signature
+from .characterization import signature
 from .history import HistoryStore
 from .profiling import PhaseProfiler
 
@@ -76,33 +76,6 @@ class TuningSession:
             result=exec_result,
             signature=signature(exec_result),
         )
-
-    def probe(self, observe: bool = True) -> tuple[np.ndarray, float]:
-        """One canonical-config profiling run; returns (signature, runtime).
-
-        With ``observe`` (default), the probe measurement also feeds the
-        tuner and the campaign history: it is a paid execution, and the
-        deployed configuration should never be worse than it.
-        """
-        probe = probe_configuration()
-        with self._phase("evaluate"):
-            cost = self.objective(probe)
-        exec_result = self.objective.last_result
-        # Record — and observe — the probe as it actually launched
-        # (resolved and, if the objective repairs, repaired): a history
-        # entry for a configuration that never ran poisons transfer
-        # warm-starts replaying it.
-        _, probe_as_run = self.objective.resolve(probe)
-        self._record(probe_as_run, exec_result)
-        if observe:
-            projected = Configuration({
-                name: probe_as_run[name] for name in self.tuner.space.names
-            })
-            obs = self.tuner.observe(
-                projected, cost, succeeded=_call_succeeded(self.objective)
-            )
-            self.result.history.append(obs)
-        return signature(exec_result), cost
 
     def _evaluate_batch(self, configs) -> list[tuple[float, bool, ExecutionResult]]:
         """Evaluate ``configs``, batched through the engine when available."""

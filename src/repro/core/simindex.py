@@ -8,8 +8,8 @@ O(workloads × records).  At KEA-like scale (millions of records) that is
 seconds per lookup on a path the service hits for every tuning session.
 
 :class:`SignatureIndex` replaces the scans with per-(tenant, label)
-running aggregates maintained **incrementally** against
-:class:`~repro.core.histlog.HistoryLog` versions:
+running aggregates maintained **incrementally** over one
+:class:`~repro.core.histlog.HistoryLog`:
 
 * a per-key buffer of successful-run signatures (capacity-doubled), from
   which the cached mean is recomputed — with the exact ``np.mean`` the
@@ -23,14 +23,11 @@ running aggregates maintained **incrementally** against
   distance computation and ``np.argpartition`` instead of a Python loop
   over full-log scans.
 
-Synchronization is lazy: a query compares the log's version counter and
-folds in only the records appended since the last sync (``log.tail``),
-so steady-state maintenance is O(new records).  Append order is stable
-across segment sealing and snapshot compaction (both merge in order), so
-the incremental suffix stays valid across compaction — the identity
-suite forces compactions mid-stream to pin that property; ``rebuild()``
-remains as the escape hatch (and runs automatically if the log ever
-shrinks, which no current code path does).
+Synchronization is lazy and by position: a query compares the log's
+length with the number of records already folded and folds in only the
+records appended since (``log.tail``), so steady-state maintenance is
+O(new records).  The log is append-only and an index belongs to one log,
+so a folded position never changes and the log never shrinks.
 
 One index is shared per log — every :class:`~repro.core.history.HistoryStore`
 view over the same log (e.g. the per-shard stores of the multi-tenant
@@ -79,13 +76,9 @@ class SignatureIndex:
     def __init__(self, log: HistoryLog):
         self._log = log
         self._lock = threading.RLock()
-        self._reset_locked()
-
-    def _reset_locked(self) -> None:
         self._keys: dict[tuple[str, str], _KeyAggregate] = {}
         self._dim: int | None = None
         self._synced_count = 0
-        self._synced_version = -1
         # Row-major caches, one row per key in first-seen order.
         self._means = np.zeros((0, 0))
         self._counts = np.zeros(0, dtype=np.int64)
@@ -93,50 +86,29 @@ class SignatureIndex:
         self._dirty: set[int] = set()
         self._by_row: list[_KeyAggregate] = []
         self._best_overall: ExecutionRecord | None = None
-        # Key-sort caches (satellite: workload_keys without re-sorting the
-        # snapshot per call) — invalidated only when a *new* key appears.
+        # Key-sort caches: workload_keys without re-sorting the snapshot
+        # per call; invalidated only when a *new* key appears.
         self._sorted_keys: list[tuple[str, str]] | None = None
         self._sorted_rows: np.ndarray | None = None
         # --- telemetry ----------------------------------------------------
         self.n_syncs = 0
         self.n_records_indexed = 0
-        self.n_rebuilds = 0
         self.n_mean_refreshes = 0
         self.n_lookups = 0
 
     # --- maintenance ------------------------------------------------------
-    def rebuild(self) -> None:
-        """Drop all aggregates and re-index the whole log."""
-        with self._lock:
-            self._reset_locked()
-            self.n_rebuilds += 1
-            self._sync_locked()
-
     def sync(self) -> None:
         """Fold in records appended since the last sync (cheap when none)."""
-        version = self._log.version
-        if version == self._synced_version:
+        if len(self._log) == self._synced_count:
             return
         with self._lock:
-            self._sync_locked()
-
-    def _sync_locked(self) -> None:
-        version = self._log.version
-        if version == self._synced_version:
-            return
-        if len(self._log) < self._synced_count:
-            # The log shrank under us — impossible for the append-only
-            # log, but a foreign/replaced log gets correctness over speed.
-            self._reset_locked()
-            self.n_rebuilds += 1
-        for record in self._log.tail(self._synced_count):
-            self._ingest_locked(record)
-            # Counted per record: after a record raises, the next sync
-            # resumes at it instead of folding its predecessors twice.
-            self._synced_count += 1
-            self.n_records_indexed += 1
-        self._synced_version = version
-        self.n_syncs += 1
+            for record in self._log.tail(self._synced_count):
+                self._ingest_locked(record)
+                # Counted per record: after a record raises, the next sync
+                # resumes at it instead of folding its predecessors twice.
+                self._synced_count += 1
+                self.n_records_indexed += 1
+            self.n_syncs += 1
 
     def _ingest_locked(self, record: ExecutionRecord) -> None:
         key = record.key
@@ -329,7 +301,6 @@ class SignatureIndex:
                 "workload_keys": len(self._keys),
                 "records_indexed": self.n_records_indexed,
                 "syncs": self.n_syncs,
-                "rebuilds": self.n_rebuilds,
                 "mean_refreshes": self.n_mean_refreshes,
                 "lookups": self.n_lookups,
             }

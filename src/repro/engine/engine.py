@@ -299,32 +299,23 @@ class EngineObjective(SimulationObjective):
     ``EvalRequest``s, so grouping, retries and cache hits cannot change
     the observation history.
 
-    ``seed_mode`` controls per-candidate seeding:
-
-    - ``"per-config"`` (default): the noise seed is a stable digest of
-      the configuration, so re-evaluating a candidate is a cache hit —
-      the amortization the provider-side service depends on.
-    - ``"per-call"``: every call draws a fresh seed (matching
-      :class:`SimulationObjective`); repeats re-simulate with new noise.
+    The noise seed of a candidate is a stable digest of its
+    configuration, so re-evaluating a candidate is a cache hit — the
+    amortization the provider-side service depends on.
     """
 
     def __init__(self, engine: EvaluationEngine, workload, input_mb: float,
-                 seed_mode: str = "per-config", **kwargs):
-        if seed_mode not in ("per-config", "per-call"):
-            raise ValueError("seed_mode must be 'per-config' or 'per-call'")
+                 **kwargs):
         kwargs.setdefault("simulator", engine.simulator)
         super().__init__(workload, input_mb, **kwargs)
         self.engine = engine
-        self.seed_mode = seed_mode
         #: engine records of the most recent batch (per-candidate
         #: ExecutionResults + cache provenance, for session recording)
         self.last_records: list[EvalRecord] = []
 
     def _seed_for(self, spark_config: Configuration) -> int:
-        if self.seed_mode == "per-config":
-            digest = int(config_fingerprint(spark_config)[:12], 16)
-            return (self._seed + digest) % (2**63)
-        return self._seed + self.n_calls
+        digest = int(config_fingerprint(spark_config)[:12], 16)
+        return (self._seed + digest) % (2**63)
 
     def _build_request(self, config) -> EvalRequest:
         cluster, spark_config = self.resolve(config)

@@ -615,9 +615,9 @@ class LockedSuffixRule(ConcurrencyRule):
     )
     rationale = (
         "The suffix is the repo's contract that the caller owns the "
-        "critical section (HistoryLog._append_locked, "
-        "SignatureIndex._sync_locked); a lock-free call site turns "
-        "every invariant the method body relies on into a race."
+        "critical section (SignatureIndex._ingest_locked, "
+        "EvaluationEngine._evaluate_batch_locked); a lock-free call site "
+        "turns every invariant the method body relies on into a race."
     )
 
     def check(self, graph: CallGraph, model: LockModel) -> list[Finding]:

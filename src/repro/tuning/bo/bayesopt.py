@@ -217,11 +217,3 @@ class BayesOptTuner(Tuner):
             np.log(max(self.best.cost, 1e-9)) if self.log_costs else self.best.cost
         )
         return self.last_max_ei < ei_fraction * abs(incumbent)
-
-    def surrogate_prediction(self, config: Configuration) -> tuple[float, float]:
-        """Model's (mean, std) prediction for one configuration (cost scale)."""
-        self._refit()
-        mean, std = self._gp.predict(self.space.encode(config)[None, :])
-        if self.log_costs:
-            return float(np.exp(mean[0])), float(np.exp(mean[0]) * std[0])
-        return float(mean[0]), float(std[0])

@@ -1,4 +1,4 @@
-"""Tests for unit and one-hot configuration encoders."""
+"""Tests for the one-hot configuration encoder."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.config import (
     FloatParameter,
     IntParameter,
     OneHotEncoder,
-    UnitEncoder,
 )
 
 
@@ -22,22 +21,6 @@ def mixed_space():
         BoolParameter("b", default=True),
         CategoricalParameter("c", ["x", "y", "z"]),
     ])
-
-
-class TestUnitEncoder:
-    def test_dimension(self, mixed_space):
-        assert UnitEncoder(mixed_space).dimension == 4
-
-    def test_values_in_unit_interval(self, mixed_space, rng):
-        enc = UnitEncoder(mixed_space)
-        X = enc.encode_many(mixed_space.sample_configurations(20, rng))
-        assert X.shape == (20, 4)
-        assert (X >= 0).all() and (X <= 1).all()
-
-    def test_invertible(self, mixed_space, rng):
-        enc = UnitEncoder(mixed_space)
-        c = mixed_space.sample_configuration(rng)
-        assert enc.decode(enc.encode(c)) == c
 
 
 class TestOneHotEncoder:

@@ -208,7 +208,10 @@ class TestConfigurationSpace:
         s = self._space()
         for _ in range(30):
             c = s.sample_configuration(rng)
-            assert s.decode(s.encode(c)) == c
+            vector = s.encode(c)
+            assert vector.shape == (4,)
+            assert (vector >= 0).all() and (vector <= 1).all()
+            assert s.decode(vector) == c
 
     def test_decode_rejects_wrong_shape(self):
         s = self._space()

@@ -96,11 +96,3 @@ class TestHistoryStore:
         mean_sig = store.mean_signature("a", "sort")
         assert mean_sig.shape == (len(FEATURE_NAMES),)
         assert store.mean_signature("zz", "zz") is None
-
-    def test_best_runtime_overall_with_filter(self, cluster, simulator):
-        store = self._populate(cluster, simulator)
-        overall = store.best_runtime_overall()
-        sorts_only = store.best_runtime_overall(
-            lambda r: r.workload_label == "sort"
-        )
-        assert overall <= sorts_only

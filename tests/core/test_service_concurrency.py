@@ -111,7 +111,7 @@ class TestEngineDispatch:
 
 class TestShardPoolUnderLoad:
     def test_all_futures_resolve_and_state_stays_consistent(self):
-        log = HistoryLog(segment_records=32, compact_after=2)
+        log = HistoryLog()
         ledgers = [CostLedger() for _ in range(3)]
 
         def factory(i):
@@ -152,7 +152,7 @@ class TestLockOrderUnderStress:
         acquisition in either order deadlocks this test *deterministically*
         as a LockOrderViolation instead of hanging CI."""
         san = LockOrderSanitizer()
-        log = HistoryLog(segment_records=32, compact_after=2)
+        log = HistoryLog()
         instrument_attr(log, "_lock", san, name="HistoryLog._lock")
         ledgers = [CostLedger() for _ in range(3)]
         for i, ledger in enumerate(ledgers):
@@ -215,7 +215,7 @@ class TestSharedStateFromPlainThreads:
         reads its own appends back from the index in log order, and no
         lock-order inversion is observed."""
         san = LockOrderSanitizer()
-        log = HistoryLog(segment_records=32, compact_after=2)
+        log = HistoryLog()
         instrument_attr(log, "_lock", san, name="HistoryLog._lock")
         store = HistoryStore(log)
         instrument_attr(store.index(), "_lock", san,

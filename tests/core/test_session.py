@@ -1,4 +1,4 @@
-"""Tests for TuningSession: probing, recording, stopping rules."""
+"""Tests for TuningSession: recording and stopping rules."""
 
 import pytest
 
@@ -19,21 +19,6 @@ def _session(cluster, tuner_cls=RandomSearchTuner, store=None, ledger=None, **tu
         cluster=cluster, tuner=tuner_cls(space, seed=1, **tuner_kwargs),
         objective=objective, store=store, ledger=ledger,
     )
-
-
-class TestProbe:
-    def test_probe_returns_signature_and_runtime(self, cluster):
-        session = _session(cluster)
-        sig, runtime = session.probe()
-        assert sig.shape == (11,)
-        assert runtime > 0
-
-    def test_probe_recorded_in_store(self, cluster):
-        store = HistoryStore()
-        session = _session(cluster, store=store)
-        session.probe()
-        assert len(store) == 1
-        assert store.all()[0].workload_label == "wc"
 
 
 class TestRun:

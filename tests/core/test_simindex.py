@@ -1,10 +1,8 @@
 """Identity suite: the signature index vs. the naive full-log scans.
 
 The index is a pure performance structure — every answer must be
-*bit-identical* to recomputing from a fresh snapshot, including across
-forced :class:`HistoryLog` compactions mid-stream (append order is
-stable through seal + compaction, which is what keeps the index's
-suffix-incremental sync valid).
+*bit-identical* to recomputing from a fresh snapshot, whether the index
+folded the log record by record or in one sync.
 """
 
 import numpy as np
@@ -15,7 +13,7 @@ from hypothesis import strategies as st
 from repro.config.space import Configuration
 from repro.core.histlog import HistoryLog
 from repro.core.history import HistoryStore
-from repro.core.simindex import signature_index
+from repro.core.simindex import SignatureIndex, signature_index
 from repro.core.similarity import (
     find_similar_workloads,
     find_similar_workloads_scan,
@@ -32,17 +30,16 @@ _record = st.tuples(
     st.floats(0.125, 1000.0, allow_nan=False),           # runtime
     st.booleans(),                        # success
     _signature,
-    st.booleans(),                        # force a compaction after this record
 )
 
 
-def _fill(records, segment_records=5, after_step=None):
-    """Append hypothesis-drawn records, compacting where flagged; call
-    ``after_step(log, store)`` after every append and every compaction."""
-    log = HistoryLog(segment_records=segment_records, compact_after=2)
+def _fill(records, after_step=None):
+    """Append hypothesis-drawn records; call ``after_step(log, store)``
+    after every append."""
+    log = HistoryLog()
     store = HistoryStore(log)
     cfg = Configuration({})
-    for tenant, label, runtime, success, sig, compact in records:
+    for tenant, label, runtime, success, sig in records:
         log.append_new(
             tenant=f"t{tenant}", workload_label=f"w{label}", input_mb=100.0,
             cluster="c", config=cfg, runtime_s=float(runtime),
@@ -50,10 +47,6 @@ def _fill(records, segment_records=5, after_step=None):
         )
         if after_step is not None:
             after_step(log, store)
-        if compact:
-            log.compact()
-            if after_step is not None:
-                after_step(log, store)
     return log, store
 
 
@@ -84,9 +77,9 @@ class TestAggregateIdentity:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(_record, min_size=0, max_size=60))
     def test_for_workload_lists_the_snapshot_records_of_each_key(self, records):
-        """Per-key record lists vs a snapshot filter after every step,
-        forced compactions included: the same objects in log order, and
-        ``[]`` for a key the log has not seen (yet)."""
+        """Per-key record lists vs a snapshot filter after every append:
+        the same objects in log order, and ``[]`` for a key the log has
+        not seen (yet)."""
         keys = [(f"t{t}", f"w{w}") for t in range(4) for w in range(3)]
 
         def check(log, store):
@@ -117,21 +110,21 @@ class TestAggregateIdentity:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_record, min_size=0, max_size=50))
     def test_incremental_equals_rebuild(self, records):
-        """Syncing record-by-record ends in the same state as one rebuild."""
-        log, store = _fill(records)
+        """Syncing record-by-record ends in the same state as a fresh
+        index synced once over the whole log."""
+        log, store = _fill(records,
+                           after_step=lambda log, store: store.index().sync())
         index = store.index()
-        index.sync()
-        before = {
-            key: (store.mean_signature(*key), store.best_for(*key))
-            for key in store.workload_keys()
-        }
-        index.rebuild()
-        for key, (mean, best) in before.items():
+        fresh = SignatureIndex(log)
+        fresh.sync()
+        assert fresh.workload_keys() == index.workload_keys()
+        for key in index.workload_keys():
+            mean = index.mean_signature(*key)
             if mean is None:
-                assert store.mean_signature(*key) is None
+                assert fresh.mean_signature(*key) is None
             else:
-                assert np.array_equal(store.mean_signature(*key), mean)
-            assert store.best_for(*key) is best
+                assert np.array_equal(fresh.mean_signature(*key), mean)
+            assert fresh.best_for(*key) is index.best_for(*key)
 
 
 class TestFindSimilarIdentity:
@@ -157,9 +150,9 @@ class TestFindSimilarIdentity:
             assert np.array_equal(a.signature, b.signature)
 
     def test_interleaved_queries_and_appends_stay_identical(self):
-        """Query → append → compact → query: the sync must keep up."""
+        """Query → append → query: the sync must keep up."""
         rng = np.random.default_rng(5)
-        log = HistoryLog(segment_records=3, compact_after=2)
+        log = HistoryLog()
         store = HistoryStore(log)
         cfg = Configuration({})
         target = rng.random(N_FEATURES)
@@ -171,8 +164,6 @@ class TestFindSimilarIdentity:
                 success=bool(rng.random() > 0.25),
                 signature=rng.random(N_FEATURES),
             )
-            if i % 17 == 0:
-                log.compact()
             if i % 7 == 0:
                 a = find_similar_workloads(store, target, k=4)
                 b = find_similar_workloads_scan(store, target, k=4)
@@ -223,7 +214,6 @@ class TestIndexMechanics:
         index.sync()
         c = index.counters()
         assert c["records_indexed"] == 15      # 5 new, not 15 rescanned
-        assert c["rebuilds"] == 0
 
     def test_dimension_mismatch_rejected(self):
         log = HistoryLog()
@@ -262,7 +252,7 @@ class TestLogTail:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_record, min_size=0, max_size=40), st.integers(0, 45))
     def test_tail_is_snapshot_suffix(self, records, start):
-        log, _ = _fill(records, segment_records=3)
+        log, _ = _fill(records)
         assert log.tail(start) == log.snapshot()[start:]
 
 
@@ -272,7 +262,7 @@ def test_index_arrays_keep_float64_signatures():
     scan never depends on a narrower accumulator sneaking into the shard
     arrays.  No static check guards these dtypes; this test does."""
     rng = np.random.default_rng(9)
-    log = HistoryLog(segment_records=4, compact_after=2)
+    log = HistoryLog()
     store = HistoryStore(log)
     cfg = Configuration({})
     for i in range(24):

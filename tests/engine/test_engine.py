@@ -116,14 +116,6 @@ class TestDeterminism:
         b(_configs(3, seed=99)[0])     # burn a call on b first
         assert a(config) == b(config)
 
-    def test_per_call_mode_redraws_noise(self):
-        objective = _objective(EvaluationEngine(), seed_mode="per-call")
-        config = _configs(1)[0]
-        first, second = objective(config), objective(config)
-        # Distinct seeds -> distinct requests -> no cache hit.
-        assert objective.engine.counters()["hits"] == 0
-        assert first != second
-
 
 class TestFailedRunSettlement:
     """Crashed executions still settle: charged, penalized, flagged."""
