@@ -114,19 +114,19 @@ def _scenario_seed_serial():
 
 
 def _scenario_engine(executor, warm=False, simulator=None):
-    with EvaluationEngine(simulator=simulator, executor=executor) as engine:
-        def campaign():
-            objective = EngineObjective(engine, Sort(), 4096.0,
-                                        cluster=CLUSTER, repair=True, seed=3)
-            return run_tuner_batched(_tuner(), objective,
-                                     budget=N_CANDIDATES,
-                                     batch_size=BATCH_SIZE)
+    engine = EvaluationEngine(simulator=simulator, executor=executor)
 
-        if warm:
-            campaign()            # provider already paid for these runs
-        result, elapsed = _timed(campaign)
-        counters = engine.counters()
-    return result, elapsed, counters
+    def campaign():
+        objective = EngineObjective(engine, Sort(), 4096.0,
+                                    cluster=CLUSTER, repair=True, seed=3)
+        return run_tuner_batched(_tuner(), objective,
+                                 budget=N_CANDIDATES,
+                                 batch_size=BATCH_SIZE)
+
+    if warm:
+        campaign()            # provider already paid for these runs
+    result, elapsed = _timed(campaign)
+    return result, elapsed, engine.counters()
 
 
 def _scenario_engine_scalar(plan_cache_size):

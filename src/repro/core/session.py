@@ -90,10 +90,7 @@ class TuningSession:
                 ))
             return out
         outcomes = evaluate_batch(configs)
-        records = getattr(self.objective, "last_records", None) or []
-        results = [record.result for record in records]
-        if len(results) != len(outcomes):   # non-engine batch protocol
-            results = [self.objective.last_result] * len(outcomes)
+        results = [record.result for record in self.objective.last_records]
         return [
             (cost, succeeded, result)
             for (cost, succeeded), result in zip(outcomes, results)

@@ -3,7 +3,6 @@
 from .cache import CacheStats, EvaluationCache, config_fingerprint
 from .engine import EngineObjective, EvalRecord, EvalRequest, EvaluationEngine
 from .executors import SerialExecutor
-from .retry import FailureCounters, RetryError, RetryPolicy
 
 __all__ = [
     "CacheStats",
@@ -14,7 +13,4 @@ __all__ = [
     "EvaluationEngine",
     "EngineObjective",
     "SerialExecutor",
-    "RetryPolicy",
-    "RetryError",
-    "FailureCounters",
 ]

@@ -11,8 +11,15 @@ what tuning actually cost.
 
 Determinism contract: every request carries its own noise seed, assigned
 by the caller *before* dispatch, so a batch's results do not depend on
-how it is grouped, retried or answered from the cache.  No engine branch
-reads the wall clock; the clock only feeds the latency counters.
+how it is grouped or answered from the cache.  No engine branch reads
+the wall clock; the clock only feeds the latency counters.
+
+Failure contract: a simulated failure (OOM kill, executor loss) is a
+result, flagged in ``ExecutionResult.success`` and settled by
+:class:`EngineObjective` at a penalized cost.  An exception from the
+executor is a defect in the request or the program: the simulator is
+deterministic, so a re-run would raise it again.  It reaches the caller
+unchanged, and nothing from that batch is cached.
 """
 
 from __future__ import annotations
@@ -25,13 +32,11 @@ from typing import Any
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
 from ..config.space import Configuration
-from ..sparksim.costmodel import Calibration
 from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
 from .cache import CacheStats, EvaluationCache, config_fingerprint
 from .executors import SerialExecutor
-from .retry import FailureCounters, RetryError, RetryPolicy
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]
 
@@ -71,20 +76,18 @@ class EvalRecord:
 class EvaluationEngine:
     """Evaluate batches of configurations through cache + executor.
 
+    Each batch's cache misses go to the executor in one ``run_batch``
+    call; an exception from that call propagates unchanged.
+
     Parameters
     ----------
     executor:
         ``"serial"`` (default) runs every batch in-process, on the
         caller's thread; any object implementing
         ``run_batch(requests) -> list[ExecutionResult]`` is used as given
-        (test fakes, or an ungrouped :class:`SerialExecutor`).
+        (an ungrouped :class:`SerialExecutor`, or a test double).
     cache_size:
         LRU capacity; 0 disables memoization entirely.
-    retry:
-        :class:`~repro.engine.retry.RetryPolicy` governing how executor
-        failures are retried before the engine falls back to the serial
-        executor.  On by default; pass ``None`` to fail fast on the
-        first executor error.
     """
 
     #: duck-typed: SerialExecutor or any run_batch() object
@@ -92,12 +95,9 @@ class EvaluationEngine:
 
     def __init__(self, simulator: SparkSimulator | None = None,
                  executor: str | object = "serial",
-                 cache_size: int = 4096,
-                 calibration: Calibration | None = None,
-                 noise: bool = True,
-                 retry: RetryPolicy | None = RetryPolicy()):
+                 cache_size: int = 4096):
         if simulator is None:
-            simulator = SparkSimulator(calibration=calibration, noise=noise)
+            simulator = SparkSimulator()
         self.simulator = simulator
         if executor == "serial":
             self._executor = SerialExecutor(simulator)
@@ -105,7 +105,6 @@ class EvaluationEngine:
             self._executor = executor
         else:
             raise ValueError("executor must be 'serial' or expose run_batch()")
-        self.retry = retry
         self.cache = EvaluationCache(capacity=cache_size) if cache_size else None
         # One batch in flight at a time: the cache, the hit/miss/latency
         # counters and the simulator's plan and cost caches are
@@ -113,7 +112,6 @@ class EvaluationEngine:
         # threads; this lock makes that safe — lost counter updates were
         # real data races.
         self._lock = threading.Lock()
-        self.failures = FailureCounters()
         self.n_evaluated = 0         # simulations actually run (cache misses)
         self.n_requested = 0         # total requests answered
         #: misses whose identity differs from a previously-seen request
@@ -126,24 +124,11 @@ class EvaluationEngine:
     def stats(self) -> CacheStats:
         return self.cache.stats if self.cache is not None else CacheStats()
 
-    @property
-    def executor_kind(self) -> str:
-        """Which executor is answering requests right now.
-
-        ``"serial"``, or the class name of a custom executor; surfaces a
-        custom executor's mid-session fallback to serial.
-        """
-        if isinstance(self._executor, SerialExecutor):
-            return "serial"
-        return type(self._executor).__name__
-
     def counters(self) -> dict[str, Any]:
-        """Flat snapshot: hit/miss/latency plus failure/retry/degradation."""
+        """Flat snapshot: cache hit/miss/latency plus request counts."""
         snap: dict[str, Any] = dict(self.stats.snapshot())
         snap.update(n_requested=self.n_requested, n_evaluated=self.n_evaluated,
                     n_env_distinct_misses=self.n_env_distinct_misses)
-        snap.update(self.failures.snapshot())
-        snap["executor_kind"] = self.executor_kind
         return snap
 
     # --- evaluation ----------------------------------------------------------
@@ -181,7 +166,7 @@ class EvaluationEngine:
         if miss_of_key:
             unique = [requests[slots[0]] for slots in miss_of_key.values()]
             start = time.perf_counter()
-            results = self._dispatch(unique)
+            results = self._executor.run_batch(unique)
             elapsed = time.perf_counter() - start
             per_request = elapsed / len(unique)
             self.n_evaluated += len(unique)
@@ -212,81 +197,6 @@ class EvaluationEngine:
         elif len(self._env_free_keys) < 65536:   # bounded diagnostic index
             self._env_free_keys.add(env_free)
 
-    # --- fault-tolerant dispatch --------------------------------------------
-    def _dispatch(self, requests) -> list[ExecutionResult]:
-        """Run cache-miss requests through the executor, surviving failures.
-
-        Each attempt re-dispatches only the requests that never produced
-        a result; results are pure functions of the request, so retries
-        cannot change observations.
-        """
-        if self.retry is None:
-            return self._executor.run_batch(requests)
-        policy = self.retry
-        results: list = [None] * len(requests)
-        pending = list(range(len(requests)))
-        for attempt in range(policy.max_attempts):
-            partial = self._run_attempt([requests[i] for i in pending])
-            still_pending = []
-            for slot, result in zip(pending, partial):
-                if result is None:
-                    still_pending.append(slot)
-                else:
-                    results[slot] = result
-            if not still_pending:
-                return results
-            pending = still_pending
-            self.failures.n_failures += len(pending)
-            if attempt + 1 < policy.max_attempts:
-                self.failures.n_retries += len(pending)
-                time.sleep(policy.backoff_s(attempt, token=len(pending)))
-        # Attempts exhausted.  Last resort: answer the stragglers on the
-        # in-process serial executor (a permanent downgrade), so a sick
-        # harness degrades the engine instead of aborting the session.
-        self.failures.n_exhausted += len(pending)
-        self._degrade_to_serial()
-        try:
-            answered = self._executor.run_batch([requests[i] for i in pending])
-        except Exception as exc:
-            raise RetryError(
-                f"{len(pending)} request(s) failed after "
-                f"{policy.max_attempts} attempt(s) and the serial fallback"
-            ) from exc
-        for slot, result in zip(pending, answered):
-            results[slot] = result
-        return results
-
-    def _run_attempt(self, batch) -> list:
-        """One dispatch attempt; failed requests come back as ``None``.
-
-        A failed batch is re-run one request at a time, so one poisoned
-        request cannot sink the rest.
-        """
-        try:
-            return list(self._executor.run_batch(batch))
-        except Exception:
-            if len(batch) == 1:
-                return [None]
-        return [self._run_attempt([request])[0] for request in batch]
-
-    def _degrade_to_serial(self) -> None:
-        """One-way downgrade to in-process execution (counted, auditable)."""
-        if isinstance(self._executor, SerialExecutor):
-            return
-        self._executor.close()
-        self._executor = SerialExecutor(self.simulator)
-        self.failures.n_degraded += 1
-
-    def close(self) -> None:
-        self._executor.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 class EngineObjective(SimulationObjective):
     """A :class:`SimulationObjective` whose executions ride an engine.
@@ -296,8 +206,8 @@ class EngineObjective(SimulationObjective):
     a drop-in single-candidate callable.  All stateful bookkeeping
     (interference stepping, seeding, ledger charges) happens here, in
     request order, before dispatch; the engine only ever sees pure
-    ``EvalRequest``s, so grouping, retries and cache hits cannot change
-    the observation history.
+    ``EvalRequest``s, so grouping and cache hits cannot change the
+    observation history.
 
     The noise seed of a candidate is a stable digest of its
     configuration, so re-evaluating a candidate is a cache hit — the

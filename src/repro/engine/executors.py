@@ -1,16 +1,16 @@
 """The evaluation engine's batch executor.
 
-A batch executor turns a list of :class:`~repro.engine.engine.EvalRequest`
-into the matching list of
+A batch executor is one method, ``run_batch(requests)``: it turns a list
+of :class:`~repro.engine.engine.EvalRequest` into the matching list of
 :class:`~repro.sparksim.metrics.ExecutionResult`, in order.  Every batch
 runs in-process, on the caller's thread, through :class:`SerialExecutor`.
 Every request carries its own noise seed and the simulator derives all
 randomness from it, so grouping a batch into ``run_batch`` calls changes
 wall-clock, never observations.
 
-The engine also accepts any object with a ``run_batch(requests)``
-method; tests use that seam for failing fakes, and the throughput bench
-for the ungrouped per-candidate baseline.
+The engine accepts any object with that method; the throughput bench and
+the identity suites pass an ungrouped ``SerialExecutor`` through it as
+the per-request reference.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class SerialExecutor:
 
     With ``group_batches`` (the default), same-workload requests dispatch
     through the simulator's candidate-batched fast path; results stay
-    bit-identical to the per-request loop.  This is also the executor a
-    custom one degrades to when its attempts run out.
+    bit-identical to the per-request loop, which ``group_batches=False``
+    runs as the reference.
     """
 
     def __init__(self, simulator: SparkSimulator | None = None,
@@ -81,6 +81,3 @@ class SerialExecutor:
             )
             for r in requests
         ]
-
-    def close(self) -> None:
-        pass

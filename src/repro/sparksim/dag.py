@@ -62,10 +62,6 @@ class StageProfile:
     recompute_cpu_s_per_mb: float = 0.0
     recompute_io_mb_per_mb: float = 0.0
 
-    @property
-    def is_shuffle_read(self) -> bool:
-        return self.shuffle_read_mb > 0
-
 
 @dataclass
 class JobPlan:

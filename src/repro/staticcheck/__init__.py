@@ -17,12 +17,12 @@ Four rule families:
   constraints, and workload registry and checks them for structural
   sanity — defaults inside bounds, round-tripping encodings, anchored
   constraints, feasible grid corners, log-scale consistency.
-* **Flow rules** (``RF001``, ``RF002``, ``RF004``, ``RF005``,
+* **Flow rules** (``RF001``, ``RF002``, ``RF005``,
   :mod:`repro.staticcheck.flow`) walk the project-wide call graph
   (:mod:`repro.staticcheck.graph`) and enforce the invariants
-  interprocedurally: seed provenance, cache-key purity closure,
-  exception-flow auditing, and scalar/batch leaf-set agreement — each
-  finding carries its call chain.  Enable with ``--flow``.
+  interprocedurally: seed provenance, cache-key purity closure, and
+  scalar/batch leaf-set agreement — each finding carries its call
+  chain.  Enable with ``--flow``.
 * **Concurrency rules** (``RC001``-``RC003``, ``RC005``,
   :mod:`repro.staticcheck.concurrency`) infer the repo's lock set and
   enforce the service layer's threading discipline: lock-guard

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.staticcheck                  # lint src/repro + domain
-    python -m repro.staticcheck --flow           # + RF001, RF002, RF004, RF005
+    python -m repro.staticcheck --flow           # + RF001, RF002, RF005
     python -m repro.staticcheck --concurrency    # + RC001-RC003, RC005
     python -m repro.staticcheck src/repro        # explicit paths
     python -m repro.staticcheck --format json path/to/file.py

@@ -24,8 +24,8 @@ Inference, not annotation: locks are discovered from
 ``_X = threading.Lock()`` globals.  A method only ever called with a
 lock held (directly under a ``with``, or transitively from such a
 caller) is treated as *assumed-locked* — the ``_evaluate_batch_locked``
-→ ``_dispatch`` idiom — computed as a decreasing fixpoint over call
-sites.  ``__init__`` has exclusive access to the instance it is
+→ ``_note_env_distinct`` idiom — computed as a decreasing fixpoint over
+call sites.  ``__init__`` has exclusive access to the instance it is
 constructing, so constructor writes are exempt and constructor call
 sites count as holding every class lock.
 
@@ -193,7 +193,7 @@ class _Scanner:
         """Innermost self-attribute of a write target.
 
         ``self._means[row] = ...`` writes ``_means``;
-        ``self.failures.n_failures += 1`` writes ``failures``.
+        ``self.stats.hits += 1`` writes ``stats``.
         """
         node = target
         while isinstance(node, (ast.Attribute, ast.Subscript)):

@@ -1,4 +1,4 @@
-"""Interprocedural flow rules (``RF001``, ``RF002``, ``RF004``, ``RF005``).
+"""Interprocedural flow rules (``RF001``, ``RF002``, ``RF005``).
 
 Where the per-file rules (:mod:`repro.staticcheck.rules`) pin invariants
 inside one function, these walk :class:`~repro.staticcheck.graph.CallGraph`
@@ -45,17 +45,8 @@ __all__ = [
 #: module-path segments that mark seeding-contract entry points (RF001)
 _SEEDED_SEGMENTS = frozenset({"sparksim", "tuning", "engine"})
 
-#: module-path segments whose exception handlers are audited (RF004)
-_DISPATCH_SEGMENTS = frozenset({"engine", "retry"})
-
 #: names whose presence in a seed expression certifies provenance
 _SEEDY_RE = re.compile(r"(seed|rng|salt|entropy|derive)", re.IGNORECASE)
-
-#: attribute/name fragments that count as recording a failure (RF004)
-_FAILURE_RE = re.compile(
-    r"(fail|counter|record|retr|error|timeout|exhaust|degrad|abort)",
-    re.IGNORECASE,
-)
 
 
 def _is_rng_construction(external: str) -> bool:
@@ -417,70 +408,6 @@ def _store_name(target: ast.expr) -> str:
 
 
 # --------------------------------------------------------------------------
-# RF004 — exception-flow audit
-# --------------------------------------------------------------------------
-
-class ExceptionFlowRule(FlowRule):
-    """RF004: no silent exception swallow in engine/retry dispatch."""
-
-    rule_id = "RF004"
-    summary = (
-        "every except handler reachable in engine/retry dispatch must "
-        "re-raise, return a failure-marked result, or record into the "
-        "failure counters"
-    )
-    rationale = (
-        "The failure path is a first-class contract (PR 2): a swallowed "
-        "exception turns a counted, retried, re-tuned fault into a "
-        "silently wrong run."
-    )
-
-    def check(self, graph: CallGraph) -> list[Finding]:
-        roots = [
-            info.qname
-            for info in graph.functions.values()
-            if info.is_public
-            and _module_segments(info.module) & _DISPATCH_SEGMENTS
-        ]
-        parents = graph.reach_parents(roots)
-        findings: list[Finding] = []
-        for qname in sorted(parents):
-            info = graph.functions[qname]
-            if not _module_segments(info.module) & _DISPATCH_SEGMENTS:
-                # reachable helper living outside engine/retry modules is
-                # out of contract scope
-                continue
-            chain = graph.chain_to(parents, qname)
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                if self._handler_ok(node):
-                    continue
-                findings.append(self.report(
-                    info.path, node.lineno, node.col_offset,
-                    f"except handler in {info.qname} swallows the "
-                    f"exception: add a re-raise, return a failure-marked "
-                    f"result, or record into FailureCounters",
-                    chain=chain,
-                ))
-        return findings
-
-    @staticmethod
-    def _handler_ok(handler: ast.ExceptHandler) -> bool:
-        for node in ast.walk(handler):
-            if isinstance(node, (ast.Raise, ast.Return, ast.Continue,
-                                 ast.Break)):
-                return True
-            if isinstance(node, ast.Attribute) \
-                    and _FAILURE_RE.search(node.attr):
-                return True
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
-                    and _FAILURE_RE.search(node.id):
-                return True
-        return False
-
-
-# --------------------------------------------------------------------------
 # RF005 — scalar/batch divergence guard
 # --------------------------------------------------------------------------
 
@@ -611,7 +538,6 @@ class ScalarBatchDivergenceRule(FlowRule):
 ALL_FLOW_RULES: tuple[type[FlowRule], ...] = (
     SeedProvenanceRule,
     CachePurityRule,
-    ExceptionFlowRule,
     ScalarBatchDivergenceRule,
 )
 

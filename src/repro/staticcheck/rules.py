@@ -132,7 +132,7 @@ class UnseededRandomness(_ImportTracking):
         "``random`` module and the legacy ``np.random.*`` globals share "
         "hidden process state, and ``default_rng()`` without a seed draws "
         "OS entropy — all three make runs irreproducible and break the "
-        "engine's cache/retry bit-identity contracts."
+        "engine's cache bit-identity contract."
     )
 
     _LEGACY_OK = frozenset({"default_rng", "Generator", "SeedSequence",
@@ -424,12 +424,12 @@ class CacheKeyPurity(Rule):
     rule_id = "RS006"
     summary = "cache key out of sync with declared fields/exclusions"
     rationale = (
-        "Engine memoization and retry bit-identity hinge on cache_key() "
-        "covering the *full* evaluation identity and nothing volatile: a "
-        "field silently missing conflates distinct runs; reading a field "
-        "outside the identity (a retry counter, say) makes retried "
-        "results diverge from first-try results.  Exclusions are "
-        "declared in ``_cache_key_excluded`` so they are auditable."
+        "Engine memoization hinges on cache_key() covering the *full* "
+        "evaluation identity and nothing volatile: a field silently "
+        "missing conflates distinct runs; reading a field outside the "
+        "identity (an attempt counter, say) turns repeats of one run "
+        "into cache misses.  Exclusions are declared in "
+        "``_cache_key_excluded`` so they are auditable."
     )
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:

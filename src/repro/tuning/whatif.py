@@ -158,10 +158,6 @@ class WhatIfTuner(Tuner):
         self.cluster = cluster
         self.n_candidates = n_candidates
         self._engine: WhatIfEngine | None = None
-        self._pending_profile: Configuration | None = None
-
-    def attach_profile(self, profile: JobProfile) -> None:
-        self._engine = WhatIfEngine(profile)
 
     def register_profile_run(self, result: ExecutionResult,
                              config: Configuration) -> None:
@@ -184,11 +180,6 @@ class WhatIfTuner(Tuner):
         ])
         return candidates[int(np.argmin(predictions))]
 
-    def predicted_runtime(self, config: Configuration) -> float:
-        if self._engine is None:
-            raise ValueError("no profile attached yet")
-        return self._engine.predict(config, cluster=self.cluster)
-
 
 def whatif_tune(objective, space: ConfigurationSpace, cluster: Cluster,
                 budget: int, seed: int = 0):
@@ -198,7 +189,7 @@ def whatif_tune(objective, space: ConfigurationSpace, cluster: Cluster,
     first execution's full metrics feed the engine.  Returns a
     :class:`~repro.tuning.base.TuningResult`.
     """
-    from .base import Observation, TuningResult
+    from .base import TuningResult, _call_succeeded
 
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -207,8 +198,8 @@ def whatif_tune(objective, space: ConfigurationSpace, cluster: Cluster,
     for _ in range(budget):
         config = tuner.suggest()
         cost = objective(config)
-        tuner.observe(config, cost)
-        result.history.append(Observation(config, cost))
+        obs = tuner.observe(config, cost, succeeded=_call_succeeded(objective))
+        result.history.append(obs)
         if tuner._engine is None and objective.last_result.success:
             tuner.register_profile_run(
                 objective.last_result, objective.resolve(config)[1]

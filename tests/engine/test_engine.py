@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.cloud import CostLedger, Cluster
+from repro.cloud.interference import QUIET, TYPICAL
 from repro.config.spark_params import spark_core_space
 from repro.engine import (
     EngineObjective,
     EvalRequest,
     EvaluationCache,
     EvaluationEngine,
+    SerialExecutor,
     config_fingerprint,
 )
 from repro.tuning import RandomSearchTuner, run_tuner, run_tuner_batched
@@ -184,36 +186,95 @@ class TestBatchedTunerDriver:
         assert all(o.succeeded is not None for o in result.history)
 
 
-class TestExecutorKind:
-    def test_serial_engine_reports_serial(self):
-        engine = EvaluationEngine()
-        assert engine.executor_kind == "serial"
-        assert engine.counters()["executor_kind"] == "serial"
-
-    def test_custom_executor_reports_class_name(self):
-        class Fake:
-            def run_batch(self, requests):
-                raise NotImplementedError
-
-        engine = EvaluationEngine(executor=Fake())
-        assert engine.executor_kind == "Fake"
-
-
 class TestSerialExecutorGrouping:
     def test_grouped_and_ungrouped_records_are_identical(self):
-        from repro.engine.executors import SerialExecutor
         from repro.sparksim import SparkSimulator
 
         def campaign(group_batches):
             sim = SparkSimulator()
             executor = SerialExecutor(sim, group_batches=group_batches)
-            with EvaluationEngine(simulator=sim, executor=executor) as engine:
-                objective = _objective(engine)
-                tuner = RandomSearchTuner(SPACE, seed=21)
-                return run_tuner_batched(tuner, objective, budget=15,
-                                         batch_size=5)
+            engine = EvaluationEngine(simulator=sim, executor=executor)
+            objective = _objective(engine)
+            tuner = RandomSearchTuner(SPACE, seed=21)
+            return run_tuner_batched(tuner, objective, budget=15,
+                                     batch_size=5)
 
         grouped = campaign(True)
         ungrouped = campaign(False)
         assert [o.cost for o in grouped.history] == \
                [o.cost for o in ungrouped.history]
+
+
+class TestEnvDistinctMisses:
+    def test_same_candidate_new_environment_is_counted(self):
+        engine = EvaluationEngine()
+        base = EvalRequest(
+            workload=Sort(), input_mb=4096.0, cluster=CLUSTER,
+            config=SPACE.default_configuration(), env=QUIET, seed=11,
+        )
+        engine.evaluate(base)
+        assert engine.counters()["n_env_distinct_misses"] == 0
+        from dataclasses import replace
+
+        engine.evaluate(replace(base, env=TYPICAL))
+        counters = engine.counters()
+        assert counters["n_env_distinct_misses"] == 1
+        assert counters["hits"] == 0                      # both were misses
+        # A true repeat stays a plain cache hit, not an env-distinct miss.
+        engine.evaluate(base)
+        assert engine.counters()["n_env_distinct_misses"] == 1
+        assert engine.counters()["hits"] == 1
+
+
+class CountingExecutor(SerialExecutor):
+    """The default executor, counting its ``run_batch`` calls."""
+
+    calls = 0
+
+    def run_batch(self, requests):
+        self.calls += 1
+        return super().run_batch(requests)
+
+
+class BatchPathDefectExecutor(SerialExecutor):
+    """A batch path that raises for any batch of more than one request."""
+
+    def run_batch(self, requests):
+        requests = list(requests)
+        if len(requests) > 1:
+            raise IndexError("batch path defect")
+        return super().run_batch(requests)
+
+
+def _requests(n, input_mb=4096.0):
+    return [
+        EvalRequest(workload=Sort(), input_mb=input_mb, cluster=CLUSTER,
+                    config=config, seed=i)
+        for i, config in enumerate(_configs(n))
+    ]
+
+
+class TestFailFast:
+    """An executor exception reaches the caller once and unchanged."""
+
+    def test_bad_request_raises_after_one_call_and_caches_nothing(self):
+        executor = CountingExecutor()
+        engine = EvaluationEngine(executor=executor)
+        good = _requests(7)
+        [bad] = _requests(1, input_mb=-1.0)
+        with pytest.raises(ValueError, match="source size must be positive"):
+            engine.evaluate_batch([*good[:3], bad, *good[3:]])
+        assert executor.calls == 1
+        assert len(engine.cache) == 0
+        assert engine.n_evaluated == 0
+        records = engine.evaluate_batch(good)
+        assert executor.calls == 2
+        assert [r.cached for r in records] == [False] * len(good)
+        fresh = EvaluationEngine().evaluate_batch(good)
+        assert [r.result.runtime_s for r in records] == \
+               [r.result.runtime_s for r in fresh]
+
+    def test_batch_path_exception_is_not_answered_per_request(self):
+        engine = EvaluationEngine(executor=BatchPathDefectExecutor())
+        with pytest.raises(IndexError, match="batch path defect"):
+            engine.evaluate_batch(_requests(4))

@@ -385,13 +385,13 @@ def test_histories_identical_under_engine_batching():
     from repro.tuning import RandomSearchTuner, run_tuner_batched
 
     def campaign(simulator, executor):
-        with EvaluationEngine(simulator=simulator, executor=executor) as eng:
-            objective = EngineObjective(eng, Sort(), 1024.0, cluster=CLUSTER,
-                                        repair=True, seed=5)
-            return run_tuner_batched(
-                RandomSearchTuner(spark_space(), seed=11), objective,
-                budget=24, batch_size=8,
-            )
+        eng = EvaluationEngine(simulator=simulator, executor=executor)
+        objective = EngineObjective(eng, Sort(), 1024.0, cluster=CLUSTER,
+                                    repair=True, seed=5)
+        return run_tuner_batched(
+            RandomSearchTuner(spark_space(), seed=11), objective,
+            budget=24, batch_size=8,
+        )
 
     sim_a = SparkSimulator()
     batched = campaign(sim_a, SerialExecutor(sim_a, group_batches=True))

@@ -125,7 +125,7 @@ def test_mixed_family_rule_spec(capsys):
     assert "RC001" in out
 
 
-@pytest.mark.parametrize("rule_id", ["RC999", "RA001"])
+@pytest.mark.parametrize("rule_id", ["RC999", "RA001", "RF004"])
 def test_unknown_family_rule_exits_two(capsys, rule_id):
     """An id no family defines — a typo, or a rule that was deleted —
     is a usage error, never a silently empty pass."""

@@ -64,8 +64,9 @@ def test_rc001_lock_free_writers_of_guarded_attributes():
 
 
 def test_rc001_assumed_locked_helper_is_not_flagged(tmp_path):
-    """The ``_evaluate_batch_locked -> _dispatch`` idiom: a private
-    helper only ever entered under the lock inherits held status."""
+    """The ``_evaluate_batch_locked -> _note_env_distinct`` idiom: a
+    private helper only ever entered under the lock inherits held
+    status."""
     pkg = _write_pkg(tmp_path, "ok1_pkg", engine=(
         "import threading\n"
         "class Engine:\n"

@@ -36,8 +36,8 @@ def test_repo_lints_clean():
 
 
 def test_repo_flow_clean():
-    """The interprocedural gate: RF001, RF002, RF004 and RF005 over the
-    whole call graph.
+    """The interprocedural gate: RF001, RF002 and RF005 over the whole
+    call graph.
 
     Every genuine violation must be either fixed or carry a per-line
     ``# staticcheck: ignore[RFxxx]`` with a justifying comment AND a

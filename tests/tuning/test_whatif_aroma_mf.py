@@ -6,7 +6,7 @@ import pytest
 from repro.config import Configuration, SPARK_DEFAULTS, spark_core_space
 from repro.cloud import Cluster
 from repro.core import probe_configuration, signature
-from repro.sparksim import SparkSimulator
+from repro.sparksim import FaultPlan, SparkSimulator, oom_kill
 from repro.tuning import (
     AromaTuner,
     JobProfile,
@@ -84,6 +84,15 @@ class TestWhatIfEngine:
         default_cost = SimulationObjective(Sort(), 10_000, cluster=cluster,
                                            seed=9)(space.default_configuration())
         assert result.best_cost < default_cost
+
+    def test_whatif_tune_records_failed_runs(self, cluster):
+        """A crashed execution is observed as failed, never as a success."""
+        simulator = SparkSimulator(fault_plan=FaultPlan.of(oom_kill(1.0)))
+        objective = SimulationObjective(Sort(), 10_000, cluster=cluster,
+                                        seed=5, simulator=simulator)
+        result = whatif_tune(objective, spark_core_space(), cluster,
+                             budget=3, seed=0)
+        assert [o.succeeded for o in result.history] == [False, False, False]
 
 
 class TestKernelRidge:
