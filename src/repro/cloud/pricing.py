@@ -8,7 +8,6 @@ it before re-tuning is needed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .cluster import Cluster
@@ -29,9 +28,9 @@ class CostLedger:
     executions so amortization can be computed: the paper's example is
     BestConfig's 500 tuning runs versus 90 production runs in 3 months.
 
-    Charges are atomic: one ledger is the provider's billing record and
-    may be shared by every shard of the concurrent service front end,
-    where a lost read-modify-write update is a billing error.
+    A ledger takes no lock.  In the service, each shard's ledger is
+    charged only on the shard pool's runner thread, one job at a time, so
+    the ledger delta around a job is exactly that job's spend.
     """
 
     tuning_cost: float = 0.0
@@ -41,26 +40,21 @@ class CostLedger:
     production_runs: int = 0
     production_seconds: float = 0.0
     _history: list[tuple[str, float, float]] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False,
-    )
 
     def charge_tuning(self, cluster: Cluster, runtime_s: float) -> float:
         cost = execution_cost(cluster, runtime_s)
-        with self._lock:
-            self.tuning_cost += cost
-            self.tuning_runs += 1
-            self.tuning_seconds += runtime_s
-            self._history.append(("tuning", runtime_s, cost))
+        self.tuning_cost += cost
+        self.tuning_runs += 1
+        self.tuning_seconds += runtime_s
+        self._history.append(("tuning", runtime_s, cost))
         return cost
 
     def charge_production(self, cluster: Cluster, runtime_s: float) -> float:
         cost = execution_cost(cluster, runtime_s)
-        with self._lock:
-            self.production_cost += cost
-            self.production_runs += 1
-            self.production_seconds += runtime_s
-            self._history.append(("production", runtime_s, cost))
+        self.production_cost += cost
+        self.production_runs += 1
+        self.production_seconds += runtime_s
+        self._history.append(("production", runtime_s, cost))
         return cost
 
     @property
@@ -69,8 +63,7 @@ class CostLedger:
 
     def history(self) -> list[tuple[str, float, float]]:
         """(kind, runtime_s, cost) per execution, in order."""
-        with self._lock:
-            return list(self._history)
+        return list(self._history)
 
     def breakeven_runs(self, cost_default_run: float, cost_tuned_run: float) -> float:
         """Production runs needed for tuned-config savings to repay tuning.

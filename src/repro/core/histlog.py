@@ -4,24 +4,22 @@ The paper's vision makes the execution history a *shared, provider-side*
 artifact — "the cloud is a centralized place that keeps a record of the
 workloads' execution history across users".  The store's job is to
 append records and answer queries, so the log is one list of immutable
-records under one lock:
+records:
 
-* **Appends** take the lock, allocate the record's identity
-  (``record_id``) and the provider's logical clock (``timestamp``), and
-  append.  Concurrent appends can never collide — the property the
-  multi-tenant service layer (:mod:`repro.core.serviced`) depends on.
-* **Reads** copy under the same lock: :meth:`HistoryLog.tail` returns a
-  tuple of the records from one append-order position on, and
-  :meth:`HistoryLog.snapshot` the whole log.  A reader always sees a
-  consistent prefix of the log, never a torn state, and records never
-  move, so a consumer that remembers how many records it has processed
-  (the signature index) reads only what is new.
+* **Appends** allocate the record's identity (``record_id``) and the
+  provider's logical clock (``timestamp``), and append.
+* **Reads** copy: :meth:`HistoryLog.tail` returns a tuple of the records
+  from one append-order position on, and :meth:`HistoryLog.snapshot`
+  the whole log.  Records never move, so a consumer that remembers how
+  many records it has processed (the signature index) reads only what
+  is new.
 
-Records are frozen and their signatures read-only, so a copied tuple can
-be shared with any thread.  Readers take the writers' lock: during a
-load run one runner thread executes every shard job
-(:mod:`repro.core.serviced.sharding`) and is the only thread that
-touches the log, so the lock is uncontended where it matters.
+The log takes no lock.  It has one owner thread at a time: during a
+load run, the runner that executes every shard job
+(:mod:`repro.core.serviced.sharding`) appends to it and reads it, and
+other threads read it only after the pool's ``close()``.  Records are
+frozen and their signatures read-only, so a copied tuple never changes
+under its reader.
 
 :class:`~repro.core.history.HistoryStore` keeps its familiar query API
 as a thin *view* over one of these logs; everything downstream
@@ -30,7 +28,6 @@ as a thin *view* over one of these logs; everything downstream
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,7 +42,7 @@ class ExecutionRecord:
     """One workload execution as the provider sees it.
 
     Records are immutable log entries: once appended they are shared
-    freely with concurrent readers, so every field must stay frozen —
+    freely with every reader, so every field must stay frozen —
     including the signature array, which the log stores as a read-only
     copy (see :func:`readonly_signature`).
     """
@@ -70,8 +67,8 @@ class ExecutionRecord:
 def readonly_signature(signature: np.ndarray) -> np.ndarray:
     """A defensive, immutable copy of a characterization vector.
 
-    The log stores records forever and hands them to concurrent readers;
-    an aliased caller array mutated after insertion would silently change
+    The log stores records forever and hands them to every reader; an
+    aliased caller array mutated after insertion would silently change
     past query answers (mean signatures, similarity distances).  Every
     signature therefore enters the log as a fresh read-only copy.
     """
@@ -81,10 +78,9 @@ def readonly_signature(signature: np.ndarray) -> np.ndarray:
 
 
 class HistoryLog:
-    """Append-only execution log: one list of records under one lock."""
+    """Append-only execution log: one list of records, one owner thread."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._records: list[ExecutionRecord] = []
         self._next_id = 0
         self._clock = 0
@@ -93,24 +89,22 @@ class HistoryLog:
     def append_new(self, *, tenant: str, workload_label: str, input_mb: float,
                    cluster: str, config: Configuration, runtime_s: float,
                    success: bool, signature: np.ndarray) -> ExecutionRecord:
-        """Build and append a record, allocating id/clock atomically."""
-        sig = readonly_signature(signature)
-        with self._lock:
-            rec = ExecutionRecord(
-                record_id=self._next_id,
-                tenant=tenant,
-                workload_label=workload_label,
-                input_mb=input_mb,
-                cluster=cluster,
-                config=config,
-                runtime_s=runtime_s,
-                success=success,
-                signature=sig,
-                timestamp=self._clock,
-            )
-            self._next_id += 1
-            self._clock += 1
-            self._records.append(rec)
+        """Build and append a record, allocating its id and clock."""
+        rec = ExecutionRecord(
+            record_id=self._next_id,
+            tenant=tenant,
+            workload_label=workload_label,
+            input_mb=input_mb,
+            cluster=cluster,
+            config=config,
+            runtime_s=runtime_s,
+            success=success,
+            signature=readonly_signature(signature),
+            timestamp=self._clock,
+        )
+        self._next_id += 1
+        self._clock += 1
+        self._records.append(rec)
         return rec
 
     def append(self, record: ExecutionRecord) -> ExecutionRecord:
@@ -123,10 +117,9 @@ class HistoryLog:
         record = replace(
             record, signature=readonly_signature(record.signature),
         )
-        with self._lock:
-            self._next_id = max(self._next_id, record.record_id + 1)
-            self._clock = max(self._clock, record.timestamp + 1)
-            self._records.append(record)
+        self._next_id = max(self._next_id, record.record_id + 1)
+        self._clock = max(self._clock, record.timestamp + 1)
+        self._records.append(record)
         return record
 
     # --- readers ----------------------------------------------------------
@@ -136,12 +129,10 @@ class HistoryLog:
     def tail(self, start: int) -> tuple[ExecutionRecord, ...]:
         """The records from append-order position ``start`` on.
 
-        Copied under the lock, so the tuple is a consistent slice of the
-        log.  Positions never change, so an incremental consumer that has
+        Positions never change, so an incremental consumer that has
         processed ``start`` records pays O(new records), not O(log).
         """
-        with self._lock:
-            return tuple(self._records[start:])
+        return tuple(self._records[start:])
 
     def snapshot(self) -> tuple[ExecutionRecord, ...]:
         """Every record in append order, as one immutable tuple."""

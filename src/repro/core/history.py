@@ -9,8 +9,8 @@ modules mine it *without* access to ground-truth workload identity
 across tenants (labels are per-tenant opaque strings).
 
 Storage lives in an append-only :class:`~repro.core.histlog.HistoryLog`
-(one list of immutable records under one lock); this class is the
-*query view* over one log.  Per-workload aggregates come from the log's
+(one list of immutable records); this class is the *query view* over
+one log.  Per-workload aggregates come from the log's
 shared :class:`~repro.core.simindex.SignatureIndex`, so several views —
 one per service shard — can share a single log and its index.
 """

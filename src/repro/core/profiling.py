@@ -12,15 +12,15 @@ justified the suggest-path work and guards it against regressing.
 Timing uses ``time.perf_counter`` (monotonic, telemetry-grade — the
 wall-clock functions are banned from the deterministic scopes by
 staticcheck RS002, perf_counter explicitly is not).  Accumulation is a
-single lock-guarded float add, cheap enough to leave on in production.
-Profilers are thread-safe for any caller, but a shard pool's services
-all record from its one runner thread, one phase at a time — so a
-pool's phase seconds sum to at most the wall time they were spent in.
+dict update, cheap enough to leave on in production.  A profiler takes
+no lock: it belongs to one service, and a shard pool's services all
+record from its one runner thread, one phase at a time — so a pool's
+phase seconds sum to at most the wall time they were spent in.  Read
+a pool's profilers after the pool's ``close()``.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -32,10 +32,9 @@ PHASES = ("suggest", "evaluate", "ingest", "similarity")
 
 
 class PhaseProfiler:
-    """Thread-safe accumulator of per-phase wall time and call counts."""
+    """Accumulator of per-phase wall time and call counts."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._seconds: dict[str, float] = {}
         self._calls: dict[str, int] = {}
 
@@ -49,9 +48,8 @@ class PhaseProfiler:
             self.add(name, time.perf_counter() - start)
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        with self._lock:
-            self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-            self._calls[name] = self._calls.get(name, 0) + calls
+        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
+        self._calls[name] = self._calls.get(name, 0) + calls
 
     def merge(self, other: "PhaseProfiler") -> None:
         """Fold another profiler's totals into this one (aggregation)."""
@@ -59,11 +57,10 @@ class PhaseProfiler:
             self.add(name, seconds, calls)
 
     def rows(self) -> list[tuple[str, float, int]]:
-        with self._lock:
-            return [
-                (name, self._seconds[name], self._calls[name])
-                for name in sorted(self._seconds)
-            ]
+        return [
+            (name, self._seconds[name], self._calls[name])
+            for name in sorted(self._seconds)
+        ]
 
     def snapshot(self) -> dict[str, dict[str, float]]:
         """``{phase: {"seconds": total, "calls": n, "mean_ms": per-call}}``."""
@@ -77,5 +74,4 @@ class PhaseProfiler:
         return out
 
     def total_seconds(self) -> float:
-        with self._lock:
-            return sum(self._seconds.values())
+        return sum(self._seconds.values())

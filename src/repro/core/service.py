@@ -18,7 +18,6 @@ four principles of Section IV:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from ..cloud.cluster import Cluster
@@ -101,15 +100,12 @@ class TuningService:
         self.disc_space = disc_space or spark_core_space()
         self.cloud_space = cloud_space(provider)
         #: injectable so several service shards can share one provider
-        #: history log and one billing ledger (both are thread-safe)
+        #: history log and one billing ledger; in a shard pool they all
+        #: belong to the pool's runner thread
         self.store = store if store is not None else HistoryStore()
         self.ledger = ledger if ledger is not None else CostLedger()
         self.seed = seed
         self._session_counter = 0
-        # Session seeds must be collision-free under the concurrent front
-        # end: two sessions sharing a seed would draw identical candidate
-        # streams and masquerade as cross-tenant amortization.
-        self._seed_lock = threading.Lock()
         self.interference = (
             InterferenceModel(level=interference_level, seed=seed)
             if interference_level > 0 else None
@@ -129,7 +125,7 @@ class TuningService:
         #: per-phase wall-time split of this service's hot path —
         #: suggest (surrogate + acquisition), evaluate (simulator),
         #: ingest (production recording), similarity (transfer + SLO
-        #: reference).  Thread-safe for any caller.
+        #: reference).
         self.profiler = PhaseProfiler()
 
     def _next_seed(self, n_runs: int = 1) -> int:
@@ -138,16 +134,21 @@ class TuningService:
         Sessions sit ``_SEED_STRIDE`` apart, and a caller seeding run
         ``i`` with ``seed + i`` owns its block, so a block longer than one
         stride reserves as many session slots as it spans — otherwise the
-        next session's runs would replay this block's noise streams.
+        next session's runs would replay this block's noise streams.  Two
+        sessions sharing a seed would draw identical candidate streams and
+        masquerade as cross-tenant amortization.
         """
         slots = max(1, -(-n_runs // _SEED_STRIDE))
-        with self._seed_lock:
-            first = self._session_counter + 1
-            self._session_counter += slots
-            return self.seed + _SEED_STRIDE * first
+        first = self._session_counter + 1
+        self._session_counter += slots
+        return self.seed + _SEED_STRIDE * first
 
     def counters(self) -> dict:
-        """One telemetry snapshot: engine, per-phase time, index state."""
+        """One telemetry snapshot: engine, per-phase time, index state.
+
+        In a shard pool, read it after the pool's ``close()`` or inside
+        a job: the runner owns this state.
+        """
         return {
             "engine": self.engine.counters(),
             "phases": self.profiler.snapshot(),

@@ -29,7 +29,6 @@ metric (they appear in the load report and ``BENCH_service.json``).
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -58,7 +57,10 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Thread-safe admission gate with a bounded queue and tenant caps."""
+    """Admission gate with a bounded queue and tenant caps.
+
+    Owned by the front end's event loop, which makes every decision.
+    """
 
     def __init__(self, max_pending: int = 256, per_tenant_inflight: int = 4):
         if max_pending < 1:
@@ -67,7 +69,6 @@ class AdmissionController:
             raise ValueError("per_tenant_inflight must be >= 1")
         self.max_pending = max_pending
         self.per_tenant_inflight = per_tenant_inflight
-        self._lock = threading.Lock()
         self._pending = 0
         self._by_tenant: Counter[str] = Counter()
         self.n_admitted = 0
@@ -82,32 +83,30 @@ class AdmissionController:
         every admit with exactly one release (success and failure
         paths alike).
         """
-        with self._lock:
-            if budget_exhausted:
-                self.n_rejected[REJECT_BUDGET] += 1
-                return AdmissionDecision(False, REJECT_BUDGET)
-            if self._pending >= self.max_pending:
-                self.n_rejected[REJECT_QUEUE_FULL] += 1
-                return AdmissionDecision(False, REJECT_QUEUE_FULL)
-            if self._by_tenant[tenant] >= self.per_tenant_inflight:
-                self.n_rejected[REJECT_TENANT_CAP] += 1
-                return AdmissionDecision(False, REJECT_TENANT_CAP)
-            self._pending += 1
-            self._by_tenant[tenant] += 1
-            self.n_admitted += 1
-            return AdmissionDecision(True)
+        if budget_exhausted:
+            self.n_rejected[REJECT_BUDGET] += 1
+            return AdmissionDecision(False, REJECT_BUDGET)
+        if self._pending >= self.max_pending:
+            self.n_rejected[REJECT_QUEUE_FULL] += 1
+            return AdmissionDecision(False, REJECT_QUEUE_FULL)
+        if self._by_tenant[tenant] >= self.per_tenant_inflight:
+            self.n_rejected[REJECT_TENANT_CAP] += 1
+            return AdmissionDecision(False, REJECT_TENANT_CAP)
+        self._pending += 1
+        self._by_tenant[tenant] += 1
+        self.n_admitted += 1
+        return AdmissionDecision(True)
 
     def release(self, tenant: str) -> None:
         """Return the slots held by one admitted request."""
-        with self._lock:
-            if self._pending <= 0 or self._by_tenant[tenant] <= 0:
-                raise RuntimeError(
-                    f"release() without a matching admit for {tenant!r}"
-                )
-            self._pending -= 1
-            self._by_tenant[tenant] -= 1
-            if not self._by_tenant[tenant]:
-                del self._by_tenant[tenant]
+        if self._pending <= 0 or self._by_tenant[tenant] <= 0:
+            raise RuntimeError(
+                f"release() without a matching admit for {tenant!r}"
+            )
+        self._pending -= 1
+        self._by_tenant[tenant] -= 1
+        if not self._by_tenant[tenant]:
+            del self._by_tenant[tenant]
 
     @property
     def pending(self) -> int:
@@ -115,11 +114,10 @@ class AdmissionController:
 
     def stats(self) -> dict:
         """Decision counters for the service report."""
-        with self._lock:
-            return {
-                "pending": self._pending,
-                "max_pending": self.max_pending,
-                "per_tenant_inflight": self.per_tenant_inflight,
-                "n_admitted": self.n_admitted,
-                "n_rejected": dict(self.n_rejected),
-            }
+        return {
+            "pending": self._pending,
+            "max_pending": self.max_pending,
+            "per_tenant_inflight": self.per_tenant_inflight,
+            "n_admitted": self.n_admitted,
+            "n_rejected": dict(self.n_rejected),
+        }

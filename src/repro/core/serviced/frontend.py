@@ -21,10 +21,16 @@ Two request kinds cover the service lifecycle:
 
 Billing attribution: each shard owns its own
 :class:`~repro.cloud.pricing.CostLedger` and executes jobs serially, so
-the front end measures the exact ledger delta around every job and
-charges it to the tenant's :class:`TenantBudget` — the spend that
+the exact ledger delta around a job is that job's spend.  The delta is
+measured on the runner, inside the job, and charged to the tenant's
+:class:`TenantBudget` on the loop once the job settles — the spend that
 admission control and the priority scheduler act on.  Provider-wide
 totals are the sum over shard ledgers.
+
+Ownership: this front end, its admission controller, scheduler and
+tenant budgets belong to the asyncio loop's thread; every shard's
+service state belongs to the pool's runner thread.  The two threads
+share only the runner's queue and the futures it settles.
 """
 
 from __future__ import annotations
@@ -103,6 +109,11 @@ class _Entry:
     job: Callable[[TuningService], object]
     fingerprint: str
     future: asyncio.Future = field(repr=False)
+    budget: TenantBudget | None = None
+    #: the job's ledger delta: appended on the runner, charged to
+    #: ``budget`` on the loop (a cell, so the job never references
+    #: its entry)
+    spent: list[float] = field(default_factory=list)
 
 
 def ingest_production_runs(service: TuningService, deployment: Deployment,
@@ -228,10 +239,12 @@ class ServiceFrontEnd:
                 request.deployment.workload, request.input_mb,
             )
             job = self._runs_job(request)
+        spent: list[float] = []
         if budget is not None:
-            job = _charging(job, budget)
+            job = _metered(job, spent)
         return _Entry(job=job, fingerprint=fingerprint,
-                      future=loop.create_future())
+                      future=loop.create_future(), budget=budget,
+                      spent=spent)
 
     @staticmethod
     def _tune_job(request: TuneRequest) -> Callable[[TuningService], Deployment]:
@@ -286,9 +299,16 @@ class ServiceFrontEnd:
 
     async def _run_entry(self, shard: int, entry: _Entry) -> None:
         try:
-            result = await asyncio.wrap_future(
-                self.pool.submit(shard, entry.job, fingerprint=entry.fingerprint)
-            )
+            try:
+                result = await asyncio.wrap_future(self.pool.submit(
+                    shard, entry.job, fingerprint=entry.fingerprint,
+                ))
+            finally:
+                # Back on the loop, which owns the budget: charge what the
+                # job spent, failed jobs included, before the submitter
+                # resumes.
+                if entry.budget is not None:
+                    entry.budget.charge(sum(entry.spent))
         except Exception as exc:
             if not entry.future.done():
                 entry.future.set_exception(exc)
@@ -310,7 +330,11 @@ class ServiceFrontEnd:
             await asyncio.gather(self._dispatcher, return_exceptions=True)
 
     def stats(self) -> dict:
-        """Admission + scheduler + shard-pool telemetry in one snapshot."""
+        """Admission + scheduler + shard-pool telemetry in one snapshot.
+
+        The shard part reads runner-owned state: call it after the
+        pool's ``close()``, never mid-run from the loop.
+        """
         return {
             "admission": self.admission.stats(),
             "scheduler": self.scheduler.stats(),
@@ -318,9 +342,9 @@ class ServiceFrontEnd:
         }
 
 
-def _charging(job: Callable[[TuningService], object],
-              budget: TenantBudget) -> Callable[[TuningService], object]:
-    """Charge the job's exact ledger delta to the tenant budget.
+def _metered(job: Callable[[TuningService], object],
+             spent: list[float]) -> Callable[[TuningService], object]:
+    """Append the job's exact ledger delta to ``spent``.
 
     Shards execute jobs serially against their own ledger, so the delta
     observed around one job is exactly that job's spend.
@@ -330,5 +354,5 @@ def _charging(job: Callable[[TuningService], object],
         try:
             return job(service)
         finally:
-            budget.charge(service.ledger.total_cost - before)
+            spent.append(service.ledger.total_cost - before)
     return wrapped

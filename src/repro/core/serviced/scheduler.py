@@ -10,8 +10,8 @@ service layer turns them into scheduling policy:
   has been spent so far (fed from the shared
   :class:`~repro.cloud.pricing.CostLedger` charges), and the tenant's
   SLO attainment history.
-* :class:`SLOPriorityScheduler` is a thread-safe priority queue of
-  queued sessions.  Priority (smaller = sooner) combines two signals:
+* :class:`SLOPriorityScheduler` is a priority queue of queued
+  sessions.  Priority (smaller = sooner) combines two signals:
 
   - **SLO deficit** — tenants whose recent deployments *missed* their
     SLO jump the queue: the provider owes them tuning effort.
@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..slo import SLOReport, TuningSLO
@@ -44,7 +43,11 @@ __all__ = ["TenantBudget", "SLOPriorityScheduler"]
 
 @dataclass
 class TenantBudget:
-    """One tenant's tuning-efficiency contract and spend state."""
+    """One tenant's tuning-efficiency contract and spend state.
+
+    Owned by the front end's event loop: admission reads it, and the
+    front end charges each job's spend and notes each SLO report there.
+    """
 
     tenant: str
     slo: TuningSLO | None = None
@@ -53,24 +56,19 @@ class TenantBudget:
     spent_cost: float = 0.0
     slo_attained: int = 0
     slo_missed: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False,
-    )
 
     def charge(self, cost: float) -> None:
         """Attribute ``cost`` USD of tuning spend to this tenant."""
-        with self._lock:
-            self.spent_cost += cost
+        self.spent_cost += cost
 
     def note_report(self, report: SLOReport | None) -> None:
         """Fold one deployment's SLO outcome into the attainment history."""
         if report is None:
             return
-        with self._lock:
-            if report.attained:
-                self.slo_attained += 1
-            else:
-                self.slo_missed += 1
+        if report.attained:
+            self.slo_attained += 1
+        else:
+            self.slo_missed += 1
 
     @property
     def exhausted(self) -> bool:
@@ -104,26 +102,23 @@ def _priority(budget: TenantBudget | None) -> float:
 
 
 class SLOPriorityScheduler:
-    """Thread-safe, shard-aware priority queue of pending sessions."""
+    """Shard-aware priority queue of pending sessions, owned by the loop."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._heap: list[tuple[float, int, int, Any]] = []
         self._seq = itertools.count()
         self.n_pushed = 0
         self.n_popped = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
+        return len(self._heap)
 
     def push(self, item: Any, shard: int,
              budget: TenantBudget | None = None) -> None:
         """Queue ``item`` for ``shard`` at the tenant's current priority."""
         entry = (_priority(budget), next(self._seq), shard, item)
-        with self._lock:
-            heapq.heappush(self._heap, entry)
-            self.n_pushed += 1
+        heapq.heappush(self._heap, entry)
+        self.n_pushed += 1
 
     def pop_ready(self, busy_shards: set[int] | frozenset[int] = frozenset(),
                   ) -> tuple[int, Any] | None:
@@ -133,25 +128,23 @@ class SLOPriorityScheduler:
         every queued item is blocked (or the queue is empty), returns
         ``None``.
         """
-        with self._lock:
-            blocked: list[tuple[float, int, int, Any]] = []
-            found: tuple[int, Any] | None = None
-            while self._heap:
-                entry = heapq.heappop(self._heap)
-                if entry[2] in busy_shards:
-                    blocked.append(entry)
-                    continue
-                found = (entry[2], entry[3])
-                self.n_popped += 1
-                break
-            for entry in blocked:
-                heapq.heappush(self._heap, entry)
-            return found
+        blocked: list[tuple[float, int, int, Any]] = []
+        found: tuple[int, Any] | None = None
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            if entry[2] in busy_shards:
+                blocked.append(entry)
+                continue
+            found = (entry[2], entry[3])
+            self.n_popped += 1
+            break
+        for entry in blocked:
+            heapq.heappush(self._heap, entry)
+        return found
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "queued": len(self._heap),
-                "n_pushed": self.n_pushed,
-                "n_popped": self.n_popped,
-            }
+        return {
+            "queued": len(self._heap),
+            "n_pushed": self.n_pushed,
+            "n_popped": self.n_popped,
+        }

@@ -29,6 +29,14 @@ lock on every array draw, so simulating shard threads convoyed on it
 for 12.2 s of CPU, one runner 8.5 s for 8.1 s).  A job that blocks
 holds the runner, and every service engine evaluates its batches
 in-process, on that runner.
+
+The runner owns every shard's service state (services, engines, the
+shared log and its index, ledgers, profilers), which therefore takes no
+locks.  Ownership passes only where the pool already synchronises: the
+queue's ``put``/``get`` hands set-up done before the first job to the
+runner, a :class:`~concurrent.futures.Future` hands each result back,
+and :meth:`ShardPool.close` joining the runner hands everything back to
+the closing thread.
 """
 
 from __future__ import annotations
@@ -88,9 +96,10 @@ class ShardPool:
 
     ``service_factory(shard_index)`` builds each shard's
     :class:`~repro.core.service.TuningService`; give every factory call
-    the same (thread-safe) ``store=``/``ledger=`` to share history and
-    billing across shards while engines stay shard-local.  Jobs run one
-    at a time, in submission order, whatever their shard.
+    the same ``store=``/``ledger=`` to share history and billing across
+    shards while engines stay shard-local.  Jobs run one at a time, in
+    submission order, whatever their shard.  :meth:`submit` is the
+    hand-off: it runs on the caller's thread, the job on the runner.
     """
 
     def __init__(self, n_shards: int,
@@ -143,7 +152,11 @@ class ShardPool:
         return future
 
     def stats(self) -> dict:
-        """Per-shard job counts plus each shard engine's amortization."""
+        """Per-shard job counts plus each shard engine's amortization.
+
+        Reads runner-owned state: call after :meth:`close` or inside a
+        job, never mid-run from another thread.
+        """
         return {
             "n_shards": len(self._shards),
             "jobs_by_shard": [s.n_jobs for s in self._shards],
@@ -159,7 +172,10 @@ class ShardPool:
         }
 
     def phase_totals(self) -> dict[str, dict[str, float]]:
-        """Pool-wide per-phase totals, merged across every shard."""
+        """Pool-wide per-phase totals, merged across every shard.
+
+        Like :meth:`stats`, read after :meth:`close` or inside a job.
+        """
         from ..profiling import PhaseProfiler
 
         total = PhaseProfiler()

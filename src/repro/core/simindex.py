@@ -33,11 +33,12 @@ One index is shared per log — every :class:`~repro.core.history.HistoryStore`
 view over the same log (e.g. the per-shard stores of the multi-tenant
 service) resolves to the same instance via :func:`signature_index`, so
 the memory and sync cost are paid once per provider log, not per shard.
+Like its log, an index takes no lock: it belongs to the thread that owns
+the log (the shard pool's runner during a load run).
 """
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 
@@ -75,7 +76,6 @@ class SignatureIndex:
 
     def __init__(self, log: HistoryLog):
         self._log = log
-        self._lock = threading.RLock()
         self._keys: dict[tuple[str, str], _KeyAggregate] = {}
         self._dim: int | None = None
         self._synced_count = 0
@@ -101,20 +101,19 @@ class SignatureIndex:
         """Fold in records appended since the last sync (cheap when none)."""
         if len(self._log) == self._synced_count:
             return
-        with self._lock:
-            for record in self._log.tail(self._synced_count):
-                self._ingest_locked(record)
-                # Counted per record: after a record raises, the next sync
-                # resumes at it instead of folding its predecessors twice.
-                self._synced_count += 1
-                self.n_records_indexed += 1
-            self.n_syncs += 1
+        for record in self._log.tail(self._synced_count):
+            self._ingest(record)
+            # Counted per record: after a record raises, the next sync
+            # resumes at it instead of folding its predecessors twice.
+            self._synced_count += 1
+            self.n_records_indexed += 1
+        self.n_syncs += 1
 
-    def _ingest_locked(self, record: ExecutionRecord) -> None:
+    def _ingest(self, record: ExecutionRecord) -> None:
         key = record.key
         agg = self._keys.get(key)
         if agg is None:
-            agg = self._add_key_locked(key, record)
+            agg = self._add_key(key, record)
         if not record.success:
             agg.records.append(record)
             return
@@ -141,8 +140,8 @@ class SignatureIndex:
                 record.runtime_s < self._best_overall.runtime_s:
             self._best_overall = record
 
-    def _add_key_locked(self, key: tuple[str, str],
-                        record: ExecutionRecord) -> _KeyAggregate:
+    def _add_key(self, key: tuple[str, str],
+                 record: ExecutionRecord) -> _KeyAggregate:
         row = len(self._by_row)
         if row >= len(self._counts):
             cap = max(64, 2 * len(self._counts))
@@ -163,7 +162,7 @@ class SignatureIndex:
         self._sorted_rows = None
         return agg
 
-    def _refresh_means_locked(self) -> None:
+    def _refresh_means(self) -> None:
         for row in self._dirty:
             agg = self._by_row[row]
             # The exact np.mean over the stacked block the scan path
@@ -172,7 +171,7 @@ class SignatureIndex:
             self.n_mean_refreshes += 1
         self._dirty.clear()
 
-    def _sorted_order_locked(self) -> tuple[list[tuple[str, str]], np.ndarray]:
+    def _sorted_order(self) -> tuple[list[tuple[str, str]], np.ndarray]:
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self._keys)
             self._sorted_rows = np.array(
@@ -184,23 +183,19 @@ class SignatureIndex:
     def workload_keys(self) -> list[tuple[str, str]]:
         """Every (tenant, label) ever recorded, sorted."""
         self.sync()
-        with self._lock:
-            keys, _ = self._sorted_order_locked()
-            return list(keys)
+        keys, _ = self._sorted_order()
+        return list(keys)
 
     def mean_signature(self, tenant: str, workload_label: str) -> np.ndarray | None:
         self.sync()
-        with self._lock:
-            agg = self._keys.get((tenant, workload_label))
-            if agg is None or agg.n_success == 0:
-                return None
-            if agg.row in self._dirty:
-                self._means[agg.row] = np.mean(
-                    agg.sigs[:agg.n_success], axis=0,
-                )
-                self._dirty.discard(agg.row)
-                self.n_mean_refreshes += 1
-            return self._means[agg.row].copy()
+        agg = self._keys.get((tenant, workload_label))
+        if agg is None or agg.n_success == 0:
+            return None
+        if agg.row in self._dirty:
+            self._means[agg.row] = np.mean(agg.sigs[:agg.n_success], axis=0)
+            self._dirty.discard(agg.row)
+            self.n_mean_refreshes += 1
+        return self._means[agg.row].copy()
 
     def records_for(self, tenant: str,
                     workload_label: str) -> list[ExecutionRecord]:
@@ -210,22 +205,19 @@ class SignatureIndex:
         here instead of filtering a snapshot of the whole log.
         """
         self.sync()
-        with self._lock:
-            agg = self._keys.get((tenant, workload_label))
-            return list(agg.records) if agg is not None else []
+        agg = self._keys.get((tenant, workload_label))
+        return list(agg.records) if agg is not None else []
 
     def best_for(self, tenant: str, workload_label: str) -> ExecutionRecord | None:
         self.sync()
-        with self._lock:
-            agg = self._keys.get((tenant, workload_label))
-            return agg.best if agg is not None else None
+        agg = self._keys.get((tenant, workload_label))
+        return agg.best if agg is not None else None
 
     def best_runtime_overall(self) -> float | None:
         self.sync()
-        with self._lock:
-            if self._best_overall is None:
-                return None
-            return self._best_overall.runtime_s
+        if self._best_overall is None:
+            return None
+        return self._best_overall.runtime_s
 
     def best_runtime_excluding(self, exclude: tuple[str, str]) -> float | None:
         """Best successful runtime over every key except ``exclude``.
@@ -234,15 +226,14 @@ class SignatureIndex:
         scan per deployment, now a masked min over per-key minima.
         """
         self.sync()
-        with self._lock:
-            excluded = self._keys.get(exclude)
-            if excluded is None:
-                return self.best_runtime_overall()
-            n = len(self._by_row)
-            runtimes = self._best_runtimes[:n].copy()
-            runtimes[excluded.row] = np.inf
-            best = float(runtimes.min()) if n else np.inf
-            return None if not np.isfinite(best) else best
+        excluded = self._keys.get(exclude)
+        if excluded is None:
+            return self.best_runtime_overall()
+        n = len(self._by_row)
+        runtimes = self._best_runtimes[:n].copy()
+        runtimes[excluded.row] = np.inf
+        best = float(runtimes.min()) if n else np.inf
+        return None if not np.isfinite(best) else best
 
     def find_similar(self, target_scaled: np.ndarray, scale: np.ndarray,
                      k: int, exclude: tuple[str, str] | None,
@@ -256,70 +247,62 @@ class SignatureIndex:
         ``argpartition``; only the k winners are sorted.
         """
         self.sync()
-        with self._lock:
-            self.n_lookups += 1
-            self._refresh_means_locked()
-            keys, rows = self._sorted_order_locked()
-            if not keys or self._dim is None:
-                return []
-            means = self._means[rows]                      # (W, d), key-sorted
-            counts = self._counts[rows]
-            diff = means / scale - target_scaled           # rows scale like scaled()
-            distances = np.sqrt(np.sum(diff * diff, axis=1))
-            valid = counts > 0
-            if exclude is not None and exclude in self._keys:
-                # rows are key-sorted; locate exclude by bisection-free map
-                valid = valid.copy()
-                valid[keys.index(exclude)] = False
-            valid &= distances <= max_distance
-            candidate_idx = np.flatnonzero(valid)
-            if len(candidate_idx) == 0 or k <= 0:
-                return []
-            d_valid = distances[candidate_idx]
-            if len(candidate_idx) > k:
-                # Exact top-k with scan-identical tie handling: take all
-                # strictly inside the kth distance, then fill remaining
-                # slots with boundary ties in ascending key order
-                # (candidate_idx is already key-sorted).
-                kth = np.partition(d_valid, k - 1)[k - 1]
-                inner = candidate_idx[d_valid < kth]
-                boundary = candidate_idx[d_valid == kth]
-                take = boundary[: k - len(inner)]
-                chosen = np.concatenate([inner, take])
-            else:
-                chosen = candidate_idx
-            order = np.argsort(distances[chosen], kind="stable")
-            out = []
-            for i in chosen[order]:
-                out.append((keys[i], float(distances[i]), means[i].copy()))
-            return out
+        self.n_lookups += 1
+        self._refresh_means()
+        keys, rows = self._sorted_order()
+        if not keys or self._dim is None:
+            return []
+        means = self._means[rows]                      # (W, d), key-sorted
+        counts = self._counts[rows]
+        diff = means / scale - target_scaled           # rows scale like scaled()
+        distances = np.sqrt(np.sum(diff * diff, axis=1))
+        valid = counts > 0
+        if exclude is not None and exclude in self._keys:
+            # rows are key-sorted; locate exclude by bisection-free map
+            valid = valid.copy()
+            valid[keys.index(exclude)] = False
+        valid &= distances <= max_distance
+        candidate_idx = np.flatnonzero(valid)
+        if len(candidate_idx) == 0 or k <= 0:
+            return []
+        d_valid = distances[candidate_idx]
+        if len(candidate_idx) > k:
+            # Exact top-k with scan-identical tie handling: take all
+            # strictly inside the kth distance, then fill remaining
+            # slots with boundary ties in ascending key order
+            # (candidate_idx is already key-sorted).
+            kth = np.partition(d_valid, k - 1)[k - 1]
+            inner = candidate_idx[d_valid < kth]
+            boundary = candidate_idx[d_valid == kth]
+            take = boundary[: k - len(inner)]
+            chosen = np.concatenate([inner, take])
+        else:
+            chosen = candidate_idx
+        order = np.argsort(distances[chosen], kind="stable")
+        out = []
+        for i in chosen[order]:
+            out.append((keys[i], float(distances[i]), means[i].copy()))
+        return out
 
     # --- telemetry --------------------------------------------------------
     def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "workload_keys": len(self._keys),
-                "records_indexed": self.n_records_indexed,
-                "syncs": self.n_syncs,
-                "mean_refreshes": self.n_mean_refreshes,
-                "lookups": self.n_lookups,
-            }
+        return {
+            "workload_keys": len(self._keys),
+            "records_indexed": self.n_records_indexed,
+            "syncs": self.n_syncs,
+            "mean_refreshes": self.n_mean_refreshes,
+            "lookups": self.n_lookups,
+        }
 
 
 #: one index per log, shared by every HistoryStore view over that log
 _INDEXES: "weakref.WeakKeyDictionary[HistoryLog, SignatureIndex]" = \
     weakref.WeakKeyDictionary()
-_INDEXES_LOCK = threading.Lock()
 
 
 def signature_index(log: HistoryLog) -> SignatureIndex:
     """The shared :class:`SignatureIndex` of ``log`` (created on first use)."""
     index = _INDEXES.get(log)
-    if index is not None:
-        return index
-    with _INDEXES_LOCK:
-        index = _INDEXES.get(log)
-        if index is None:
-            index = SignatureIndex(log)
-            _INDEXES[log] = index
-        return index
+    if index is None:
+        index = _INDEXES[log] = SignatureIndex(log)
+    return index

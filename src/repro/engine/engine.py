@@ -19,12 +19,14 @@ result, flagged in ``ExecutionResult.success`` and settled by
 :class:`EngineObjective` at a penalized cost.  An exception from the
 executor is a defect in the request or the program: the simulator is
 deterministic, so a re-run would raise it again.  It reaches the caller
-unchanged, and nothing from that batch is cached.
+unchanged, nothing from that batch is cached, and no counter moves.
+
+Ownership: an engine takes no lock.  It belongs to the thread that calls
+it; in the multi-tenant service that is the shard pool's runner.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -77,7 +79,8 @@ class EvaluationEngine:
     """Evaluate batches of configurations through cache + executor.
 
     Each batch's cache misses go to the executor in one ``run_batch``
-    call; an exception from that call propagates unchanged.
+    call; an exception from that call propagates unchanged, and the
+    batch leaves every counter as it found it.
 
     Parameters
     ----------
@@ -106,12 +109,6 @@ class EvaluationEngine:
         else:
             raise ValueError("executor must be 'serial' or expose run_batch()")
         self.cache = EvaluationCache(capacity=cache_size) if cache_size else None
-        # One batch in flight at a time: the cache, the hit/miss/latency
-        # counters and the simulator's plan and cost caches are
-        # single-owner structures.  Callers may share an engine across
-        # threads; this lock makes that safe — lost counter updates were
-        # real data races.
-        self._lock = threading.Lock()
         self.n_evaluated = 0         # simulations actually run (cache misses)
         self.n_requested = 0         # total requests answered
         #: misses whose identity differs from a previously-seen request
@@ -140,15 +137,11 @@ class EvaluationEngine:
 
         Duplicate requests inside one batch are simulated once and
         fanned out — population tuners re-propose elites, and a provider
-        batch may carry the same candidate for several tenants.  Safe to
-        call from multiple threads (batches are serialized internally;
-        see ``_lock``).
+        batch may carry the same candidate for several tenants.  Counters
+        move only once the batch is answered: a batch whose executor call
+        raises changes none of :meth:`counters`.
         """
-        with self._lock:
-            return self._evaluate_batch_locked(list(requests))
-
-    def _evaluate_batch_locked(self, requests) -> list[EvalRecord]:
-        self.n_requested += len(requests)
+        requests = list(requests)
         keys = [r.cache_key() for r in requests]
         records: list[EvalRecord | None] = [None] * len(requests)
 
@@ -159,18 +152,25 @@ class EvaluationEngine:
             if hit is not None:
                 records[i] = EvalRecord(req, hit, cached=True, latency_s=0.0)
             else:
-                if key not in miss_of_key:
-                    self._note_env_distinct(key)
                 miss_of_key.setdefault(key, []).append(i)
 
         if miss_of_key:
             unique = [requests[slots[0]] for slots in miss_of_key.values()]
             start = time.perf_counter()
-            results = self._executor.run_batch(unique)
+            try:
+                results = self._executor.run_batch(unique)
+            except BaseException:
+                if self.cache is not None:
+                    # An unanswered batch looked nothing up.
+                    n_missed = sum(map(len, miss_of_key.values()))
+                    self.cache.stats.misses -= n_missed
+                    self.cache.stats.hits -= len(requests) - n_missed
+                raise
             elapsed = time.perf_counter() - start
             per_request = elapsed / len(unique)
             self.n_evaluated += len(unique)
             for (key, slots), result in zip(miss_of_key.items(), results):
+                self._note_env_distinct(key)
                 if self.cache is not None:
                     self.cache.put(key, result, latency_s=per_request)
                 first = slots[0]
@@ -179,6 +179,7 @@ class EvaluationEngine:
                         requests[i], result,
                         cached=(i != first), latency_s=per_request,
                     )
+        self.n_requested += len(requests)
         return records  # type: ignore[return-value]
 
     def _note_env_distinct(self, key: tuple) -> None:

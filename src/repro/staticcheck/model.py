@@ -78,18 +78,6 @@ class Finding:
             "chain": list(self.chain),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        return cls(
-            path=payload["path"],
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            rule_id=payload["rule"],
-            message=payload["message"],
-            severity=Severity(payload.get("severity", "error")),
-            chain=tuple(payload.get("chain", ())),
-        )
-
     def sort_key(self) -> tuple:
         """Stable report order: (path, line, rule), then the tie-breakers."""
         return (self.path, self.line, self.rule_id, self.col, self.message)

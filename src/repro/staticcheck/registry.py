@@ -1,8 +1,7 @@
 """One declarative table of every rule the linter serves.
 
-Four rule families grew four hand-rolled catalogues (per-file ``RS``,
-domain ``RD``, flow ``RF``, concurrency ``RC``), each with its own id
-partitioning in the CLI.  This module folds them into a single registry
+The rule families grew hand-rolled catalogues (per-file ``RS``, domain
+``RD``, flow ``RF``), each with its own id partitioning in the CLI.  This module folds them into a single registry
 so ``--list-rules`` and ``--rules`` have exactly one source of truth:
 a rule id is valid iff it has a :class:`RuleEntry`, and its ``family``
 says which pass runs it.
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .concurrency import concurrency_rule_catalogue
 from .flow import flow_rule_catalogue
 from .rules import rule_catalogue
 
@@ -32,7 +30,6 @@ FAMILY_SCOPES = {
     "per-file": None,                        # per-rule path scopes apply
     "domain": "imported domain objects (config spaces, workloads)",
     "flow": "interprocedural (call graph)",
-    "concurrency": "interprocedural (call graph + inferred lock model)",
 }
 
 
@@ -112,12 +109,6 @@ def rule_registry() -> list[RuleEntry]:
     for row in flow_rule_catalogue():
         entries.append(RuleEntry(
             rule_id=row["rule"], family="flow",
-            severity=row["severity"], summary=row["summary"],
-            rationale=row["rationale"],
-        ))
-    for row in concurrency_rule_catalogue():
-        entries.append(RuleEntry(
-            rule_id=row["rule"], family="concurrency",
             severity=row["severity"], summary=row["summary"],
             rationale=row["rationale"],
         ))

@@ -29,15 +29,6 @@ def _stats_line(stats: dict[str, object]) -> str:
     )
 
 
-def _concurrency_line(conc: dict[str, object]) -> str:
-    return (
-        f"lock model: {conc.get('locks', 0)} lock(s) over "
-        f"{conc.get('classes_with_locks', 0)} class(es) + "
-        f"{conc.get('module_locks', 0)} module global(s), "
-        f"{conc.get('assumed_locked_methods', 0)} assumed-locked method(s)"
-    )
-
-
 def render_text(result: LintResult, verbose: bool = False,
                 stats: dict[str, object] | None = None) -> str:
     """One line per finding plus a summary, ruff/flake8-style.
@@ -63,9 +54,6 @@ def render_text(result: LintResult, verbose: bool = False,
     lines.append(summary)
     if stats is not None:
         lines.append(_stats_line(stats))
-        conc = stats.get("concurrency")
-        if isinstance(conc, dict):
-            lines.append(_concurrency_line(conc))
     # inventory-backed suppressions render their reasons — the audit
     # trail travels with the report, not just with the gate tests
     lines.extend(waiver_footer(result.sorted_suppressed()))

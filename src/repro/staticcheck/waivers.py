@@ -56,7 +56,7 @@ def _matches(waiver: Waiver, rule_id: str, path: str) -> bool:
 
 def expected_by_rule(prefix: str | None = None) -> dict[str, int]:
     """Expected suppression counts per rule id, optionally filtered to
-    one family prefix (``"RF"``, ``"RC"``)."""
+    one family prefix (``"RF"``)."""
     out: dict[str, int] = {}
     for waiver in WAIVERS:
         if prefix is not None and not waiver.rule_id.startswith(prefix):

@@ -1,7 +1,5 @@
 """Tests for the append-only history log and its HistoryStore view."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -111,55 +109,6 @@ class TestHistoryLogBasics:
         src[0] = 42.0
         assert out[0] == 0.0
         assert not out.flags.writeable
-
-
-class TestConcurrency:
-    def test_concurrent_reader_sees_an_append_order_prefix(self):
-        """Readers see a consistent append-order prefix while a writer
-        appends underneath them."""
-        log = HistoryLog()
-        stop = threading.Event()
-        errors: list[str] = []
-
-        def reader():
-            while not stop.is_set():
-                snap = log.snapshot()
-                ids = [r.record_id for r in snap]
-                if ids != list(range(len(ids))):
-                    errors.append(f"torn snapshot: {ids[:10]}...")
-                    return
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for i in range(600):
-            log.append(_record(i))
-        stop.set()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(log.snapshot()) == 600
-
-    def test_concurrent_appends_allocate_unique_ids(self):
-        log = HistoryLog()
-
-        def writer(k):
-            for _ in range(100):
-                log.append_new(
-                    tenant=f"t{k}", workload_label="w", input_mb=1.0,
-                    cluster="c",
-                    config=spark_core_space().default_configuration(),
-                    runtime_s=1.0, success=True, signature=np.ones(2),
-                )
-
-        threads = [threading.Thread(target=writer, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = log.snapshot()
-        assert len(snap) == 400
-        assert len({r.record_id for r in snap}) == 400
 
 
 class TestHistoryStoreView:

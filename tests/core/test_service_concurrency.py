@@ -1,74 +1,69 @@
-"""Concurrency stress tests for the shared service state.
+"""Shared service state: its invariants, and the thread that owns it.
 
-The shard pool runs every job on one runner thread, but the state its
-services share — seed allocation, ledger charges, the history log and
-its signature index, engine batch dispatch — is documented thread-safe
-for any caller, and these tests pin the fixes that make it so.  The
-pool tests pin its accounting and the lock order along its job path.
-Pool jobs never overlap, so the last class runs the same job body
-from eight plain threads with a one-microsecond switch interval,
-with the service locks wrapped in the runtime lock-order sanitizer
-(``repro.staticcheck.dynsan``), so an AB/BA inversion that a schedule
-never happens to trip still fails the suite.
+The service state takes no locks.  The shard pool's one runner thread
+owns every shard's service, engine, ledger and profiler, and the history
+log and index they share; the asyncio loop owns the front end, admission,
+the scheduler and the tenant budgets.  The first classes pin the
+invariants that state keeps: seed blocks never collide, ledger sums are
+exact, objectives over one engine agree, and the pool's accounting holds
+under load.  :class:`TestOwnerThread` drives a small load run with
+every method of those classes wrapped and fails if any object is
+touched by two threads.
 """
 
-import sys
+import asyncio
+import functools
+import inspect
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.cloud.cluster import Cluster
 from repro.cloud.pricing import CostLedger
-from repro.core import HistoryStore, TuningService
+from repro.core import HistoryStore, SLOMetric, TuningService, TuningSLO
 from repro.core.histlog import HistoryLog
-from repro.core.serviced import ShardPool
+from repro.core.profiling import PhaseProfiler
+from repro.core.serviced import (
+    AdmissionController,
+    RunBatchRequest,
+    ServiceFrontEnd,
+    ShardPool,
+    SLOPriorityScheduler,
+    TenantBudget,
+    TuneRequest,
+)
+from repro.core.serviced.loadgen import LoadScenario, build_stack
+from repro.core.simindex import SignatureIndex
 from repro.engine import EngineObjective, EvaluationEngine
 from repro.sparksim import SparkSimulator
-from repro.staticcheck.dynsan import LockOrderSanitizer, instrument_attr
-from repro.workloads import Wordcount
+from repro.tuning.random_search import RandomSearchTuner
+from repro.workloads import PageRank, Wordcount
 
 
 class TestSeedAllocation:
-    def test_concurrent_next_seed_never_collides(self):
+    def test_seed_blocks_never_collide(self):
         """Two sessions sharing a seed would draw identical candidate
-        streams and fake cross-tenant amortization."""
+        streams and fake cross-tenant amortization; a block of ``n``
+        runs owns the seeds ``first .. first + n - 1``."""
         service = TuningService(seed=1)
-        seeds: list[int] = []
-        lock = threading.Lock()
-
-        def worker():
-            mine = [service._next_seed() for _ in range(200)]
-            with lock:
-                seeds.extend(mine)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(seeds) == 1600
-        assert len(set(seeds)) == 1600
+        taken: set[int] = set()
+        for n_runs in [1, 3, 7919, 1, 7920, 2] * 4:
+            first = service._next_seed(n_runs)
+            block = set(range(first, first + n_runs))
+            assert not block & taken
+            taken |= block
 
 
 class TestLedgerCharges:
-    def test_concurrent_charges_sum_exactly(self):
+    def test_interleaved_charges_sum_exactly(self):
         ledger = CostLedger()
         cluster = Cluster.of("m5.xlarge", 4)
-
-        def worker(k):
-            for _ in range(250):
-                if k % 2:
-                    ledger.charge_tuning(cluster, 60.0)
-                else:
-                    ledger.charge_production(cluster, 120.0)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        for k in range(2000):
+            if k % 2:
+                ledger.charge_tuning(cluster, 60.0)
+            else:
+                ledger.charge_production(cluster, 120.0)
         assert ledger.tuning_runs == 1000
         assert ledger.production_runs == 1000
         assert ledger.tuning_seconds == pytest.approx(1000 * 60.0)
@@ -79,10 +74,10 @@ class TestLedgerCharges:
 
 
 class TestEngineDispatch:
-    def test_concurrent_objectives_agree_and_counters_balance(self):
-        """Several threads driving one engine must get identical
-        answers for identical candidates, with every lookup accounted
-        as either a hit or a miss."""
+    def test_objectives_over_one_engine_agree_and_counters_balance(self):
+        """Several objectives driving one engine get identical answers
+        for identical candidates, with every lookup accounted as either
+        a hit or a miss."""
         simulator = SparkSimulator()
         engine = EvaluationEngine(simulator=simulator, executor="serial")
         cluster = Cluster.of("m5.xlarge", 4)
@@ -92,15 +87,12 @@ class TestEngineDispatch:
         configs = [space.default_configuration()] + [
             space.sample_configuration(rng) for _ in range(5)
         ]
-
-        def worker(_):
+        outcomes = []
+        for _ in range(6):
             objective = EngineObjective(
                 engine, workload, 5_000, cluster=cluster, seed=0,
             )
-            return [objective(c) for c in configs]
-
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            outcomes = list(pool.map(worker, range(6)))
+            outcomes.append([objective(c) for c in configs])
         for other in outcomes[1:]:
             assert other == outcomes[0]
         stats = engine.stats
@@ -144,139 +136,129 @@ class TestShardPoolUnderLoad:
         assert pool.stats()["distinct_fingerprints"] == 5
 
 
-class TestLockOrderUnderStress:
-    def test_shard_stress_with_sanitized_locks_stays_acyclic(self):
-        """The RC005 acceptance check at runtime: the shard stress path
-        (seed lock, ledger lock, history-log lock) runs under the
-        lock-order sanitizer with raise-on-cycle armed.  A new nested
-        acquisition in either order deadlocks this test *deterministically*
-        as a LockOrderViolation instead of hanging CI."""
-        san = LockOrderSanitizer()
-        log = HistoryLog()
-        instrument_attr(log, "_lock", san, name="HistoryLog._lock")
-        ledgers = [CostLedger() for _ in range(3)]
-        for i, ledger in enumerate(ledgers):
-            instrument_attr(ledger, "_lock", san,
-                            name=f"CostLedger#{i}._lock")
+#: the runner owns the first seven, the event loop the last four
+_RUNNER_OWNED = (TuningService, EvaluationEngine, HistoryLog, HistoryStore,
+                 SignatureIndex, CostLedger, PhaseProfiler)
+_LOOP_OWNED = (ServiceFrontEnd, AdmissionController, SLOPriorityScheduler,
+               TenantBudget)
 
-        def factory(i):
-            service = TuningService(store=HistoryStore(log),
-                                    ledger=ledgers[i],
-                                    executor="serial", seed=200 + i)
-            instrument_attr(service, "_seed_lock", san,
-                            name=f"TuningService#{i}._seed_lock")
-            return service
-
-        cluster = Cluster.of("m5.xlarge", 4)
-        with ShardPool(3, factory) as pool:
-            def job(service):
-                seed = service._next_seed()
-                service.ledger.charge_tuning(cluster, 30.0)
-                service.store.record(
-                    f"t{seed % 5}", "wc", 1_000.0, cluster.describe(),
-                    service.disc_space.default_configuration(),
-                    _Result(30.0, True), np.ones(4),
-                )
-                return seed
-
-            futures = [pool.submit(i % 3, job) for i in range(90)]
-            seeds = [f.result(timeout=30) for f in futures]
-        assert len(set(seeds)) == 90
-        assert len(log.snapshot()) == 90
-        # no inversion was observed anywhere in the stress run
-        assert san.cycles() == []
-        # and the instrumentation really was on the hot path: every
-        # sanitized lock appears in at least one recorded acquisition or
-        # the run would have deadlocked on a wrapped-lock bug
-        assert sum(ledger.tuning_runs for ledger in ledgers) == 90
-
-    def test_sanitizer_detects_a_seeded_inversion_in_service_code_shape(self):
-        """Negative control for the test above: the same wrapper setup
-        around a deliberate AB/BA inversion does raise."""
-        from repro.staticcheck.dynsan import LockOrderViolation
-
-        san = LockOrderSanitizer()
-        log_lock = san.lock("HistoryLog._lock")
-        ledger_lock = san.lock("CostLedger._lock")
-        with log_lock:
-            with ledger_lock:
-                pass
-        with pytest.raises(LockOrderViolation):
-            with ledger_lock:
-                with log_lock:
-                    pass
+_SCENARIO = LoadScenario(n_tenants=12, n_shards=2, per_tenant_inflight=2,
+                         seed=3)
+_SLO = TuningSLO(SLOMetric.WITHIN_BEST_SIMILAR, 0.25)
 
 
-class TestSharedStateFromPlainThreads:
-    def test_job_body_from_eight_threads_with_sanitized_locks(self):
-        """The pool stress job body, run by eight threads at once (more
-        than the cores) that switch every microsecond: ids and seeds stay
-        unique, every ledger counts exactly its own charges, each thread
-        reads its own appends back from the index in log order, and no
-        lock-order inversion is observed."""
-        san = LockOrderSanitizer()
-        log = HistoryLog()
-        instrument_attr(log, "_lock", san, name="HistoryLog._lock")
-        store = HistoryStore(log)
-        instrument_attr(store.index(), "_lock", san,
-                        name="SignatureIndex._lock")
-        ledgers = [CostLedger() for _ in range(3)]
-        services = []
-        for i, ledger in enumerate(ledgers):
-            instrument_attr(ledger, "_lock", san,
-                            name=f"CostLedger#{i}._lock")
-            service = TuningService(store=HistoryStore(log), ledger=ledger,
-                                    executor="serial", seed=300 + i)
-            instrument_attr(service, "_seed_lock", san,
-                            name=f"TuningService#{i}._seed_lock")
-            services.append(service)
-        cluster = Cluster.of("m5.xlarge", 4)
-        seeds: list[int] = []
-        errors: list[BaseException] = []
-        collect = threading.Lock()
+def _record_threads(monkeypatch) -> dict:
+    """Wrap every method and property of the owned classes.
 
-        def worker(k):
-            service = services[k % 3]
-            mine = []
-            try:
-                for _ in range(30):
-                    seed = service._next_seed()
-                    service.ledger.charge_tuning(cluster, 30.0)
-                    record = service.store.record(
-                        f"t{seed % 5}", "wc", 1_000.0, cluster.describe(),
-                        service.disc_space.default_configuration(),
-                        _Result(30.0, True), np.ones(4),
-                    )
-                    listed = service.store.for_workload(record.tenant, "wc")
-                    assert any(r is record for r in listed)
-                    ids = [r.record_id for r in listed]
-                    assert ids == sorted(ids)
-                    mine.append(seed)
-            except BaseException as exc:
-                errors.append(exc)
-            with collect:
-                seeds.extend(mine)
+    Returns ``{id(obj): (obj, {thread name: first call seen there})}``,
+    filled in as the wrapped methods run, the way ``perfbench/trace.py``
+    records its spans; ``monkeypatch`` restores the classes afterwards.
+    """
+    touched: dict[int, tuple[object, dict[str, str]]] = {}
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def wrap(qualname, fn):
+        @functools.wraps(fn)
+        def recorded(self, *args, **kwargs):
+            _, threads = touched.setdefault(id(self), (self, {}))
+            threads.setdefault(threading.current_thread().name, qualname)
+            return fn(self, *args, **kwargs)
+        return recorded
+
+    for cls in _RUNNER_OWNED + _LOOP_OWNED:
+        for name, attr in list(vars(cls).items()):
+            qualname = f"{cls.__name__}.{name}"
+            if inspect.isfunction(attr):
+                monkeypatch.setattr(cls, name, wrap(qualname, attr))
+            elif isinstance(attr, property):
+                monkeypatch.setattr(cls, name,
+                                    property(wrap(qualname, attr.fget)))
+    return touched
+
+
+def _shared(touched: dict) -> list[tuple[str, dict[str, str]]]:
+    """Every object more than one thread touched: its class, and the
+    first call each thread made on it."""
+    return sorted(((type(obj).__name__, threads)
+                   for obj, threads in touched.values() if len(threads) > 1),
+                  key=lambda shared: shared[0])
+
+
+def _tune_request(tenant: str, workload) -> TuneRequest:
+    return TuneRequest(
+        tenant=tenant, workload=workload, input_mb=1_000, slo=_SLO,
+        cluster=Cluster.of("m5.xlarge", 4), disc_budget=3, batch_size=3,
+        tuner_factory=lambda service, seed: RandomSearchTuner(
+            service.disc_space, seed=seed),
+    )
+
+
+async def _drive(frontend: ServiceFrontEnd) -> None:
+    """Every tenant registers a budget, tunes, then ingests two batches."""
+    workloads = [Wordcount(), PageRank()]
+
+    async def tenant(i: int) -> None:
+        name = f"tenant-{i}"
+        frontend.register_budget(
+            TenantBudget(name, slo=_SLO, max_tuning_cost=100.0))
+        tuned = await frontend.submit(_tune_request(name, workloads[i % 2]))
+        assert tuned.accepted, tuned.reason
+        batches = await asyncio.gather(*[
+            frontend.submit(RunBatchRequest(
+                tenant=name, deployment=tuned.deployment, input_mb=1_000,
+                n_runs=5,
+            )) for _ in range(2)
+        ])
+        assert all(b.accepted for b in batches)
+
+    await asyncio.gather(*[tenant(i) for i in range(_SCENARIO.n_tenants)])
+    await frontend.close()
+
+
+class TestOwnerThread:
+    """One thread touches each service object during a load run.
+
+    Ownership passes only at the pool's hand-offs (queue put/get, the
+    futures, ``close()`` joining the runner), so the stack is built
+    before recording starts and read only after the pool closes.
+    """
+
+    def test_no_object_is_touched_by_two_threads(self, monkeypatch):
+        frontend, pool, _, _ = build_stack(_SCENARIO)
+        touched = _record_threads(monkeypatch)
         try:
-            threads = [threading.Thread(target=worker, args=(k,))
-                       for k in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
+            asyncio.run(_drive(frontend))
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(seeds) == 240 and len(set(seeds)) == 240
-        snap = log.snapshot()
-        assert len(snap) == 240
-        assert len({r.record_id for r in snap}) == 240
-        # threads k, k+3, k+6 share service k: 3, 3 and 2 threads x 30
-        assert [ledger.tuning_runs for ledger in ledgers] == [90, 90, 60]
-        assert san.cycles() == []
+            pool.close()
+        assert _shared(touched) == []
+        # every owned class was on the driven path, on both threads
+        seen = {type(obj) for obj, _ in touched.values()}
+        assert seen == set(_RUNNER_OWNED + _LOOP_OWNED)
+        threads = {name for _, by in touched.values() for name in by}
+        assert threads == {"MainThread", pool._runner.name}
+
+    def test_a_job_body_on_a_second_thread_is_flagged(self, monkeypatch):
+        """Negative control: one tune job body runs on the runner, then
+        on a plain thread beside it, against the same shard."""
+        _, pool, _, _ = build_stack(_SCENARIO)
+        touched = _record_threads(monkeypatch)
+        job = ServiceFrontEnd._tune_job(_tune_request("t", Wordcount()))
+        done = []
+        try:
+            done.append(pool.submit(0, job).result(timeout=60))
+            intruder = threading.Thread(
+                target=lambda: done.append(job(pool.service_of(0))),
+                name="intruder",
+            )
+            intruder.start()
+            intruder.join(timeout=60)
+        finally:
+            pool.close()
+        assert len(done) == 2
+        shared = _shared(touched)
+        assert {name for name, _ in shared} == \
+            {cls.__name__ for cls in _RUNNER_OWNED}
+        assert all(set(threads) == {pool._runner.name, "intruder"}
+                   for _, threads in shared)
 
 
 class _Result:

@@ -369,10 +369,8 @@ class TestFrontEnd:
 
     def test_stats_snapshot_has_all_layers(self):
         frontend, pool, _, _ = _stack()
-        try:
-            stats = frontend.stats()
-        finally:
-            pool.close()
+        pool.close()                 # the runner's state is read after close
+        stats = frontend.stats()
         assert set(stats) == {"admission", "scheduler", "shards"}
         assert stats["shards"]["n_shards"] == 2
 

@@ -267,6 +267,7 @@ class TestFailFast:
         assert executor.calls == 1
         assert len(engine.cache) == 0
         assert engine.n_evaluated == 0
+        assert engine.counters() == EvaluationEngine().counters()
         records = engine.evaluate_batch(good)
         assert executor.calls == 2
         assert [r.cached for r in records] == [False] * len(good)

@@ -85,47 +85,25 @@ def test_list_rules(capsys):
 
 
 def test_list_rules_covers_every_family(capsys):
-    """The unified registry serves all four catalogues in one listing."""
+    """The unified registry serves all three catalogues in one listing."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RS001", "RD001", "RD007", "RF001", "RF005",
-                    "RC001", "RC005"):
+    for rule_id in ("RS001", "RD001", "RD007", "RF001", "RF005"):
         assert rule_id in out, rule_id
-    assert "interprocedural (call graph + inferred lock model)" in out
-
-
-def test_concurrency_flag_runs_the_rc_pass(capsys):
-    code = main(["--no-domain", "--concurrency", "--no-cache",
-                 str(FIXTURES / "rc001_pkg")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "RC001" in out
-    assert "lock model: 1 lock(s)" in out
-
-
-def test_rc_rule_id_implicitly_enables_the_concurrency_pass(capsys):
-    code = main(["--no-domain", "--rules", "RC005", "--no-cache",
-                 str(FIXTURES / "rc005_pkg")])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "RC005" in out
-    # and a narrowed RC set really narrows: RC001 sees nothing there
-    code = main(["--no-domain", "--rules", "RC001", "--no-cache",
-                 str(FIXTURES / "rc005_pkg")])
-    assert code == 0
-    capsys.readouterr()
+    assert "interprocedural (call graph)" in out
 
 
 def test_mixed_family_rule_spec(capsys):
     """One --rules spec can name ids from several families at once."""
-    code = main(["--no-domain", "--rules", "RS001,RC001", "--no-cache",
-                 str(FIXTURES / "rc001_pkg")])
+    code = main(["--no-domain", "--rules", "RS001,RF001",
+                 str(FIXTURES / "rf001_pkg")])
     assert code == 1
     out = capsys.readouterr().out
-    assert "RC001" in out
+    assert "RF001" in out
 
 
-@pytest.mark.parametrize("rule_id", ["RC999", "RA001", "RF004"])
+@pytest.mark.parametrize("rule_id", ["RC999", "RA001", "RF004", "RC001",
+                                     "RC002", "RC003", "RC005"])
 def test_unknown_family_rule_exits_two(capsys, rule_id):
     """An id no family defines — a typo, or a rule that was deleted —
     is a usage error, never a silently empty pass."""

@@ -11,7 +11,6 @@ from pathlib import Path
 from repro.staticcheck import (
     expected_by_rule,
     iter_python_files,
-    lint_concurrency,
     lint_flow,
     lint_paths,
     reason_for,
@@ -60,28 +59,6 @@ def test_repo_flow_clean():
         )
 
 
-def test_repo_concurrency_clean():
-    """The concurrency gate: RC001-RC003 and RC005 over the inferred lock model.
-
-    The pass earned its keep on arrival by catching a real RC001 in
-    ``SignatureIndex.find_similar`` (the ``n_lookups`` telemetry bump
-    sat outside the ``with self._lock`` every other writer takes — a
-    lost-update race under shard concurrency, since fixed).  The
-    suppression inventory is pinned at **empty**: the first RC waiver
-    must land in repro/staticcheck/waivers.py alongside its justified
-    per-line ignore.
-    """
-    report = lint_concurrency([str(PACKAGE)])
-    pretty = "\n".join(f.format() for f in report.result.sorted_findings())
-    assert report.result.findings == [], f"concurrency violations:\n{pretty}"
-    assert report.result.suppressed_by_rule() == expected_by_rule("RC"), (
-        "the RC suppression inventory changed; update "
-        "repro/staticcheck/waivers.py only alongside a justified "
-        "per-line ignore"
-    )
-    assert expected_by_rule("RC") == {}
-
-
 def test_suppression_markers_name_registered_rules():
     """A marker naming an id no family defines — a typo, or a deleted
     rule — silences nothing and would live on unnoticed, because the
@@ -106,24 +83,6 @@ def test_suppression_markers_name_registered_rules():
     assert stale == [], "markers name unknown rules:\n" + "\n".join(stale)
     # the scan must see at least the inventory's own markers
     assert n_named >= sum(expected_by_rule().values()), n_named
-
-
-def test_repo_lock_model_covers_the_service_layer():
-    """The inference must keep seeing the locks the service relies on —
-    an inference regression would silently turn the gate vacuous."""
-    report = lint_concurrency([str(PACKAGE)])
-    conc = report.stats["concurrency"]
-    assert conc["locks"] >= 10, conc
-    lock_map = conc["lock_map"]
-    for owner_fragment in (
-        "HistoryLog", "SignatureIndex", "CostLedger", "TuningService",
-        "EvaluationEngine",
-    ):
-        assert any(owner_fragment in owner for owner in lock_map), (
-            owner_fragment, sorted(lock_map),
-        )
-    # the _*_locked helper discipline is actually exercised repo-wide
-    assert conc["assumed_locked_methods"] >= 5, conc
 
 
 def test_repo_call_graph_resolves_most_sites():
