@@ -15,9 +15,11 @@ and are gated by ``check_bench_regression.py`` in the bench-smoke job:
   scenario wall time (higher is better, loose tolerance: the asyncio +
   shard-runner interleaving moves with the host);
 * ``tune_latency_p99_s`` — p99 submit-to-deploy latency across all
-  1000 tune requests (lower is better).  Under a full-population burst
-  against a 256-slot admission queue this includes queueing time, which
-  is the point: it is the latency a tenant actually experiences.
+  1000 tune requests (lower is better), timed from each tenant's first
+  submit attempt.  Under a full-population burst against a 256-slot
+  admission queue this includes the queue-full rejections, their retry
+  backoff and the queueing time, which is the point: it is the latency
+  a tenant actually experiences.
 
 The scenario block also records the pool-wide **per-phase wall-time
 breakdown** (suggest vs evaluate vs ingest vs similarity, merged across

@@ -2,14 +2,15 @@
 
 The :mod:`repro.core` service made operational (paper Section IV read as
 a provider service, KEA-style): admission control at the front door,
-per-tenant SLO budgets driving a priority scheduler, tuning sessions
-sharded by workload fingerprint so similar tenants share warm models,
-all appending to one shared history log.
+a two-class scheduler that splits the runner between tunes (ordered by
+per-tenant SLO budgets) and production ingest, tuning sessions sharded
+by workload fingerprint so similar tenants share warm models, all
+appending to one shared history log.
 
 Modules:
 
 * :mod:`~repro.core.serviced.admission` — bounded queue + per-tenant caps
-* :mod:`~repro.core.serviced.scheduler` — SLO budgets, priority queue
+* :mod:`~repro.core.serviced.scheduler` — SLO budgets, two-class queue
 * :mod:`~repro.core.serviced.sharding` — fingerprints + shard pool
 * :mod:`~repro.core.serviced.frontend` — asyncio submit/dispatch loop
 * :mod:`~repro.core.serviced.loadgen` — many-tenant load scenarios

@@ -4,10 +4,16 @@ This is the paper's Fig. 1 "submit a workload, get a tuned deployment"
 contract made concurrent: tenants submit requests to an
 :class:`asyncio` front end; admission control answers immediately
 (admitted, or rejected with a reason); admitted work queues in the
-SLO-priority scheduler and is dispatched to the fingerprint-pinned
-shard as soon as that shard is free.  Every accepted submission reports
-its **submit-to-deploy latency** — the p99 of which is the service's
-headline SLI in ``BENCH_service.json``.
+scheduler's two request classes and is dispatched to its
+fingerprint-pinned shard as soon as that shard is free.  The scheduler
+takes each next job from the class that has used fewer runner seconds
+(tunes by SLO deficit, ingest batches in arrival order; see
+:mod:`repro.core.serviced.scheduler`), so tunes do not queue behind the
+production stream.  Every accepted submission reports the latency of
+its admitted attempt; a client that retries rejected attempts times
+its request from the first one, as
+:func:`~repro.core.serviced.loadgen.run_load` does for the headline
+submit-to-deploy SLI in ``BENCH_service.json``.
 
 Two request kinds cover the service lifecycle:
 
@@ -21,11 +27,12 @@ Two request kinds cover the service lifecycle:
 
 Billing attribution: each shard owns its own
 :class:`~repro.cloud.pricing.CostLedger` and executes jobs serially, so
-the exact ledger delta around a job is that job's spend.  The delta is
-measured on the runner, inside the job, and charged to the tenant's
-:class:`TenantBudget` on the loop once the job settles — the spend that
-admission control and the priority scheduler act on.  Provider-wide
-totals are the sum over shard ledgers.
+the exact ledger delta around a job is that job's spend.  The delta and
+the job's runner seconds are measured on the runner, inside the job.
+Once the job settles, the loop charges the delta to the tenant's
+:class:`TenantBudget` (the spend that admission control and the
+priority scheduler act on) and the seconds to the job's scheduler
+class.  Provider-wide totals are the sum over shard ledgers.
 
 Ownership: this front end, its admission controller, scheduler and
 tenant budgets belong to the asyncio loop's thread; every shard's
@@ -46,7 +53,7 @@ from .. import characterization
 from ..service import Deployment, TuningService
 from ..slo import TuningSLO
 from .admission import AdmissionController
-from .scheduler import SLOPriorityScheduler, TenantBudget
+from .scheduler import RUNS, TUNE, SLOPriorityScheduler, TenantBudget
 from .sharding import ShardPool, workload_fingerprint
 
 __all__ = [
@@ -98,22 +105,35 @@ class SubmitOutcome:
     deployment: Deployment | None = None
     runs_submitted: int = 0
     shard: int | None = None
-    #: submit-to-completion wall time (submit-to-deploy for tune requests)
+    #: submit-to-completion wall time of the admitted attempt
+    #: (submit-to-deploy for tune requests)
     latency_s: float | None = None
+
+
+@dataclass
+class _Meter:
+    """What one job used, written on the runner and read on the loop
+    once its future settles (a cell, so the job never references its
+    entry)."""
+
+    #: the job's exact ledger delta, USD
+    cost: float = 0.0
+    #: the job's wall time on the runner
+    seconds: float = 0.0
 
 
 @dataclass
 class _Entry:
     """One admitted request queued for dispatch."""
 
+    #: the scheduler class, as ``SubmitOutcome.kind``: "tune" | "runs"
+    kind: str
+    #: the metered job: the object the pool runs
     job: Callable[[TuningService], object]
     fingerprint: str
     future: asyncio.Future = field(repr=False)
     budget: TenantBudget | None = None
-    #: the job's ledger delta: appended on the runner, charged to
-    #: ``budget`` on the loop (a cell, so the job never references
-    #: its entry)
-    spent: list[float] = field(default_factory=list)
+    meter: _Meter = field(default_factory=_Meter)
 
 
 def ingest_production_runs(service: TuningService, deployment: Deployment,
@@ -160,7 +180,7 @@ def ingest_production_runs(service: TuningService, deployment: Deployment,
 
 
 class ServiceFrontEnd:
-    """Async submit → admission → SLO-priority queue → sharded dispatch."""
+    """Async submit → admission → two-class queue → sharded dispatch."""
 
     def __init__(self, pool: ShardPool,
                  admission: AdmissionController | None = None,
@@ -194,7 +214,7 @@ class ServiceFrontEnd:
         """
         if self._closed:
             raise RuntimeError("front end is closed")
-        kind = "tune" if isinstance(request, TuneRequest) else "runs"
+        kind = TUNE if isinstance(request, TuneRequest) else RUNS
         budget = self.budgets.get(request.tenant)
         t_submit = time.monotonic()
         decision = self.admission.try_admit(
@@ -206,7 +226,7 @@ class ServiceFrontEnd:
                 tenant=request.tenant, kind=kind, accepted=False,
                 reason=decision.reason,
             )
-        entry = self._entry_for(request, budget)
+        entry = self._entry_for(request, kind, budget)
         shard = self.pool.shard_of(entry.fingerprint)
         try:
             self.scheduler.push(entry, shard, budget)
@@ -215,7 +235,7 @@ class ServiceFrontEnd:
         finally:
             self.admission.release(request.tenant)
         latency = time.monotonic() - t_submit
-        if kind == "tune":
+        if kind == TUNE:
             deployment = result
             if budget is not None:
                 budget.note_report(deployment.slo_report)
@@ -228,7 +248,7 @@ class ServiceFrontEnd:
             runs_submitted=int(result), shard=shard, latency_s=latency,
         )
 
-    def _entry_for(self, request: TuneRequest | RunBatchRequest,
+    def _entry_for(self, request: TuneRequest | RunBatchRequest, kind: str,
                    budget: TenantBudget | None) -> _Entry:
         loop = asyncio.get_running_loop()
         if isinstance(request, TuneRequest):
@@ -239,12 +259,10 @@ class ServiceFrontEnd:
                 request.deployment.workload, request.input_mb,
             )
             job = self._runs_job(request)
-        spent: list[float] = []
-        if budget is not None:
-            job = _metered(job, spent)
-        return _Entry(job=job, fingerprint=fingerprint,
-                      future=loop.create_future(), budget=budget,
-                      spent=spent)
+        meter = _Meter()
+        return _Entry(kind=kind, job=_metered(job, meter),
+                      fingerprint=fingerprint, future=loop.create_future(),
+                      budget=budget, meter=meter)
 
     @staticmethod
     def _tune_job(request: TuneRequest) -> Callable[[TuningService], Deployment]:
@@ -304,11 +322,13 @@ class ServiceFrontEnd:
                     shard, entry.job, fingerprint=entry.fingerprint,
                 ))
             finally:
-                # Back on the loop, which owns the budget: charge what the
-                # job spent, failed jobs included, before the submitter
-                # resumes.
+                # Back on the loop, which owns the budget and the
+                # scheduler: charge what the job spent and the runner
+                # time it took, failed jobs included, before the
+                # submitter resumes.
                 if entry.budget is not None:
-                    entry.budget.charge(sum(entry.spent))
+                    entry.budget.charge(entry.meter.cost)
+                self.scheduler.note_served(entry.kind, entry.meter.seconds)
         except Exception as exc:
             if not entry.future.done():
                 entry.future.set_exception(exc)
@@ -343,16 +363,18 @@ class ServiceFrontEnd:
 
 
 def _metered(job: Callable[[TuningService], object],
-             spent: list[float]) -> Callable[[TuningService], object]:
-    """Append the job's exact ledger delta to ``spent``.
+             meter: _Meter) -> Callable[[TuningService], object]:
+    """Record the job's exact ledger delta and runner seconds in ``meter``.
 
     Shards execute jobs serially against their own ledger, so the delta
     observed around one job is exactly that job's spend.
     """
     def wrapped(service: TuningService) -> object:
         before = service.ledger.total_cost
+        t0 = time.perf_counter()
         try:
             return job(service)
         finally:
-            spent.append(service.ledger.total_cost - before)
+            meter.seconds = time.perf_counter() - t0
+            meter.cost = service.ledger.total_cost - before
     return wrapped

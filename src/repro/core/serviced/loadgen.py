@@ -2,7 +2,7 @@
 
 Builds the full service stack — shared append-only history log, one
 :class:`~repro.core.service.TuningService` per shard (own engine, own
-ledger), admission control, SLO-priority scheduling, the asyncio front
+ledger), admission control, two-class scheduling, the asyncio front
 end — and drives it with a synthetic tenant population:
 
 1. every tenant submits a :class:`~repro.core.serviced.frontend.TuneRequest`
@@ -18,9 +18,10 @@ share a fingerprint: they land on the same shard and hit its warm
 engine cache — the cross-tenant amortization the sharding exists for.
 
 :func:`run_load` returns a :class:`LoadReport` with the two headline
-SLIs (run throughput, p99 submit-to-deploy latency) plus the admission,
-scheduler, shard and billing telemetry — this is what
-``benchmarks/test_perf_service.py`` writes into ``BENCH_service.json``.
+SLIs (run throughput, p99 submit-to-deploy latency, timed from each
+tenant's first tune attempt) plus the admission, scheduler, shard and
+billing telemetry — this is what ``benchmarks/test_perf_service.py``
+writes into ``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class LoadReport:
     runs_submitted: int
     #: headline SLI 1: production runs ingested per second of wall time
     runs_per_s: float
-    #: headline SLI 2: submit-to-deploy latency of accepted tune requests
+    #: headline SLI 2: submit-to-deploy latency of deployed tenants'
+    #: tune requests, from the first submit attempt (rejected attempts
+    #: and their backoff included) to the deployment
     tune_latency_p50_s: float
     tune_latency_p99_s: float
     rejections: dict = field(default_factory=dict)
@@ -190,6 +193,8 @@ async def _tenant(frontend: ServiceFrontEnd, scenario: LoadScenario,
             service.disc_space, seed=seed,
         ),
     )
+    # Timed from the first attempt, so queue-full retries count.
+    t_first = time.monotonic()
     outcome = await _submit_with_retry(frontend, tune, scenario)
     if not outcome.accepted:
         totals["denied"] += 1
@@ -198,7 +203,7 @@ async def _tenant(frontend: ServiceFrontEnd, scenario: LoadScenario,
         )
         return
     totals["deployed"] += 1
-    totals["tune_latencies"].append(outcome.latency_s)
+    totals["tune_latencies"].append(time.monotonic() - t_first)
     report = outcome.deployment.slo_report
     if report is not None:
         totals["slo_attained" if report.attained else "slo_missed"] += 1

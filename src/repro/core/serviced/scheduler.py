@@ -10,8 +10,10 @@ service layer turns them into scheduling policy:
   has been spent so far (fed from the shared
   :class:`~repro.cloud.pricing.CostLedger` charges), and the tenant's
   SLO attainment history.
-* :class:`SLOPriorityScheduler` is a priority queue of queued
-  sessions.  Priority (smaller = sooner) combines two signals:
+* :class:`SLOPriorityScheduler` queues admitted requests in two
+  classes, named as :class:`~repro.core.serviced.frontend.SubmitOutcome`
+  names them.  **Tune** requests wait in a priority queue.  Priority
+  (smaller = sooner) combines two signals:
 
   - **SLO deficit** — tenants whose recent deployments *missed* their
     SLO jump the queue: the provider owes them tuning effort.
@@ -21,12 +23,22 @@ service layer turns them into scheduling policy:
     off anyway.
 
   Ties break by arrival order (FIFO), so the policy is deterministic
-  and starvation-free for equal-priority tenants.
+  and starvation-free for equal-priority tenants.  **Runs** requests
+  (production ingest batches) wait in arrival order: the tuning-SLO
+  deficit says what a tenant is owed in tuning, not in ingest.
+
+The two classes share the shard pool's one runner by a deficit round
+robin with an equal split: the next job comes from the class that has
+been served fewer measured runner seconds, so a tune waits behind at
+most its class's share of ingest, and ingest is never starved by a
+tune burst.  A class whose queue was empty re-enters no lower than the
+other class's count, so idle time banks no credit.
 
 The scheduler is shard-aware: sessions are pinned to a shard by
 workload fingerprint (see :mod:`repro.core.serviced.sharding`), and
-:meth:`SLOPriorityScheduler.pop_ready` pops the best-priority item
-whose shard is currently free, leaving pinned-but-blocked work queued.
+:meth:`SLOPriorityScheduler.pop_ready` pops the best item whose shard
+is currently free, trying the other class when none of the first
+class's items can run, and leaving pinned-but-blocked work queued.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from typing import Any
 
 from ..slo import SLOReport, TuningSLO
 
-__all__ = ["TenantBudget", "SLOPriorityScheduler"]
+__all__ = ["TenantBudget", "SLOPriorityScheduler", "TUNE", "RUNS"]
 
 
 @dataclass
@@ -101,50 +113,95 @@ def _priority(budget: TenantBudget | None) -> float:
     return -(2.0 * deficit + headroom)
 
 
+#: the request classes, as ``SubmitOutcome.kind`` names them
+TUNE = "tune"
+RUNS = "runs"
+
+
 class SLOPriorityScheduler:
-    """Shard-aware priority queue of pending sessions, owned by the loop."""
+    """Shard-aware two-class queue of pending requests, owned by the loop.
+
+    An item's class is its ``kind`` attribute; an item without one is a
+    tune.  Tunes are ordered by :func:`_priority`, then arrival; runs by
+    arrival.  :meth:`note_served` feeds back each job's runner seconds,
+    and :meth:`pop_ready` serves the class that has used fewer.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self._queues: dict[str, list[tuple[float, int, int, Any]]] = {
+            TUNE: [], RUNS: [],
+        }
+        #: measured runner seconds each class has been served
+        self._served = {TUNE: 0.0, RUNS: 0.0}
         self._seq = itertools.count()
         self.n_pushed = 0
         self.n_popped = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(queue) for queue in self._queues.values())
 
     def push(self, item: Any, shard: int,
              budget: TenantBudget | None = None) -> None:
-        """Queue ``item`` for ``shard`` at the tenant's current priority."""
-        entry = (_priority(budget), next(self._seq), shard, item)
-        heapq.heappush(self._heap, entry)
+        """Queue ``item`` for ``shard`` in its class: a tune at the
+        tenant's current priority, a runs batch in arrival order."""
+        kind = getattr(item, "kind", TUNE)
+        queue = self._queues[kind]
+        if not queue:
+            # Re-entering after idling: no credit for the idle time.
+            self._served[kind] = max(self._served[kind],
+                                     self._served[_other(kind)])
+        rank = _priority(budget) if kind == TUNE else 0.0
+        heapq.heappush(queue, (rank, next(self._seq), shard, item))
         self.n_pushed += 1
 
     def pop_ready(self, busy_shards: set[int] | frozenset[int] = frozenset(),
                   ) -> tuple[int, Any] | None:
-        """Best-priority ``(shard, item)`` whose shard is not busy.
+        """The next ``(shard, item)`` whose shard is not busy.
 
-        Items pinned to busy shards stay queued at their priority; if
-        every queued item is blocked (or the queue is empty), returns
-        ``None``.
+        Tries first the class served fewer runner seconds (tunes on a
+        tie), then the other.  Items pinned to busy shards stay queued
+        at their place; if every queued item is blocked (or the queue
+        is empty), returns ``None``.
         """
-        blocked: list[tuple[float, int, int, Any]] = []
-        found: tuple[int, Any] | None = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry[2] in busy_shards:
-                blocked.append(entry)
-                continue
-            found = (entry[2], entry[3])
-            self.n_popped += 1
-            break
-        for entry in blocked:
-            heapq.heappush(self._heap, entry)
-        return found
+        first = TUNE if self._served[TUNE] <= self._served[RUNS] else RUNS
+        for kind in (first, _other(first)):
+            found = _pop_free(self._queues[kind], busy_shards)
+            if found is not None:
+                self.n_popped += 1
+                return found
+        return None
+
+    def note_served(self, kind: str, seconds: float) -> None:
+        """Count ``seconds`` of runner time against ``kind``'s share."""
+        self._served[kind] += seconds
 
     def stats(self) -> dict:
         return {
-            "queued": len(self._heap),
+            "queued": len(self),
             "n_pushed": self.n_pushed,
             "n_popped": self.n_popped,
+            "served_s": dict(self._served),
         }
+
+
+def _other(kind: str) -> str:
+    return RUNS if kind == TUNE else TUNE
+
+
+def _pop_free(queue: list[tuple[float, int, int, Any]],
+              busy_shards: set[int] | frozenset[int],
+              ) -> tuple[int, Any] | None:
+    """Pop the first ``(shard, item)`` of ``queue`` whose shard is free,
+    pushing back the blocked entries passed on the way."""
+    blocked: list[tuple[float, int, int, Any]] = []
+    found: tuple[int, Any] | None = None
+    while queue:
+        entry = heapq.heappop(queue)
+        if entry[2] in busy_shards:
+            blocked.append(entry)
+            continue
+        found = (entry[2], entry[3])
+        break
+    for entry in blocked:
+        heapq.heappush(queue, entry)
+    return found

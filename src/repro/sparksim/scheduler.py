@@ -356,55 +356,98 @@ def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     return median, float(a + diff * g)
 
 
-def _schedule_rows(durations: np.ndarray, slots: int
+def _median_quantile_rows(x: np.ndarray, q: float, *kth: int
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise :func:`_median_quantile_1d` as ``(part, median, quantile)``.
+
+    One ``np.partition(axis=1)`` places the median's and the quantile's
+    kth positions, plus any extra ``kth`` the caller reads from
+    ``part``, with the 1-D kernel's lerp arithmetic on every row.
+    """
+    n = x.shape[1]
+    h = n // 2
+    vi = q * (n - 1)
+    at_end = vi >= n - 1
+    lo = n - 1 if at_end else math.floor(vi)
+    positions = {h, lo, min(lo + 1, n - 1), *kth}
+    if n % 2 == 0:
+        positions.add(h - 1)
+    part = np.partition(x, sorted(positions), axis=1)
+    if n % 2:
+        median = part[:, h]
+    else:
+        median = (part[:, h - 1] + part[:, h]) / 2.0
+    if at_end:
+        return part, median, part[:, n - 1]
+    g = vi - lo
+    a = part[:, lo]
+    b = part[:, lo + 1]
+    diff = b - a
+    return part, median, (b - diff * (1 - g) if g >= 0.5 else a + diff * g)
+
+
+def _schedule_rows(durations: np.ndarray, slots: int,
+                   speculation: tuple[float, float] | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                               np.ndarray]:
-    """Row-wise :func:`schedule_stage` without speculation, from the
-    sampled ``(rows, tasks)`` duration matrix.
+    """Row-wise :func:`_schedule_1d` from the sampled ``(rows, tasks)``
+    duration matrix.
 
     Returns per-row ``(makespan, mean, p50, p95, max)``, each equal bit
-    for bit to the scalar path's ``_list_schedule`` and ``TaskMetrics``
-    for that row:
+    for bit to :func:`_schedule_1d` on that row's stream:
 
+    * with ``speculation`` (the configuration's ``(multiplier,
+      quantile)``, applied from 4 tasks up as in the scalar path), each
+      row's straggler tail is clamped as :func:`_schedule_1d` clamps it.
+      The row medians and cutoffs come from one ``np.partition(axis=1)``
+      (:func:`_median_quantile_rows`), and the candidates above
+      ``max(threshold, cutoff)`` are clamped to ``threshold + median``.
+      A copy runs half the median of its clamped row.  Each row's copies
+      are appended as extra columns, padded with ``0.0`` to the longest
+      row's count: adding ``0.0`` to a slot leaves its time unchanged,
+      so each row's slot multiset evolves exactly as its own heap's;
     * the makespan is the heap's greedy multiset step run on every row
       at once — each later task adds its duration to its row's minimum
       slot (``argmin`` picks one of equal minima, and which one cannot
       change the multiset);
-    * the mean is a row sum, the same pairwise reduction a 1-D sum runs;
-    * median, p95 and max come from one ``np.partition(axis=1)`` with the
-      kth positions and lerp arithmetic of :func:`_median_quantile_1d`.
+    * the mean is a row sum of the (clamped) tasks, the same pairwise
+      reduction a 1-D sum runs;
+    * median, p95 and max come from one ``np.partition(axis=1)`` of the
+      (clamped) tasks, which also gives the copies their median.
     """
     m, n = durations.shape
-    if n <= slots:
-        makespan = durations.max(axis=1)
+    copies = 0
+    if speculation is not None and n >= 4:
+        multiplier, quantile = speculation
+        _, median, cutoff = _median_quantile_rows(durations, quantile)
+        threshold = median * max(1.01, multiplier)
+        candidates = durations > np.maximum(threshold, cutoff)[:, None]
+        counts = np.count_nonzero(candidates, axis=1)
+        copies = int(counts.max())
+        if copies:
+            durations = np.where(
+                candidates,
+                np.minimum(durations, (threshold + median)[:, None]),
+                durations,
+            )
+    part, p50, p95 = _median_quantile_rows(durations, 0.95, n - 1)
+    tasks = durations
+    if copies:
+        padded = np.arange(copies) < counts[:, None]
+        tasks = np.concatenate(
+            [durations, np.where(padded, (p50 * 0.5)[:, None], 0.0)], axis=1,
+        )
+    if tasks.shape[1] <= slots:
+        makespan = tasks.max(axis=1)
     else:
         # The first ``slots`` tasks each take an idle slot: 0.0 + d == d.
-        times = durations[:, :slots].copy()
+        times = tasks[:, :slots].copy()
         flat = times.reshape(-1)
         offsets = np.arange(0, m * slots, slots)
-        for column in durations[:, slots:].T.copy():
+        for column in tasks[:, slots:].T.copy():
             pos = times.argmin(axis=1)
             pos += offsets
             flat[pos] += column
         makespan = times.max(axis=1)
     mean = durations.sum(axis=1) / n
-    h = n // 2
-    vi = 0.95 * (n - 1)
-    lo = n - 1 if vi >= n - 1 else math.floor(vi)
-    kth = {h, n - 1, lo, min(lo + 1, n - 1)}
-    if n % 2 == 0:
-        kth.add(h - 1)
-    part = np.partition(durations, sorted(kth), axis=1)
-    if n % 2:
-        median = part[:, h]
-    else:
-        median = (part[:, h - 1] + part[:, h]) / 2.0
-    if vi >= n - 1:
-        p95 = part[:, n - 1]
-    else:
-        g = vi - lo
-        a = part[:, lo]
-        b = part[:, lo + 1]
-        diff = b - a
-        p95 = b - diff * (1 - g) if g >= 0.5 else a + diff * g
-    return makespan, mean, median, p95, part[:, n - 1]
+    return makespan, mean, p50, p95, part[:, n - 1]

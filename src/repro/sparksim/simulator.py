@@ -32,15 +32,16 @@ Three throughput layers sit on top of the single-run path:
   :mod:`repro.sparksim.rngpool`) and draws from it exactly what
   :meth:`SparkSimulator.run` draws, in the same order — stage by stage,
   then the run-level noise — so reordering *across* generators is
-  unobservable.  Candidates that share a stage's task count and slot
-  count (every run of an ingest batch does) are sampled and scheduled
-  as one ``(rows, tasks)`` matrix: one masked straggler multiply, the
+  unobservable.  Candidates that share a stage's task count, slot
+  count and speculation setting (every run of an ingest batch does)
+  are sampled and scheduled as one ``(rows, tasks)`` matrix: one masked
+  straggler multiply, each row's speculative clamp and copies, the
   greedy makespan as a vectorized argmin recurrence, and median / p95 /
   max from one ``np.partition(axis=1)``
-  (:func:`~repro.sparksim.scheduler._schedule_rows`).  Speculating
-  candidates and groups below ``_MIN_MATRIX_ROWS`` are scheduled one
-  row at a time (:func:`~repro.sparksim.scheduler._schedule_1d`, the
-  scalar scheduler's arithmetic on partition-kernel reductions).
+  (:func:`~repro.sparksim.scheduler._schedule_rows`).  Groups below
+  ``_MIN_MATRIX_ROWS`` are scheduled one row at a time
+  (:func:`~repro.sparksim.scheduler._schedule_1d`, the scalar
+  scheduler's arithmetic on partition-kernel reductions).
   Results come back as a
   :class:`~repro.sparksim.metrics.RunBatch`, which keeps the columns
   and builds an :class:`ExecutionResult` only when indexed.
@@ -105,12 +106,14 @@ _REJECT_S = 25.0
 #: failed task attempts before Spark aborts the stage and the application
 _MAX_ATTEMPTS = 4
 
-#: fewest candidates sharing a stage's (task count, slot count) that the
-#: batch path schedules as one matrix; smaller groups are scheduled one
-#: row at a time.  Measured on default-calibration noise (DESIGN.md,
-#: "Stage-major scheduling"): the matrix overtakes the per-row path at
-#: 2-4 rows for up to ~30 tasks on 2-8 slots, the shapes production
-#: ingest sends, and at ~8 rows for 128 tasks on 16 slots.
+#: fewest candidates sharing a stage's (task count, slot count,
+#: speculation) that the batch path schedules as one matrix; smaller
+#: groups are scheduled one row at a time.  Measured on
+#: default-calibration noise (DESIGN.md, "Stage-major scheduling"): the
+#: matrix overtakes the per-row path at 2-4 rows for up to ~30 tasks on
+#: 2-8 slots, the shapes production ingest sends, and at ~8 rows for 128
+#: tasks on 16 slots; speculating groups cross over at about the same
+#: sizes.
 _MIN_MATRIX_ROWS = 4
 
 #: one-column cost programs kept across ``run_batch`` calls (LRU).  An
@@ -531,8 +534,10 @@ class SparkSimulator:
         run-level noise), so only the interleaving across generators
         changes, and results stay bit-identical to
         :meth:`_run_compiled`.  Within a stage, candidates that share a
-        task count and slot count, and do not speculate, are scheduled
-        as one ``(rows, tasks)`` matrix once there are
+        task count, a slot count and a speculation setting (the
+        configuration's ``(multiplier, quantile)`` when it speculates,
+        the stage has at least 4 tasks and noise is on, else ``None``)
+        are scheduled as one ``(rows, tasks)`` matrix once there are
         ``_MIN_MATRIX_ROWS`` of them; the rest are scheduled one row at
         a time (:func:`~repro.sparksim.scheduler._schedule_1d`).
         Runtimes accumulate as a column, each row receiving the scalar
@@ -574,10 +579,10 @@ class SparkSimulator:
         out = np.zeros((5, n_rows, s_count))
         fail_l = fail_stage.tolist()
         slots_l = slots.tolist()
-        spec_l = b.speculation.tolist()
         # (multiplier, quantile) of each speculating column, else None
         spec_of = [(m, q) if on else None for on, m, q in zip(
-            spec_l, b.spec_multiplier.tolist(), b.spec_quantile.tolist())]
+            b.speculation.tolist(), b.spec_multiplier.tolist(),
+            b.spec_quantile.tolist())]
         ntasks_ll = cost.num_tasks.tolist()
         total_ll = cost.total_s.tolist()
         driver_ll = cost.driver_s.tolist()
@@ -591,21 +596,23 @@ class SparkSimulator:
                              else rows_of_cols(live))
                 for _ in range(submits):
                     runtime[live_rows] += job_submit_s
-            groups: dict[tuple[int, int], list[int]] = {}
+            # (task count, slot count, speculation) -> columns
+            groups: dict[tuple[int, int, tuple[float, float] | None],
+                         list[int]] = {}
             single: list[int] = []
             for u in live:
+                n_tasks = ntasks_ll[s][u]
                 if fail_l[u] == s:
                     # Retries then application abort — the scalar early
                     # exit's arithmetic, from the cost columns.
                     wasted = total_ll[s][u] * _MAX_ATTEMPTS + driver_ll[s][u]
                     runtime[rows_of[u]] += wasted
                     out[0, rows_of[u], s] = wasted
-                elif spec_l[u] and noise and ntasks_ll[s][u] >= 4:
-                    single.append(u)
                 else:
-                    groups.setdefault((ntasks_ll[s][u], slots_l[u]),
+                    spec = spec_of[u] if noise and n_tasks >= 4 else None
+                    groups.setdefault((n_tasks, slots_l[u], spec),
                                       []).append(u)
-            for (n_tasks, n_slots), cols in groups.items():
+            for (n_tasks, n_slots, spec), cols in groups.items():
                 rows = rows_of_cols(cols)
                 if len(rows) < _MIN_MATRIX_ROWS:
                     single.extend(cols)
@@ -618,7 +625,7 @@ class SparkSimulator:
                                           calib)
                     if noise else np.repeat(base[:, None], n_tasks, axis=1)
                 )
-                makespan, *task = _schedule_rows(durations, n_slots)
+                makespan, *task = _schedule_rows(durations, n_slots, spec)
                 elapsed = makespan + cost.driver_s[s, row_cols]
                 runtime[rows] += elapsed
                 out[:, rows, s] = (elapsed, *task)

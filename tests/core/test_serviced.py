@@ -3,6 +3,8 @@
 import asyncio
 import threading
 import time
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from repro.core.serviced import (
     ServiceFrontEnd,
     ShardPool,
     SLOPriorityScheduler,
+    SubmitOutcome,
     TenantBudget,
     TuneRequest,
     shard_index,
     workload_fingerprint,
 )
+from repro.core.serviced import loadgen
 from repro.core.serviced.loadgen import LoadScenario, run_load
 from repro.core.slo import evaluate_slo
 from repro.tuning.random_search import RandomSearchTuner
@@ -86,6 +90,18 @@ class TestTenantBudget:
         assert budget.attainment == pytest.approx(0.5)
 
 
+#: the scheduler's request classes, as ``SubmitOutcome.kind`` names them
+TUNE, RUNS = "tune", "runs"
+
+
+@dataclass(frozen=True)
+class _Queued:
+    """A queued stand-in for the front end's entry: a name and a class."""
+
+    name: str
+    kind: str
+
+
 class TestScheduler:
     def test_slo_deficit_jumps_the_queue(self):
         sched = SLOPriorityScheduler()
@@ -124,6 +140,81 @@ class TestScheduler:
         # shard 1 frees up: the urgent item is still there, at priority
         assert sched.pop_ready() == (1, "pinned-urgent")
         assert sched.pop_ready() is None
+
+    def test_tune_runs_before_a_missed_slo_tenants_ingest(self):
+        sched = SLOPriorityScheduler()
+        missed = TenantBudget("missed")
+        missed.slo_missed = 5
+        sched.push(_Queued("ingest", RUNS), shard=0, budget=missed)
+        sched.push(_Queued("tune", TUNE), shard=0, budget=TenantBudget("new"))
+        assert sched.pop_ready()[1].name == "tune"
+        assert sched.pop_ready()[1].name == "ingest"
+
+    def test_ingest_batches_pop_fifo_whatever_the_deficit(self):
+        sched = SLOPriorityScheduler()
+        happy, missed = TenantBudget("happy"), TenantBudget("missed")
+        missed.slo_missed = 5
+        sched.push(_Queued("first", RUNS), shard=0, budget=happy)
+        sched.push(_Queued("second", RUNS), shard=0, budget=missed)
+        sched.push(_Queued("third", RUNS), shard=0, budget=happy)
+        assert [sched.pop_ready()[1].name for _ in range(3)] == \
+            ["first", "second", "third"]
+
+    def test_backlogged_classes_alternate_by_served_seconds(self):
+        sched = SLOPriorityScheduler()
+        for i in range(3):
+            sched.push(_Queued(f"tune-{i}", TUNE), shard=0)
+            sched.push(_Queued(f"runs-{i}", RUNS), shard=0)
+        served = {"tune-0": 1.0, "tune-1": 1.0, "tune-2": 1.0,
+                  "runs-0": 0.5, "runs-1": 0.5, "runs-2": 0.5}
+        order = []
+        while (popped := sched.pop_ready()) is not None:
+            item = popped[1]
+            order.append(item.name)
+            sched.note_served(item.kind, served[item.name])
+        # a 1 s tune buys two 0.5 s ingest batches; ties go to tunes
+        assert order == ["tune-0", "runs-0", "runs-1", "tune-1", "runs-2",
+                         "tune-2"]
+        assert sched.stats()["served_s"] == {TUNE: 3.0, RUNS: 1.5}
+
+    def test_a_class_reentering_after_idling_banks_no_credit(self):
+        sched = SLOPriorityScheduler()
+        for name in ("runs-0", "runs-1", "runs-2"):
+            sched.push(_Queued(name, RUNS), shard=0)
+        # no tunes queued: ingest runs, 5 s per batch
+        for name in ("runs-0", "runs-1"):
+            assert sched.pop_ready()[1].name == name
+            sched.note_served(RUNS, 5.0)
+        # tunes re-enter at the ingest class's 10 s, not at their idle 0 s
+        sched.push(_Queued("tune-0", TUNE), shard=0)
+        sched.push(_Queued("tune-1", TUNE), shard=0)
+        assert sched.stats()["served_s"] == {TUNE: 10.0, RUNS: 10.0}
+        assert sched.pop_ready()[1].name == "tune-0"
+        sched.note_served(TUNE, 1.0)
+        # with 10 s of idle credit, tune-1 would run next
+        assert sched.pop_ready()[1].name == "runs-2"
+        assert sched.pop_ready()[1].name == "tune-1"
+
+    def test_busy_shards_are_skipped_not_dropped_across_classes(self):
+        sched = SLOPriorityScheduler()
+        sched.push(_Queued("tune", TUNE), shard=1)
+        sched.push(_Queued("runs-0", RUNS), shard=2)
+        # the tunes' turn, but shard 1 is busy: ingest on shard 2 runs
+        popped = sched.pop_ready({1})
+        assert (popped[0], popped[1].name) == (2, "runs-0")
+        sched.note_served(RUNS, 1.0)
+        sched.push(_Queued("runs-1", RUNS), shard=2)
+        sched.push(_Queued("runs-2", RUNS), shard=1)
+        # shard 1 frees and shard 2 is busy: the tune is still queued
+        popped = sched.pop_ready({2})
+        assert (popped[0], popped[1].name) == (1, "tune")
+        sched.note_served(TUNE, 0.5)
+        # tunes are empty; ingest keeps its order across the busy shard
+        popped = sched.pop_ready({1})
+        assert (popped[0], popped[1].name) == (2, "runs-1")
+        popped = sched.pop_ready()
+        assert (popped[0], popped[1].name) == (1, "runs-2")
+        assert sched.pop_ready() is None and len(sched) == 0
 
 
 class TestFingerprints:
@@ -308,6 +399,9 @@ class TestFrontEnd:
         assert len(store) == 4 + 7
         assert sum(ledger.production_runs for ledger in ledgers) == 7
         assert outcome.deployment.tuning_evaluations == 4
+        # each job's runner seconds reached its class, budget or not
+        served = frontend.scheduler.stats()["served_s"]
+        assert served[TUNE] > 0 and served[RUNS] > 0
 
     def test_same_fingerprint_tenants_share_a_shard_and_its_cache(self):
         frontend, pool, store, _ = _stack(n_shards=2)
@@ -396,6 +490,36 @@ class TestLoadGenerator:
         metrics = report.to_metrics()
         assert metrics["runs_submitted"] == 40.0
         assert all(isinstance(v, float) for v in metrics.values())
+
+    def test_tune_latency_counts_rejected_attempts(self):
+        """A tune admitted on its third attempt is timed from its first:
+        the rejected attempts and their backoff are latency too."""
+        scenario = LoadScenario(n_tenants=1, runs_per_tenant=2,
+                                ingest_batches=1, retry_backoff_s=0.05)
+        deployment = SimpleNamespace(slo_report=None)
+        attempts = []
+
+        class FrontEnd:
+            async def submit(self, request):
+                if isinstance(request, RunBatchRequest):
+                    return SubmitOutcome(request.tenant, "runs", True,
+                                         runs_submitted=request.n_runs)
+                attempts.append(request)
+                if len(attempts) < 3:
+                    return SubmitOutcome(request.tenant, "tune", False,
+                                         reason=REJECT_QUEUE_FULL)
+                return SubmitOutcome(request.tenant, "tune", True,
+                                     deployment=deployment, latency_s=1e-6)
+
+        totals = {"deployed": 0, "denied": 0, "runs": 0, "slo_attained": 0,
+                  "slo_missed": 0, "tune_latencies": [],
+                  "final_rejections": {}}
+        asyncio.run(loadgen._tenant(FrontEnd(), scenario, 0, Wordcount(),
+                                    totals))
+        assert len(attempts) == 3 and totals["runs"] == 2
+        # backoff ramps: 0.05 s after the first reject, 0.10 s after the
+        # second
+        assert totals["tune_latencies"][0] >= 0.15
 
     def test_budget_cap_denies_spendy_tenants(self):
         scenario = LoadScenario(

@@ -160,22 +160,26 @@ def test_one_config_many_seeds_matches_scalar_loop(w_idx, shape, n, seed,
 
 def test_ingest_batches_take_the_matrix_path(monkeypatch):
     """The cases above really exercise the matrix scheduler: a
-    same-config batch schedules each stage as one matrix."""
+    same-config batch schedules each stage as one matrix, speculating
+    deployments' batches included."""
     calls = []
     schedule_rows = simulator_module._schedule_rows
 
-    def counting(durations, slots):
-        calls.append(durations.shape)
-        return schedule_rows(durations, slots)
+    def counting(durations, slots, speculation=None):
+        calls.append((durations.shape, speculation))
+        return schedule_rows(durations, slots, speculation)
 
     monkeypatch.setattr(simulator_module, "_schedule_rows", counting)
     n = 64
-    configs, envs, seeds = _ingest_batch("defaults", n, 11, True)
     sim = SparkSimulator()
-    batch = _assert_batch_identity(sim, KMeans(), 512.0, configs, envs,
-                                   seeds)
-    assert len(calls) == batch[0].num_stages
-    assert all(rows == n for rows, _ in calls)
+    for shape, speculating in (("defaults", False), ("speculation", True)):
+        calls.clear()
+        configs, envs, seeds = _ingest_batch(shape, n, 11, True)
+        batch = _assert_batch_identity(sim, KMeans(), 512.0, configs, envs,
+                                       seeds)
+        assert len(calls) == batch[0].num_stages
+        assert all(rows == n for (rows, _), _ in calls)
+        assert all((spec is not None) == speculating for _, spec in calls)
     oom_configs, _, _ = _ingest_batch("oom", n, 11, False)
     failed = sim.run_batch(Sort(), 1024.0, CLUSTER, oom_configs, seeds=seeds)
     assert not any(failed.successes)

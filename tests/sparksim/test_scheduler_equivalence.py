@@ -11,7 +11,7 @@ optimisations, not approximations.
 import struct
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sparksim.costmodel import Calibration
@@ -23,6 +23,7 @@ from repro.sparksim.scheduler import (
     _median_quantile_1d,
     _sample_duration_rows,
     _sample_durations,
+    _schedule_1d,
     _schedule_rows,
 )
 
@@ -102,15 +103,30 @@ def test_partition_kernels_match_numpy_bitwise(values, q):
     assert x.tolist() == values          # the input is left unpartitioned
 
 
+#: a speculating configuration's ``(multiplier, quantile)``, or None
+speculation = st.one_of(
+    st.none(),
+    st.tuples(st.floats(min_value=1.1, max_value=5.0),
+              st.floats(min_value=0.5, max_value=0.95)),
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=1, max_value=24),
     st.integers(min_value=1, max_value=120),
     st.sampled_from((1, 2, 3, 8, 47, 48, 64)),
+    speculation,
     st.integers(min_value=0, max_value=2**31 - 1),
 )
+# every row's tasks plus copies fit in the slots
+@example(rows=8, n_tasks=40, slots=64, speculation=(1.1, 0.5), seed=3)
+# some rows' tasks plus copies fit in the slots, the others overflow
+@example(rows=8, n_tasks=57, slots=64, speculation=(1.1, 0.5), seed=1)
+# only stragglers are candidates: some rows get copies, some none
+@example(rows=12, n_tasks=30, slots=3, speculation=(2.0, 0.75), seed=7)
 def test_row_kernels_match_the_scalar_path_row_by_row(rows, n_tasks, slots,
-                                                      seed):
+                                                      speculation, seed):
     calib = Calibration()
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.01, 5.0, rows)
@@ -124,9 +140,10 @@ def test_row_kernels_match_the_scalar_path_row_by_row(rows, n_tasks, slots,
     # every stream is left exactly where the scalar draws leave it
     assert [g.random() for g in batch_rngs] == \
         [g.random() for g in scalar_rngs]
-    makespan, mean, p50, p95, max_s = _schedule_rows(durations, slots)
-    for i, d in enumerate(expected):
-        assert makespan[i] == _list_schedule(d, slots)
-        assert mean[i] == float(d.sum() / d.size)
-        assert (p50[i], p95[i]) == _median_quantile_1d(d, 0.95)
-        assert max_s[i] == float(d.max())
+    scheduled = np.array(_schedule_rows(durations, slots, speculation)).T
+    for i, (b, s) in enumerate(zip(base.tolist(), seeds)):
+        # _schedule_1d draws the same stream, then clamps and schedules
+        # the one row: (makespan, mean, p50, p95, max)
+        one = _schedule_1d(n_tasks, b, slots, speculation,
+                           np.random.default_rng(s), calib, True)
+        assert tuple(scheduled[i].tolist()) == one
