@@ -17,10 +17,12 @@ Quickstart::
     print(deployment.cluster.describe(), deployment.expected_runtime_s)
 
 The top-level re-exports resolve lazily (PEP 562): importing ``repro``
-does not pull in numpy/scipy, so tools that only need a submodule — the
-``python -m repro.staticcheck`` warm path most of all — start in
-milliseconds.  ``from repro import TuningService`` still works exactly
-as before; the simulator stack loads on first attribute access.
+imports none of its subpackages, so a tool that needs one loads only
+what that one imports.  ``python -m repro.staticcheck`` imports the
+config spaces, clusters and workloads its domain rules validate, but
+not the service, the tuners or scipy.  ``from repro import
+TuningService`` still works exactly as before; the service stack loads
+on first attribute access.
 """
 
 from __future__ import annotations

@@ -37,7 +37,12 @@ from ..config.space import Configuration
 from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
-from .cache import CacheStats, EvaluationCache, config_fingerprint
+from .cache import (
+    CacheStats,
+    EvaluationCache,
+    config_fingerprint,
+    jobs_fingerprint,
+)
 from .executors import SerialExecutor
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]
@@ -55,13 +60,15 @@ class EvalRequest:
     seed: int = 0
 
     def cache_key(self) -> tuple:
+        # env last: _note_env_distinct keys on everything before it
         return (
             getattr(self.workload, "name", repr(self.workload)),
+            jobs_fingerprint(self.workload, self.input_mb),
             float(self.input_mb),
             self.cluster,
             config_fingerprint(self.config),
-            self.env,
             int(self.seed),
+            self.env,
         )
 
 
@@ -192,7 +199,7 @@ class EvaluationEngine:
         evicted from the LRU and re-missed counts too — rare at default
         capacity, and still a genuine re-simulation.)
         """
-        env_free = key[:4] + (key[5],)      # identity minus the env slot
+        env_free = key[:-1]                 # identity minus the env slot
         if env_free in self._env_free_keys:
             self.n_env_distinct_misses += 1
         elif len(self._env_free_keys) < 65536:   # bounded diagnostic index

@@ -176,7 +176,9 @@ class GeneratorPool:
             return [np.random.default_rng(seed) for seed in seeds]
         n = len(seeds)
         while len(self._gens) < n:
-            bit_rng = np.random.PCG64(0)  # staticcheck: ignore[RF001] -- placeholder state only: overwritten via the state setter below before any draw
+            # placeholder state only: overwritten via the state setter
+            # below before any draw
+            bit_rng = np.random.PCG64(0)
             self._bit_gens.append(bit_rng)
             self._gens.append(np.random.Generator(bit_rng))
         cols = [w.tolist() for w in _seed_words_vec(seeds)]

@@ -6,7 +6,7 @@ faults, complete cache keys, slotted hot-path classes)
 are enforced here statically, at PR time, instead of discovered through
 flaky property-test failures.
 
-Three rule families:
+Two rule families:
 
 * **AST rules** (``RS001``-``RS006``, :mod:`repro.staticcheck.rules`)
   lint source files for unseeded randomness, wall-clock reads in hot
@@ -17,12 +17,11 @@ Three rule families:
   constraints, and workload registry and checks them for structural
   sanity — defaults inside bounds, round-tripping encodings, anchored
   constraints, feasible grid corners, log-scale consistency.
-* **Flow rules** (``RF001``, ``RF002``, ``RF005``,
-  :mod:`repro.staticcheck.flow`) walk the project-wide call graph
-  (:mod:`repro.staticcheck.graph`) and enforce the invariants
-  interprocedurally: seed provenance, cache-key purity closure, and
-  scalar/batch leaf-set agreement — each finding carries its call
-  chain.  Enable with ``--flow``.
+
+Interprocedural properties (seed provenance, cache-key purity, the
+scalar/batch identity) are left to the behavioural suites, which catch
+every defect a call-graph pass caught in a mutation audit (DESIGN.md,
+"The flow pass's mutation audit").
 
 Every family's metadata lives in one declarative table
 (:mod:`repro.staticcheck.registry`), which serves ``--list-rules`` and
@@ -40,26 +39,12 @@ from .domain import (
     validate_space,
     validate_workloads,
 )
-from .flow import (
-    ALL_FLOW_RULES,
-    FlowReport,
-    flow_rule_catalogue,
-    get_flow_rules,
-    lint_flow,
-    run_flow_rules,
-)
-from .graph import CallGraph, build_call_graph
 from .model import Finding, LintResult, Severity
 from .registry import RuleEntry, partition_rule_ids, rule_registry
 from .rules import ALL_RULES, get_rules, rule_catalogue
 from .runner import iter_python_files, lint_paths, lint_source
-from .waivers import WAIVERS, Waiver, expected_by_rule, reason_for
 
 __all__ = [
-    "WAIVERS",
-    "Waiver",
-    "expected_by_rule",
-    "reason_for",
     "RuleEntry",
     "partition_rule_ids",
     "rule_registry",
@@ -69,14 +54,6 @@ __all__ = [
     "ALL_RULES",
     "get_rules",
     "rule_catalogue",
-    "ALL_FLOW_RULES",
-    "FlowReport",
-    "flow_rule_catalogue",
-    "get_flow_rules",
-    "lint_flow",
-    "run_flow_rules",
-    "CallGraph",
-    "build_call_graph",
     "iter_python_files",
     "lint_paths",
     "lint_source",

@@ -3,17 +3,15 @@
 Usage::
 
     python -m repro.staticcheck                  # lint src/repro + domain
-    python -m repro.staticcheck --flow           # + RF001, RF002, RF005
     python -m repro.staticcheck src/repro        # explicit paths
     python -m repro.staticcheck --format json path/to/file.py
     python -m repro.staticcheck --list-rules
-    python -m repro.staticcheck --rules RS001,RF002 src/repro
+    python -m repro.staticcheck --rules RS001,RD004 src/repro
     python -m repro.staticcheck --no-domain tests/staticcheck/fixtures
 
 Rule ids come from one registry (:mod:`repro.staticcheck.registry`):
-``RS`` per-file, ``RD`` domain, ``RF`` flow.  Naming an ``RF`` id under
-``--rules`` implicitly enables the flow pass; naming ``RD`` ids narrows
-the domain report to them.
+``RS`` per-file, ``RD`` domain.  Naming ``RD`` ids under ``--rules``
+narrows the domain report to them; an id no family defines exits 2.
 
 Exit codes: 0 clean, 1 findings, 2 usage / IO error.
 """
@@ -24,7 +22,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .flow import get_flow_rules, lint_flow
 from .model import Finding
 from .registry import FAMILY_SCOPES, partition_rule_ids, rule_registry
 from .reporter import render_json, render_text
@@ -39,10 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.staticcheck",
         description=(
             "AST invariant linter + config-space validator for the repro "
-            "package: determinism, cache-key purity, and domain sanity. "
-            "--flow adds the interprocedural pass (seed provenance, "
-            "cache-purity closure, scalar/batch divergence) with "
-            "call-chain traces."
+            "package: determinism, cache-key purity, and domain sanity."
         ),
     )
     parser.add_argument(
@@ -55,14 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rules", metavar="IDS",
-        help=(
-            "comma-separated rule IDs to run (default: all); RF ids "
-            "implicitly enable the flow pass"
-        ),
-    )
-    parser.add_argument(
-        "--flow", action="store_true",
-        help="also run the interprocedural RF rules over the call graph",
+        help="comma-separated rule IDs to run (default: all)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -108,28 +95,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.rules:
             by_family = partition_rule_ids(args.rules)
             per_file_ids = by_family.get("per-file", [])
-            flow_ids = by_family.get("flow", [])
             domain_ids = by_family.get("domain", [])
             rules = get_rules(per_file_ids) if per_file_ids else []
-            flow_rules = (get_flow_rules(flow_ids) if flow_ids
-                          else (get_flow_rules() if args.flow else None))
         else:
             rules = get_rules()
-            flow_rules = get_flow_rules() if args.flow else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     paths = args.paths or _default_paths()
-    stats: dict[str, object] | None = None
     try:
         result = lint_paths(paths, rules=rules,
                             respect_scopes=not args.ignore_scopes)
-        if flow_rules is not None:
-            report = lint_flow(paths, rules=flow_rules)
-            report.result.n_files = 0        # files already counted above
-            result.extend(report.result)
-            stats = report.stats
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -144,9 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     result.findings.sort(key=Finding.sort_key)
     result.suppressed.sort(key=Finding.sort_key)
     if args.format == "json":
-        print(render_json(result, stats=stats))
+        print(render_json(result))
     else:
-        print(render_text(result, stats=stats))
+        print(render_text(result))
     return 0 if result.clean else 1
 
 

@@ -41,13 +41,7 @@ class Severity(Enum):
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location.
-
-    Interprocedural rules (the ``RF`` family) attach a ``chain``: the
-    call edges from the analysis entry point down to the function the
-    finding sits in, each rendered as ``"path:line caller -> callee"``.
-    Per-file rules leave it empty.
-    """
+    """One rule violation at one source location."""
 
     path: str
     line: int
@@ -55,17 +49,12 @@ class Finding:
     rule_id: str
     message: str
     severity: Severity = Severity.ERROR
-    chain: tuple[str, ...] = ()
 
     def format(self) -> str:
-        head = (
+        return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} [{self.severity.value}] {self.message}"
         )
-        if not self.chain:
-            return head
-        via = "\n".join(f"    via {hop}" for hop in self.chain)
-        return f"{head}\n{via}"
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -75,7 +64,6 @@ class Finding:
             "rule": self.rule_id,
             "severity": self.severity.value,
             "message": self.message,
-            "chain": list(self.chain),
         }
 
     def sort_key(self) -> tuple:

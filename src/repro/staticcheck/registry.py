@@ -1,10 +1,10 @@
 """One declarative table of every rule the linter serves.
 
 The rule families grew hand-rolled catalogues (per-file ``RS``, domain
-``RD``, flow ``RF``), each with its own id partitioning in the CLI.  This module folds them into a single registry
-so ``--list-rules`` and ``--rules`` have exactly one source of truth:
-a rule id is valid iff it has a :class:`RuleEntry`, and its ``family``
-says which pass runs it.
+``RD``), each with its own id partitioning in the CLI.  This module
+folds them into a single registry so ``--list-rules`` and ``--rules``
+have exactly one source of truth: a rule id is valid iff it has a
+:class:`RuleEntry`, and its ``family`` says which pass runs it.
 
 The domain validator has no rule classes (findings come straight out of
 ``validate_*`` helpers), so its metadata rows are declared here — the
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .flow import flow_rule_catalogue
 from .rules import rule_catalogue
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
 FAMILY_SCOPES = {
     "per-file": None,                        # per-rule path scopes apply
     "domain": "imported domain objects (config spaces, workloads)",
-    "flow": "interprocedural (call graph)",
 }
 
 
@@ -106,12 +104,6 @@ def rule_registry() -> list[RuleEntry]:
             scope=tuple(row["scope"]) if row["scope"] else None,
         ))
     entries.extend(_DOMAIN_ROWS)
-    for row in flow_rule_catalogue():
-        entries.append(RuleEntry(
-            rule_id=row["rule"], family="flow",
-            severity=row["severity"], summary=row["summary"],
-            rationale=row["rationale"],
-        ))
     return entries
 
 

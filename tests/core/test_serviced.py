@@ -241,6 +241,23 @@ class TestFingerprints:
         for n in (1, 2, 7):
             assert 0 <= shard_index(fp, n) < n
 
+    def test_fingerprints_and_shards_match_known_answers(self):
+        """Routing must agree across processes and runs, not only within
+        one: a digest that folds in process state (a first-seen index, a
+        salted ``hash``) passes every same-process comparison above."""
+        wc, pr = Wordcount(), PageRank()
+        sig = np.array([1.03, 2.04, 0.51])
+        cases = [
+            (workload_fingerprint(wc, 1000), "c0234f5cdbecd371", [1, 1, 2]),
+            (workload_fingerprint(pr, 12000), "777443447ca08800", [0, 0, 5]),
+            (workload_fingerprint(wc, 100), "2bc2afd47933818c", [0, 0, 0]),
+            (workload_fingerprint(wc, 1, signature=sig), "902d69245780de83",
+             [1, 3, 6]),
+        ]
+        for fingerprint, expected, shards in cases:
+            assert fingerprint == expected
+            assert [shard_index(fingerprint, n) for n in (2, 4, 7)] == shards
+
 
 class TestShardPoolRunner:
     """One runner thread executes every shard's jobs, in submission order.

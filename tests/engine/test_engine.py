@@ -14,8 +14,9 @@ from repro.engine import (
     SerialExecutor,
     config_fingerprint,
 )
+from repro.sparksim import SparkSimulator
 from repro.tuning import RandomSearchTuner, run_tuner, run_tuner_batched
-from repro.workloads import Sort
+from repro.workloads import PageRank, Sort
 
 CLUSTER = Cluster.of("m5.2xlarge", 6)
 SPACE = spark_core_space()
@@ -41,6 +42,15 @@ class TestFingerprintAndCache:
         assert config_fingerprint(a) != config_fingerprint(
             {**a, "spark.executor.cores": 5}
         )
+
+    def test_fingerprint_matches_known_answers(self):
+        """The digest keys caches and seeds candidates, so it must agree
+        across processes, not only within one."""
+        assert config_fingerprint(SPACE.default_configuration()) == \
+               "b6b8b83ac0bced44e6fb8aab2dad729a"
+        assert config_fingerprint(
+            {"spark.executor.cores": 4, "spark.executor.memory_mb": 8192}
+        ) == "4266e7d7e95e12dbfb56489b1452f971"
 
     def test_lru_eviction_and_counters(self):
         cache = EvaluationCache(capacity=2)
@@ -224,6 +234,55 @@ class TestEnvDistinctMisses:
         engine.evaluate(base)
         assert engine.counters()["n_env_distinct_misses"] == 1
         assert engine.counters()["hits"] == 1
+
+
+class TestSameNamedWorkloads:
+    """Two workloads that share a name but not a job list are distinct
+    runs: the engine keys them apart, as the simulator's plan cache
+    does."""
+
+    def _pair(self):
+        base, heavy = PageRank(), PageRank(cpu_scale=3.0)
+        assert base.name == heavy.name
+        config = SPACE.default_configuration()
+        return [EvalRequest(workload=w, input_mb=4096.0, cluster=CLUSTER,
+                            config=config, seed=5) for w in (base, heavy)]
+
+    def _direct(self, request):
+        return SparkSimulator().run(
+            request.workload, request.input_mb, request.cluster,
+            request.config, seed=request.seed,
+        ).runtime_s
+
+    def test_second_workload_is_not_answered_from_the_first(self):
+        engine = EvaluationEngine()
+        first, second = (engine.evaluate(r) for r in self._pair())
+        assert not second.cached
+        assert second.result.runtime_s == self._direct(second.request)
+        assert second.result.runtime_s != first.result.runtime_s
+        assert engine.counters()["misses"] == 2
+
+    def test_one_batch_does_not_dedup_them(self):
+        requests = self._pair()
+        records = EvaluationEngine().evaluate_batch(requests)
+        assert [r.cached for r in records] == [False, False]
+        assert [r.result.runtime_s for r in records] == \
+               [self._direct(r) for r in requests]
+
+    def test_job_digest_is_built_once_per_workload_and_size(self, monkeypatch):
+        """Keying builds ``jobs()`` once per (workload object, input
+        size); it reads nothing from the simulator's plan cache."""
+        workload = Sort()
+        calls = []
+        original = workload.jobs
+        monkeypatch.setattr(workload, "jobs",
+                            lambda mb: calls.append(mb) or original(mb))
+        for input_mb in (4096.0, 4096, 8192.0, 4096.0):
+            request = EvalRequest(workload=workload, input_mb=input_mb,
+                                  cluster=CLUSTER, config=_configs(1)[0])
+            for _ in range(3):
+                request.cache_key()
+        assert calls == [4096.0, 8192.0]
 
 
 class CountingExecutor(SerialExecutor):

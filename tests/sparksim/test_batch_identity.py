@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sparksim.costmodel as costmodel
 import repro.sparksim.simulator as simulator_module
 from repro.cloud import Cluster
 from repro.cloud.interference import NOISY, QUIET, TYPICAL, InterferenceModel
@@ -245,6 +246,23 @@ def test_noise_off_batch_identity():
     sim = SparkSimulator(noise=False)
     _assert_batch_identity(sim, Sort(), 1024.0, configs,
                            [QUIET] * 5, [0] * 5)
+
+
+def test_both_paths_read_the_one_gc_leaf(monkeypatch):
+    """GC overhead is ``costmodel.gc_fraction``, which the scalar and the
+    batch cost paths both call; the cost-model ablation bench flattens
+    GC by patching that one name.  A path that inlines the curve keeps
+    identity on unpatched runs, so patch it: both paths must move, and
+    stay identical."""
+    rng = np.random.default_rng(8)
+    configs = _candidates(rng, 6, include_failures=False)
+    envs, seeds = [QUIET] * 6, list(range(6))
+    before = _assert_batch_identity(SparkSimulator(noise=False), Sort(),
+                                    1024.0, configs, envs, seeds)
+    monkeypatch.setattr(costmodel, "gc_fraction", lambda occupancy: 0.3)
+    after = _assert_batch_identity(SparkSimulator(noise=False), Sort(),
+                                   1024.0, configs, envs, seeds)
+    assert [r.runtime_s for r in after] != [r.runtime_s for r in before]
 
 
 def test_large_batch_identity():

@@ -85,25 +85,31 @@ def test_list_rules(capsys):
 
 
 def test_list_rules_covers_every_family(capsys):
-    """The unified registry serves all three catalogues in one listing."""
+    """The unified registry serves both catalogues in one listing."""
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RS001", "RD001", "RD007", "RF001", "RF005"):
+    for rule_id in ("RS001", "RS006", "RD001", "RD007"):
         assert rule_id in out, rule_id
-    assert "interprocedural (call graph)" in out
+    assert "imported domain objects" in out
+    assert "RF0" not in out
 
 
 def test_mixed_family_rule_spec(capsys):
-    """One --rules spec can name ids from several families at once."""
-    code = main(["--no-domain", "--rules", "RS001,RF001",
-                 str(FIXTURES / "rf001_pkg")])
+    """One --rules spec can name ids from several families at once: the
+    RS id selects the per-file rule, the RD id narrows the domain report."""
+    code = main(["--format", "json", "--rules", "RS001,RD004",
+                 str(FIXTURES / "rs001_unseeded_rng.py")])
     assert code == 1
-    out = capsys.readouterr().out
-    assert "RF001" in out
+    payload = json.loads(capsys.readouterr().out)
+    assert {f["rule"] for f in payload["findings"]} == {"RS001"}
+    assert main(["--rules", "RS002,RD004",
+                 str(FIXTURES / "rs001_unseeded_rng.py")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("rule_id", ["RC999", "RA001", "RF004", "RC001",
-                                     "RC002", "RC003", "RC005"])
+                                     "RC002", "RC003", "RC005", "RF001",
+                                     "RF002", "RF005"])
 def test_unknown_family_rule_exits_two(capsys, rule_id):
     """An id no family defines — a typo, or a rule that was deleted —
     is a usage error, never a silently empty pass."""

@@ -9,11 +9,8 @@ import tokenize
 from pathlib import Path
 
 from repro.staticcheck import (
-    expected_by_rule,
     iter_python_files,
-    lint_flow,
     lint_paths,
-    reason_for,
     rule_registry,
     validate_default_domain,
 )
@@ -28,35 +25,15 @@ def test_package_source_is_present():
 
 
 def test_repo_lints_clean():
+    """No finding, and no suppressed finding either: a new
+    ``# staticcheck: ignore`` under ``src/repro`` must come with an edit
+    to this test, so every waiver is reviewed where it lands."""
     result = lint_paths([PACKAGE])
     assert result.n_files > 80, "package walk looks truncated"
     pretty = "\n".join(f.format() for f in result.sorted_findings())
     assert result.findings == [], f"invariant violations:\n{pretty}"
-
-
-def test_repo_flow_clean():
-    """The interprocedural gate: RF001, RF002 and RF005 over the whole
-    call graph.
-
-    Every genuine violation must be either fixed or carry a per-line
-    ``# staticcheck: ignore[RFxxx]`` with a justifying comment AND a
-    reasoned row in :mod:`repro.staticcheck.waivers` — the single
-    inventory this gate reads its expectations from, so the marker,
-    the reason, and the pin can never drift apart.
-    """
-    report = lint_flow([str(PACKAGE)])
-    pretty = "\n".join(f.format() for f in report.result.sorted_findings())
-    assert report.result.findings == [], f"flow violations:\n{pretty}"
-    assert report.result.suppressed_by_rule() == expected_by_rule("RF"), (
-        "the reviewed suppression inventory changed; update "
-        "repro/staticcheck/waivers.py only alongside a justified "
-        "per-line ignore"
-    )
-    for finding in report.result.suppressed:
-        assert reason_for(finding.rule_id, finding.path) is not None, (
-            f"suppressed {finding.rule_id} at {finding.path}:"
-            f"{finding.line} has no waiver inventory row"
-        )
+    waived = "\n".join(f.format() for f in result.sorted_suppressed())
+    assert result.suppressed == [], f"suppressed findings:\n{waived}"
 
 
 def test_suppression_markers_name_registered_rules():
@@ -67,31 +44,18 @@ def test_suppression_markers_name_registered_rules():
     ``ignore`` names none and stays allowed."""
     known = {entry.rule_id for entry in rule_registry()}
     stale: list[str] = []
-    n_named = 0
     for path in iter_python_files([PACKAGE]):
         with tokenize.open(path) as handle:
             tokens = list(tokenize.generate_tokens(handle.readline))
-        # comments only: docstrings quote placeholder markers such as
-        # ``ignore[RFxxx]``
+        # comments only: docstrings may quote placeholder markers such
+        # as ``ignore[RSxxx]``
         for tok in tokens:
             if tok.type != tokenize.COMMENT:
                 continue
             named = parse_suppressions(tok.string).rule_ids()
-            n_named += len(named)
             stale.extend(f"{path}:{tok.start[0]}: {rule_id}"
                          for rule_id in sorted(named - known))
     assert stale == [], "markers name unknown rules:\n" + "\n".join(stale)
-    # the scan must see at least the inventory's own markers
-    assert n_named >= sum(expected_by_rule().values()), n_named
-
-
-def test_repo_call_graph_resolves_most_sites():
-    """The soundness caveat stays quantified: the resolver must keep
-    pinning down the bulk of non-external calls or flow findings lose
-    their meaning."""
-    report = lint_flow([str(PACKAGE)])
-    assert report.stats["resolution_rate"] > 0.6, report.stats
-    assert report.stats["functions"] > 500, report.stats
 
 
 def test_domain_definitions_validate():
