@@ -7,7 +7,8 @@ derives workload signatures *only* from these observable metrics, never
 from ground-truth workload identity.
 
 :class:`RunBatch` holds a whole ``run_batch`` call's results as columns
-and builds each :class:`ExecutionResult` only when it is indexed.
+and builds each :class:`ExecutionResult` only when it is indexed; its
+per-run arrays are unboxed to Python lists only then.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ class RunBatch(Sequence[ExecutionResult]):
 
         Every field of a member's :class:`StageMetrics` except its
         duration and task statistics is the column's
-        (:attr:`CostColumn.stages`).
+        (:attr:`CostColumn.stages`).  Only the per-column arrays are
+        unboxed; the members' task statistics stay arrays.
         """
         c = self.columns
         if c is None:
@@ -305,11 +307,17 @@ class RunBatch(Sequence[ExecutionResult]):
                                   c.task_p95_s[rows, :fail]))
         return out
 
-    def _unboxed(self) -> dict:
-        """The columns as nested Python lists, unboxed once per batch."""
+    def _unboxed(self, rows: bool = False) -> dict:
+        """The columns as nested Python lists, unboxed once per batch.
+
+        The per-column arrays come first; the per-row ones (runtimes,
+        durations, task statistics) are added when ``rows`` first asks
+        for them.  Ingest reads a batch only through
+        :meth:`cost_columns`, which never unboxes a row.
+        """
+        c = self.columns
+        assert c is not None
         if self._lists is None:
-            c = self.columns
-            assert c is not None
             self._lists = {
                 name: getattr(c, name).T.tolist()
                 for name in ("num_tasks", "spill_mb", "cpu_time_s",
@@ -317,11 +325,14 @@ class RunBatch(Sequence[ExecutionResult]):
                              "spilled_mb")
             } | {
                 name: getattr(c, name).tolist()
-                for name in ("col", "runtime_s", "fail_stage", "executors",
-                             "requested", "slots", "duration_s",
-                             "task_mean_s", "task_p50_s", "task_p95_s",
-                             "task_max_s")
+                for name in ("fail_stage", "executors", "requested", "slots")
             }
+        if rows and "col" not in self._lists:
+            self._lists.update({
+                name: getattr(c, name).tolist()
+                for name in ("col", "runtime_s", "duration_s", "task_mean_s",
+                             "task_p50_s", "task_p95_s", "task_max_s")
+            })
         return self._lists
 
     def _column_stages(self, u: int) -> list[StageTotals]:
@@ -362,7 +373,7 @@ class RunBatch(Sequence[ExecutionResult]):
     def _materialize(self, row: int) -> ExecutionResult:
         c = self.columns
         assert c is not None
-        lists = self._unboxed()
+        lists = self._unboxed(rows=True)
         u = lists["col"][row]
         totals = self._column_stages(u)
         duration = lists["duration_s"][row]

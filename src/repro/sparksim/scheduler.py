@@ -10,8 +10,10 @@ The scalar path (:func:`schedule_stage`) reduces with ``np.median`` /
 ``np.quantile`` and is the oracle for the batch twins the stage-major
 batch simulator calls: :func:`_schedule_1d` (one row, partition-kernel
 reductions) and the row-matrix pair :func:`_sample_duration_rows` /
-:func:`_schedule_rows`.  Every twin is exact — bit-identical values for
-the same noise stream, not an approximation.
+:func:`_schedule_rows` (row sorts; the simulator draws a matrix per
+stage and schedules the matrices of every stage of one shape in one
+call).  Every twin is exact — bit-identical values for the same noise
+stream, not an approximation.
 """
 
 from __future__ import annotations
@@ -356,23 +358,24 @@ def _median_quantile_1d(x: np.ndarray, q: float) -> tuple[float, float]:
     return median, float(a + diff * g)
 
 
-def _median_quantile_rows(x: np.ndarray, q: float, *kth: int
+def _median_quantile_rows(x: np.ndarray, q: float
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise :func:`_median_quantile_1d` as ``(part, median, quantile)``.
 
-    One ``np.partition(axis=1)`` places the median's and the quantile's
-    kth positions, plus any extra ``kth`` the caller reads from
-    ``part``, with the 1-D kernel's lerp arithmetic on every row.
+    ``part`` is ``x`` sorted along each row, so it holds every order
+    statistic the caller reads (its last column is the row max).  A full
+    sort puts at each kth position the value ``np.partition`` puts there,
+    and at the widths the simulator schedules one sort of the matrix
+    costs less than a partition around several kth positions.  The
+    median and quantile use the 1-D kernel's lerp arithmetic on every
+    row.
     """
     n = x.shape[1]
     h = n // 2
     vi = q * (n - 1)
     at_end = vi >= n - 1
     lo = n - 1 if at_end else math.floor(vi)
-    positions = {h, lo, min(lo + 1, n - 1), *kth}
-    if n % 2 == 0:
-        positions.add(h - 1)
-    part = np.partition(x, sorted(positions), axis=1)
+    part = np.sort(x, axis=1)
     if n % 2:
         median = part[:, h]
     else:
@@ -399,7 +402,7 @@ def _schedule_rows(durations: np.ndarray, slots: int,
     * with ``speculation`` (the configuration's ``(multiplier,
       quantile)``, applied from 4 tasks up as in the scalar path), each
       row's straggler tail is clamped as :func:`_schedule_1d` clamps it.
-      The row medians and cutoffs come from one ``np.partition(axis=1)``
+      The row medians and cutoffs come from one row sort
       (:func:`_median_quantile_rows`), and the candidates above
       ``max(threshold, cutoff)`` are clamped to ``threshold + median``.
       A copy runs half the median of its clamped row.  Each row's copies
@@ -412,8 +415,13 @@ def _schedule_rows(durations: np.ndarray, slots: int,
       change the multiset);
     * the mean is a row sum of the (clamped) tasks, the same pairwise
       reduction a 1-D sum runs;
-    * median, p95 and max come from one ``np.partition(axis=1)`` of the
-      (clamped) tasks, which also gives the copies their median.
+    * median, p95 and max come from one row sort of the (clamped)
+      tasks, which also gives the copies their median.
+
+    Every step reads only its own row, so a row's results do not depend
+    on which rows share the matrix: the batch simulator stacks the rows
+    of every stage with the same task count, slot count and speculation
+    setting into one call.
     """
     m, n = durations.shape
     copies = 0
@@ -430,7 +438,7 @@ def _schedule_rows(durations: np.ndarray, slots: int,
                 np.minimum(durations, (threshold + median)[:, None]),
                 durations,
             )
-    part, p50, p95 = _median_quantile_rows(durations, 0.95, n - 1)
+    part, p50, p95 = _median_quantile_rows(durations, 0.95)
     tasks = durations
     if copies:
         padded = np.arange(copies) < counts[:, None]

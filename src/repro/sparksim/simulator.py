@@ -26,21 +26,22 @@ Three throughput layers sit on top of the single-run path:
   (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over
   cached :class:`~repro.sparksim.costmodel.PlanArrays`) — an ingest
   batch of one deployed configuration costs a single column;
-* **stage-major scheduling**: every stage runs for every candidate
-  before the next stage starts.  Each candidate keeps its own noise
-  generator (pre-seeded by one vectorized sweep,
+* **stage-major draws, shape-major scheduling**: every stage draws for
+  every candidate before the next stage starts.  Each candidate keeps
+  its own noise generator (pre-seeded by one vectorized sweep,
   :mod:`repro.sparksim.rngpool`) and draws from it exactly what
   :meth:`SparkSimulator.run` draws, in the same order — stage by stage,
   then the run-level noise — so reordering *across* generators is
   unobservable.  Candidates that share a stage's task count, slot
   count and speculation setting (every run of an ingest batch does)
-  are sampled and scheduled as one ``(rows, tasks)`` matrix: one masked
-  straggler multiply, each row's speculative clamp and copies, the
-  greedy makespan as a vectorized argmin recurrence, and median / p95 /
-  max from one ``np.partition(axis=1)``
+  are sampled as one ``(rows, tasks)`` matrix with one masked
+  straggler multiply, and the matrices of every stage with the same
+  shape are scheduled in one call: each row's speculative clamp and
+  copies, the greedy makespan as a vectorized argmin recurrence, and
+  median / p95 / max from one row sort
   (:func:`~repro.sparksim.scheduler._schedule_rows`).  Groups below
-  ``_MIN_MATRIX_ROWS`` are scheduled one row at a time
-  (:func:`~repro.sparksim.scheduler._schedule_1d`, the scalar
+  ``_MIN_MATRIX_ROWS`` are scheduled one row at a time at their own
+  stage (:func:`~repro.sparksim.scheduler._schedule_1d`, the scalar
   scheduler's arithmetic on partition-kernel reductions).
   Results come back as a
   :class:`~repro.sparksim.metrics.RunBatch`, which keeps the columns
@@ -107,14 +108,22 @@ _REJECT_S = 25.0
 _MAX_ATTEMPTS = 4
 
 #: fewest candidates sharing a stage's (task count, slot count,
-#: speculation) that the batch path schedules as one matrix; smaller
-#: groups are scheduled one row at a time.  Measured on
+#: speculation) that the batch path draws as one matrix, to be scheduled
+#: with every other stage of that shape; smaller groups are drawn and
+#: scheduled one row at a time at their own stage.  Measured on
 #: default-calibration noise (DESIGN.md, "Stage-major scheduling"): the
 #: matrix overtakes the per-row path at 2-4 rows for up to ~30 tasks on
 #: 2-8 slots, the shapes production ingest sends, and at ~8 rows for 128
 #: tasks on 16 slots; speculating groups cross over at about the same
-#: sizes.
+#: sizes.  Merging the smaller groups into the shape matrices as well
+#: made ``burst_mixed`` set-up and tune latency slower: tuning batches
+#: are one-row groups of up to hundreds of tasks, where a vectorized step
+#: per task loses to the per-row heap.
 _MIN_MATRIX_ROWS = 4
+
+#: a stage's (task count, slot count, speculation) for one cost column:
+#: the rows of every stage with one shape are scheduled as one matrix
+_Shape = tuple[int, int, tuple[float, float] | None]
 
 #: one-column cost programs kept across ``run_batch`` calls (LRU).  An
 #: entry is ~8 KB for a 2-stage plan.  A service shard's simulator held
@@ -523,25 +532,34 @@ class SparkSimulator:
                      configs: Sequence[Mapping[str, Any]],
                      envs: Sequence[Environment], seeds: Sequence[int],
                      grants: Sequence[ResourceGrant]) -> BatchColumns:
-        """Simulate fault-free, granted candidates stage-major.
+        """Simulate fault-free, granted candidates: draw stage-major,
+        schedule shape-major.
 
         Costs come from one fused ``(stages, columns)`` program over the
         distinct (configuration, environment) object pairs — an ingest
         batch of one configuration in one environment costs a single
-        column.  Then every stage runs for every candidate before the
-        next stage starts.  Each candidate's generator still makes its
-        scalar draws in its scalar order (stage by stage, then the
-        run-level noise), so only the interleaving across generators
-        changes, and results stay bit-identical to
-        :meth:`_run_compiled`.  Within a stage, candidates that share a
-        task count, a slot count and a speculation setting (the
-        configuration's ``(multiplier, quantile)`` when it speculates,
-        the stage has at least 4 tasks and noise is on, else ``None``)
-        are scheduled as one ``(rows, tasks)`` matrix once there are
-        ``_MIN_MATRIX_ROWS`` of them; the rest are scheduled one row at
-        a time (:func:`~repro.sparksim.scheduler._schedule_1d`).
-        Runtimes accumulate as a column, each row receiving the scalar
-        path's additions in the scalar order.
+        column.  Then three phases:
+
+        1. Stage by stage, every candidate makes its draws.  Each
+           candidate's generator still makes its scalar draws in its
+           scalar order (stage by stage, then the run-level noise), so
+           only the interleaving across generators changes.  Within a
+           stage, candidates that share a task count, a slot count and a
+           speculation setting (the configuration's ``(multiplier,
+           quantile)`` when it speculates, the stage has at least 4 tasks
+           and noise is on, else ``None``) form a group.  A group of
+           ``_MIN_MATRIX_ROWS`` or more rows is drawn as one ``(rows,
+           tasks)`` matrix and kept under its shape; a smaller one is
+           drawn and scheduled one row at a time, there and then
+           (:func:`~repro.sparksim.scheduler._schedule_1d`).
+        2. Shape by shape, the kept matrices of every stage go through
+           one :func:`~repro.sparksim.scheduler._schedule_rows` call.  It
+           reads each row on its own, so a row's results do not depend
+           on which rows share its matrix.
+        3. Stage by stage, runtimes accumulate as a column, each row
+           receiving the scalar path's additions in the scalar order.
+
+        Results stay bit-identical to :meth:`_run_compiled`.
         """
         calib = self.calibration
         noise = self.noise
@@ -573,8 +591,6 @@ class SparkSimulator:
                 else np.empty(0, dtype=np.intp)
 
         rngs = self._rng_pool.generators(seeds)
-        runtime = (calib.app_startup_base_s
-                   + calib.app_startup_per_executor_s * b.executors)[col]
         # per (row, stage): elapsed time, then task mean, p50, p95, max
         out = np.zeros((5, n_rows, s_count))
         fail_l = fail_stage.tolist()
@@ -586,49 +602,48 @@ class SparkSimulator:
         ntasks_ll = cost.num_tasks.tolist()
         total_ll = cost.total_s.tolist()
         driver_ll = cost.driver_s.tolist()
-        job_submit_s = calib.job_submit_s
 
+        # Phase 1, stage by stage: every draw, in the scalar order.  Per
+        # stage shape: the matrices drawn for it so far, their rows' flat
+        # (row, stage) positions in ``out`` and their rows' driver time.
+        shapes: dict[_Shape, tuple[list[np.ndarray], list[np.ndarray],
+                                   list[np.ndarray]]] = {}
+        live_rows: list[slice | np.ndarray] = []
         live = list(range(n_cols))
         for s in range(s_count):
             live = [u for u in live if fail_l[u] >= s]
-            if submits := plan.job_submits_before[s]:
-                live_rows = (slice(None) if len(live) == n_cols
+            live_rows.append(slice(None) if len(live) == n_cols
                              else rows_of_cols(live))
-                for _ in range(submits):
-                    runtime[live_rows] += job_submit_s
-            # (task count, slot count, speculation) -> columns
-            groups: dict[tuple[int, int, tuple[float, float] | None],
-                         list[int]] = {}
+            groups: dict[_Shape, list[int]] = {}
             single: list[int] = []
             for u in live:
                 n_tasks = ntasks_ll[s][u]
                 if fail_l[u] == s:
                     # Retries then application abort — the scalar early
                     # exit's arithmetic, from the cost columns.
-                    wasted = total_ll[s][u] * _MAX_ATTEMPTS + driver_ll[s][u]
-                    runtime[rows_of[u]] += wasted
-                    out[0, rows_of[u], s] = wasted
+                    out[0, rows_of[u], s] = (total_ll[s][u] * _MAX_ATTEMPTS
+                                             + driver_ll[s][u])
                 else:
                     spec = spec_of[u] if noise and n_tasks >= 4 else None
                     groups.setdefault((n_tasks, slots_l[u], spec),
                                       []).append(u)
-            for (n_tasks, n_slots, spec), cols in groups.items():
+            for key, cols in groups.items():
                 rows = rows_of_cols(cols)
                 if len(rows) < _MIN_MATRIX_ROWS:
                     single.extend(cols)
                     continue
+                n_tasks = key[0]
                 row_cols = col[rows]
                 base = cost.total_s[s, row_cols]
-                durations = (
+                matrices, at, driver = shapes.setdefault(key, ([], [], []))
+                matrices.append(
                     _sample_duration_rows(n_tasks, base,
                                           [rngs[k] for k in rows.tolist()],
                                           calib)
                     if noise else np.repeat(base[:, None], n_tasks, axis=1)
                 )
-                makespan, *task = _schedule_rows(durations, n_slots, spec)
-                elapsed = makespan + cost.driver_s[s, row_cols]
-                runtime[rows] += elapsed
-                out[:, rows, s] = (elapsed, *task)
+                at.append(rows * s_count + s)
+                driver.append(cost.driver_s[s, row_cols])
             if single:
                 rows = rows_of_cols(single)
                 row_cols = col[rows]
@@ -640,8 +655,29 @@ class SparkSimulator:
                     for k, u in zip(rows.tolist(), row_cols.tolist())
                 ]).T
                 scheduled[0] += cost.driver_s[s, row_cols]
-                runtime[rows] += scheduled[0]
                 out[:, rows, s] = scheduled
+
+        # Phase 2, shape by shape: one makespan recurrence over the rows
+        # of every stage with that shape.  A row's results do not depend
+        # on which rows share its matrix.
+        by_position = out.reshape(5, n_rows * s_count)
+        for (_, n_slots, spec), (matrices, at, driver) in shapes.items():
+            durations = np.concatenate(matrices)
+            matrices.clear()     # free the stage copies before scheduling
+            makespan, *task = _schedule_rows(durations, n_slots, spec)
+            by_position[:, np.concatenate(at)] = (
+                makespan + np.concatenate(driver), *task)
+
+        # Phase 3, stage by stage: each row's runtime receives the scalar
+        # path's additions in the scalar order — the stage's job submits,
+        # then its elapsed (or, at an OOM stage, wasted) time.
+        runtime = (calib.app_startup_base_s
+                   + calib.app_startup_per_executor_s * b.executors)[col]
+        job_submit_s = calib.job_submit_s
+        for s, rows in enumerate(live_rows):
+            for _ in range(plan.job_submits_before[s]):
+                runtime[rows] += job_submit_s
+            runtime[rows] += out[0, rows, s]
 
         done = rows_of_cols([u for u in live if fail_l[u] == s_count])
         for _ in range(plan.trailing_job_submits):

@@ -12,6 +12,8 @@ configuration for every run (an ingest batch, which is what the matrix
 path schedules).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,18 +161,31 @@ def test_one_config_many_seeds_matches_scalar_loop(w_idx, shape, n, seed,
         assert sim.cost_cache_hits == hits + 1
 
 
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call the simulator makes
+    to the scheduler kernel ``name``."""
+    calls = []
+    kernel = getattr(simulator_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simulator_module, name, spy)
+    return calls
+
+
+def _speculation(config):
+    return (float(config["spark.speculation.multiplier"]),
+            float(config["spark.speculation.quantile"]))
+
+
 def test_ingest_batches_take_the_matrix_path(monkeypatch):
     """The cases above really exercise the matrix scheduler: a
-    same-config batch schedules each stage as one matrix, speculating
-    deployments' batches included."""
-    calls = []
-    schedule_rows = simulator_module._schedule_rows
-
-    def counting(durations, slots, speculation=None):
-        calls.append((durations.shape, speculation))
-        return schedule_rows(durations, slots, speculation)
-
-    monkeypatch.setattr(simulator_module, "_schedule_rows", counting)
+    same-config batch makes one ``_schedule_rows`` call per stage shape
+    (task count, slots, speculation), holding the rows of every stage
+    with that shape, speculating deployments' batches included."""
+    calls = _spy(monkeypatch, "_schedule_rows")
     n = 64
     sim = SparkSimulator()
     for shape, speculating in (("defaults", False), ("speculation", True)):
@@ -178,14 +193,90 @@ def test_ingest_batches_take_the_matrix_path(monkeypatch):
         configs, envs, seeds = _ingest_batch(shape, n, 11, True)
         batch = _assert_batch_identity(sim, KMeans(), 512.0, configs, envs,
                                        seeds)
-        assert len(calls) == batch[0].num_stages
-        assert all(rows == n for (rows, _), _ in calls)
-        assert all((spec is not None) == speculating for _, spec in calls)
+        run = batch[0]
+        spec = _speculation(configs[0]) if speculating else None
+        stages_of = Counter(
+            (stage.num_tasks, run.total_slots,
+             spec if stage.num_tasks >= 4 else None)
+            for stage in run.stages)
+        rows_of = {(durations.shape[1], slots, speculation): len(durations)
+                   for durations, slots, speculation in calls}
+        assert len(rows_of) == len(calls) < run.num_stages
+        assert rows_of == {key: n * k for key, k in stages_of.items()}
     oom_configs, _, _ = _ingest_batch("oom", n, 11, False)
     failed = sim.run_batch(Sort(), 1024.0, CLUSTER, oom_configs, seeds=seeds)
     assert not any(failed.successes)
     assert failed == [sim.run(Sort(), 1024.0, CLUSTER, c, seed=s)
                       for c, s in zip(oom_configs, seeds)]
+
+
+#: KMeans at 512 MB runs 13 stages; its iterations' 4-task stages share
+#: one shape on the default configuration's 2 slots.  This configuration
+#: has the same slots and first stage, then OOMs in the second.
+OOM_SECOND_STAGE = {"spark.executor.memory": 512,
+                    "spark.memory.fraction": 0.3}
+
+
+def test_same_shape_stages_merge_across_an_oom_column(monkeypatch):
+    """A column that dies of OOM between two stages of one shape: its
+    first stage shares the shape's matrix with the other column's later
+    stages, and its runtime stops at its waste."""
+    calls = _spy(monkeypatch, "_schedule_rows")
+    default = SPACE.default_configuration()
+    configs = [default] * 6 + [default.replace(**OOM_SECOND_STAGE)] * 3
+    model = InterferenceModel(level=1.0, seed=4)
+    envs = [model.step() for _ in configs]
+    batch = _assert_batch_identity(SparkSimulator(), KMeans(), 512.0, configs,
+                                   envs, list(range(40, 49)))
+    ok, dead = batch[0], batch[6]
+    assert ok.success and not dead.success
+    assert [s.failed for s in dead.stages] == [False, True]
+    four_task_stages = sum(s.num_tasks == 4 for s in ok.stages)
+    assert sorted(len(durations) for durations, _, _ in calls) == [
+        6 * (ok.num_stages - four_task_stages),
+        6 * four_task_stages + 3,
+    ]
+
+
+def test_speculating_stages_with_different_copy_counts_merge(monkeypatch):
+    """Merged speculating stages whose rows launch different numbers of
+    copies: each stage's rows are padded to the merged matrix's widest
+    row, not to their own stage's."""
+    from repro.sparksim.scheduler import _apply_speculation
+
+    calls = _spy(monkeypatch, "_schedule_rows")
+    n = 8
+    config = SPACE.default_configuration().replace(**{
+        "spark.speculation": True, "spark.speculation.multiplier": 1.1,
+        "spark.speculation.quantile": 0.5})
+    model = InterferenceModel(level=1.0, seed=9)
+    envs = [model.step() for _ in range(n)]
+    batch = _assert_batch_identity(SparkSimulator(), KMeans(), 512.0,
+                                   [config] * n, envs, list(range(n)))
+    sixteen = [d for d, _, _ in calls if d.shape[1] == 16]
+    assert len(sixteen) == 1 and batch[0].success
+    # the scalar clamp's copy count of every row, one block per stage
+    copies = np.array([_apply_speculation(row.copy(), config)[1]
+                       for row in sixteen[0]]).reshape(-1, n)
+    assert len(copies) == sum(s.num_tasks == 16 for s in batch[0].stages)
+    assert len(set(copies.max(axis=1).tolist())) > 1
+
+
+def test_one_stage_holds_a_matrix_group_and_singles(monkeypatch):
+    """At every stage one column's rows form a matrix and two smaller
+    columns, on other slot counts, are scheduled row by row."""
+    matrix = _spy(monkeypatch, "_schedule_rows")
+    singles = _spy(monkeypatch, "_schedule_1d")
+    default = SPACE.default_configuration()
+    configs = ([default] * 5
+               + [default.replace(**{"spark.executor.instances": 3})] * 2
+               + [default.replace(**{"spark.executor.cores": 2})])
+    batch = _assert_batch_identity(SparkSimulator(), KMeans(), 512.0, configs,
+                                   [QUIET] * 8, list(range(70, 78)))
+    assert {r.total_slots for r in batch} == {2, 3, 4}
+    assert sum(len(durations) for durations, _, _ in matrix) == \
+        5 * batch[0].num_stages
+    assert len(singles) == 3 * batch[0].num_stages
 
 
 def test_run_batch_is_a_read_only_sequence():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sparksim import rngpool
 from repro.sparksim.rngpool import FAST_SEEDING, GeneratorPool
+
+#: one- and two-word seeds at the word boundaries, and the largest
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
 
 
 def _drain(gen: np.random.Generator) -> tuple:
@@ -34,6 +37,19 @@ class TestFastSeeding:
         fast = rngpool._srandom(cols[0][0], cols[1][0], cols[2][0],
                                 cols[3][0])
         assert fast == np.random.PCG64(seed).state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(EDGE_SEEDS),
+                              st.integers(min_value=0, max_value=2**64 - 1)),
+                    min_size=1, max_size=64))
+    @example([0, 2**32 - 1, 2**32, 2**64 - 1, 0, 7, 2**64 - 1, 7])
+    def test_many_seeds_per_call_match_pcg64(self, seeds):
+        # One call seeds a whole batch: every column must be its own
+        # seed's state, so a step that mixes columns up fails here.
+        words = rngpool._seed_words_vec(seeds)
+        assert words.shape == (4, len(seeds))
+        for seed, column in zip(seeds, words.T.tolist()):
+            assert rngpool._srandom(*column) == np.random.PCG64(seed).state
 
     def test_pool_draws_equal_default_rng(self):
         seeds = [0, 1, 17, 2**31, 2**63 - 1, 2**64 - 1, 42, 42]

@@ -3,7 +3,8 @@
 The chunked numpy `_list_schedule` must return bit-identical makespans to
 the reference heap implementation for every input, the partition-based
 median/quantile kernels bit-identical values to ``np.median`` /
-``np.quantile``, and the row-matrix twins the batch simulator uses
+``np.quantile``, their row-wise twin bit-identical values to the 1-D
+kernel, and the row-matrix twins the batch simulator uses
 bit-identical results to the 1-D path row by row — they are hot-path
 optimisations, not approximations.
 """
@@ -21,6 +22,7 @@ from repro.sparksim.scheduler import (
     _list_schedule_heap,
     _median_1d,
     _median_quantile_1d,
+    _median_quantile_rows,
     _sample_duration_rows,
     _sample_durations,
     _schedule_1d,
@@ -101,6 +103,41 @@ def test_partition_kernels_match_numpy_bitwise(values, q):
     assert _bits(quantile) == _bits(float(np.quantile(x, q)))
     assert _bits(_median_1d(x)) == _bits(float(np.median(x)))
     assert x.tolist() == values          # the input is left unpartitioned
+
+
+#: quantiles: the ones the simulator asks for, the ends, and any other
+quantiles = st.one_of(st.sampled_from((0.0, 0.5, 0.75, 0.95, 1.0)),
+                      st.floats(min_value=0.0, max_value=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=5),
+       quantiles,
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans())
+@example(width=1, rows=3, q=0.95, seed=0, ties=False)
+@example(width=2, rows=3, q=0.5, seed=1, ties=False)
+@example(width=299, rows=2, q=0.75, seed=2, ties=True)
+@example(width=300, rows=2, q=1.0, seed=3, ties=True)
+def test_row_order_statistics_match_the_1d_kernel_bitwise(width, rows, q,
+                                                          seed, ties):
+    """``_median_quantile_rows`` is ``_median_quantile_1d`` on every row,
+    bit for bit, and its ordered matrix ends in each row's max."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(0.0, 1.0, (rows, width))
+    if ties:
+        # about half the tasks take one of three durations
+        x = np.where(rng.random((rows, width)) < 0.5,
+                     rng.choice((0.5, 1.0, 2.0), (rows, width)), x)
+    given_x = x.copy()
+    part, median, quantile = _median_quantile_rows(x, q)
+    assert x.tobytes() == given_x.tobytes()      # the input is left as is
+    for i in range(rows):
+        want_median, want_quantile = _median_quantile_1d(x[i], q)
+        assert _bits(median[i]) == _bits(want_median)
+        assert _bits(quantile[i]) == _bits(want_quantile)
+        assert _bits(part[i, width - 1]) == _bits(float(x[i].max()))
 
 
 #: a speculating configuration's ``(multiplier, quantile)``, or None
