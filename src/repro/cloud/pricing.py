@@ -8,7 +8,7 @@ it before re-tuning is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cluster import Cluster
 
@@ -28,6 +28,10 @@ class CostLedger:
     executions so amortization can be computed: the paper's example is
     BestConfig's 500 tuning runs versus 90 production runs in 3 months.
 
+    A ledger keeps totals and counts only, no per-charge journal: the
+    history log already holds every run's runtime, and a service ledger
+    is charged once per ingested run.
+
     A ledger takes no lock.  In the service, each shard's ledger is
     charged only on the shard pool's runner thread, one job at a time, so
     the ledger delta around a job is exactly that job's spend.
@@ -39,14 +43,12 @@ class CostLedger:
     production_cost: float = 0.0
     production_runs: int = 0
     production_seconds: float = 0.0
-    _history: list[tuple[str, float, float]] = field(default_factory=list)
 
     def charge_tuning(self, cluster: Cluster, runtime_s: float) -> float:
         cost = execution_cost(cluster, runtime_s)
         self.tuning_cost += cost
         self.tuning_runs += 1
         self.tuning_seconds += runtime_s
-        self._history.append(("tuning", runtime_s, cost))
         return cost
 
     def charge_production(self, cluster: Cluster, runtime_s: float) -> float:
@@ -54,16 +56,11 @@ class CostLedger:
         self.production_cost += cost
         self.production_runs += 1
         self.production_seconds += runtime_s
-        self._history.append(("production", runtime_s, cost))
         return cost
 
     @property
     def total_cost(self) -> float:
         return self.tuning_cost + self.production_cost
-
-    def history(self) -> list[tuple[str, float, float]]:
-        """(kind, runtime_s, cost) per execution, in order."""
-        return list(self._history)
 
     def breakeven_runs(self, cost_default_run: float, cost_tuned_run: float) -> float:
         """Production runs needed for tuned-config savings to repay tuning.

@@ -37,14 +37,16 @@ from ..config.space import Configuration
 __all__ = ["ExecutionRecord", "HistoryLog", "readonly_signature"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionRecord:
     """One workload execution as the provider sees it.
 
     Records are immutable log entries: once appended they are shared
     freely with every reader, so every field must stay frozen —
     including the signature array, which the log stores as a read-only
-    copy (see :func:`readonly_signature`).
+    copy (see :func:`readonly_signature`).  The log holds one record per
+    run it has ever seen, so records are slotted: no per-instance
+    ``__dict__``.
     """
 
     record_id: int

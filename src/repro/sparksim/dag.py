@@ -14,8 +14,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from .rdd import RDD, Job
 
 __all__ = [
@@ -70,18 +68,39 @@ class JobPlan:
     job_name: str
     stages: list[StageProfile]
 
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for s in self.stages:
-            g.add_node(s.stage_id, stage=s)
-        for s in self.stages:
-            for dep in s.depends_on:
-                g.add_edge(dep, s.stage_id)
-        return g
-
     def topological(self) -> list[StageProfile]:
-        g = self.graph()
-        order = list(nx.topological_sort(g))
+        """The stages in run order: Kahn's algorithm, one generation at a
+        time.
+
+        The first generation is the stages with no dependencies, in plan
+        order.  Each later generation lists, parent by parent in
+        generation order, the children whose last dependency that parent
+        was, in the order their dependency edges were listed.  A
+        dependency listed twice counts once.  The order is the
+        simulator's: every seeded number depends on it.
+
+        Raises :class:`ValueError` if the stage graph has a cycle.
+        """
+        children: dict[int, list[int]] = {s.stage_id: [] for s in self.stages}
+        waiting = dict.fromkeys(children, 0)
+        for s in self.stages:
+            for dep in dict.fromkeys(s.depends_on):
+                children[dep].append(s.stage_id)
+                waiting[s.stage_id] += 1
+        generation = [i for i, n in waiting.items() if n == 0]
+        order: list[int] = []
+        while generation:
+            order.extend(generation)
+            ready: list[int] = []
+            for parent in generation:
+                for child in children[parent]:
+                    waiting[child] -= 1
+                    if waiting[child] == 0:
+                        ready.append(child)
+            generation = ready
+        if len(order) < len(waiting):
+            raise ValueError(
+                f"job {self.job_name!r} compiled to a cyclic stage graph")
         by_id = {s.stage_id: s for s in self.stages}
         return [by_id[i] for i in order]
 
@@ -252,7 +271,7 @@ def compile_job(job: Job, registry: CacheRegistry | None = None,
                 stage.input_mb + stage.shuffle_read_mb + stage.cached_read_mb
             ) / produced
     plan = JobPlan(job_name=job.action, stages=stages)
-    _check_acyclic(plan)
+    plan.topological()  # raises ValueError on a cyclic stage graph
     return plan
 
 
@@ -261,11 +280,6 @@ def _index_of(stages: list[StageProfile], stage_id: int) -> int:
         if s.stage_id == stage_id:
             return i
     raise KeyError(stage_id)
-
-
-def _check_acyclic(plan: JobPlan) -> None:
-    if not nx.is_directed_acyclic_graph(plan.graph()):
-        raise ValueError(f"job {plan.job_name!r} compiled to a cyclic stage graph")
 
 
 # --- compiled (config-independent) execution plans ----------------------------

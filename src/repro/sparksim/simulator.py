@@ -428,17 +428,6 @@ class SparkSimulator:
         if n == 0:
             return RunBatch(workload.name, input_mb, [])
         compiled = self.compile_workload(workload, input_mb)
-        if n == 1:
-            return RunBatch(compiled.name, compiled.input_mb, [
-                self._run_compiled(compiled, cluster, configs[0],
-                                   env=envs[0], seed=seeds[0]),
-            ])
-        return self._run_batch_compiled(compiled, cluster, configs, envs, seeds)
-
-    def _run_batch_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
-                            configs: Sequence[Mapping[str, Any]],
-                            envs: Sequence[Environment],
-                            seeds: Sequence[int]) -> RunBatch:
         # Screen candidates: simulated faults (stage targets, env spikes)
         # perturb control flow mid-run, so those candidates take the
         # scalar path; rejected grants fail before any rng draw and are
@@ -446,7 +435,7 @@ class SparkSimulator:
         items: list[ExecutionResult | int] = []
         active: list[int] = []
         grants: list[ResourceGrant] = []
-        for i in range(len(configs)):
+        for i in range(n):
             faults = (
                 self.fault_plan.draw(seeds[i]) if self.fault_plan is not None
                 else NO_FAULTS

@@ -53,14 +53,6 @@ class TestCostLedger:
         assert ledger.production_runs == 1
         assert ledger.total_cost == pytest.approx(c1 + c2)
 
-    def test_history_ordered(self):
-        ledger = CostLedger()
-        cluster = Cluster.of("m5.large", 1)
-        ledger.charge_tuning(cluster, 10)
-        ledger.charge_production(cluster, 20)
-        kinds = [kind for kind, _, _ in ledger.history()]
-        assert kinds == ["tuning", "production"]
-
     def test_breakeven(self):
         ledger = CostLedger()
         cluster = Cluster.of("m5.large", 1)

@@ -72,7 +72,6 @@ def test_records_match_run_signature_record_reference(case, batches, seed,
     got = [_record_fields(r) for r in service.store.all()]
     want = [_record_fields(r) for r in reference.store.all()]
     assert got == want
-    assert service.ledger.history() == reference.ledger.history()
     assert (service.ledger.production_runs,
             service.ledger.production_seconds,
             service.ledger.production_cost) == \

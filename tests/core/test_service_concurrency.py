@@ -68,7 +68,6 @@ class TestLedgerCharges:
         assert ledger.production_runs == 1000
         assert ledger.tuning_seconds == pytest.approx(1000 * 60.0)
         assert ledger.production_seconds == pytest.approx(1000 * 120.0)
-        assert len(ledger.history()) == 2000
         one_tuning = ledger.tuning_cost / 1000
         assert ledger.tuning_cost == pytest.approx(one_tuning * 1000)
 

@@ -385,11 +385,30 @@ def test_mixed_envs_and_duplicate_seeds():
 
 
 def test_batch_of_one_and_empty():
+    """A batch of one is screened like any other size: a plain run is
+    simulated stage-major, while a fault-struck run and a rejected grant
+    finish on the scalar path, each equal to ``run()``."""
     rng = np.random.default_rng(4)
     (config,) = _candidates(rng, 1, include_failures=False)
     sim = SparkSimulator()
     assert sim.run_batch(Sort(), 512.0, CLUSTER, []) == []
     _assert_batch_identity(sim, Sort(), 512.0, [config], [TYPICAL], [9])
+    default = SPACE.default_configuration()
+    for workload, input_mb in WORKLOADS:
+        for env in ENVS:
+            batch = _assert_batch_identity(sim, workload, input_mb,
+                                           [default], [env], [9])
+            assert [c.members.tolist() for c in batch.cost_columns()] == [[0]]
+    struck = SparkSimulator(
+        fault_plan=FaultPlan((straggler(1.0, slowdown=3.0),)))
+    batch = _assert_batch_identity(struck, Sort(), 1024.0, [default],
+                                   [QUIET], [3])
+    assert batch[0].faults_injected and batch.cost_columns() == []
+    rejected = _assert_batch_identity(sim, Sort(), 1024.0,
+                                      [default.replace(**REJECT)], [QUIET],
+                                      [3])
+    assert "does not fit" in rejected[0].failure_reason
+    assert rejected.cost_columns() == []
 
 
 def test_batch_arrays_keep_stable_dtypes(monkeypatch):

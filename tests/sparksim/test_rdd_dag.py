@@ -1,8 +1,23 @@
 """Tests for the RDD lineage API and the DAG compiler."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sparksim import CacheRegistry, RDD, compile_job
+from repro.sparksim.dag import JobPlan, StageProfile, compile_workload
+from repro.workloads import SUITE
+
+
+def _stage_digraph(plan):
+    """The stage graph in networkx: nodes in plan order, one edge per
+    dependency, in the order the stages list them."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(s.stage_id for s in plan.stages)
+    graph.add_edges_from((dep, s.stage_id) for s in plan.stages
+                         for dep in s.depends_on)
+    return graph
 
 
 class TestRDDLineage:
@@ -144,11 +159,74 @@ class TestDAGCompiler:
         assert final.output_mb == pytest.approx(100)
 
     def test_graph_is_acyclic_dag(self):
-        import networkx as nx
-
         a = RDD.source("a", 500).map()
         plan = compile_job(a.join(a.filter()).reduce_by_key().count())
-        assert nx.is_directed_acyclic_graph(plan.graph())
+        assert nx.is_directed_acyclic_graph(_stage_digraph(plan))
+
+
+#: input sizes from a few tasks per stage to thousands
+SUITE_SIZES_MB = (100.0, 500.0, 1000.0, 5000.0, 10000.0, 20000.0, 50000.0)
+
+
+def _ids(stages):
+    return [s.stage_id for s in stages]
+
+
+class TestTopologicalOrder:
+    """``JobPlan.topological`` against networkx's topological sort.
+    Stage order fixes every seeded number the simulator draws, and the
+    recorded results (examples, the paper's tables) were drawn in
+    networkx's order."""
+
+    @pytest.mark.parametrize("family", sorted(SUITE))
+    def test_suite_plans_match_networkx(self, family):
+        for input_mb in SUITE_SIZES_MB:
+            jobs = SUITE[family]().jobs(input_mb)
+            for job in compile_workload(family, input_mb, jobs).jobs:
+                want = list(nx.topological_sort(_stage_digraph(job.plan)))
+                assert _ids(job.plan.topological()) == want
+                assert _ids(c.stage for c in job.stages) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_hand_built_plans_match_networkx(self, data):
+        """Random plans whose ids, plan order and dependency order all
+        differ, with repeated dependencies and, sometimes, one extra
+        edge that may close a cycle."""
+        n = data.draw(st.integers(1, 9), label="stages")
+        ids = data.draw(st.lists(st.integers(0, 50), min_size=n, max_size=n,
+                                 unique=True), label="ids")
+        rank = data.draw(st.permutations(range(n)), label="rank")
+        stages = []
+        for k in range(n):
+            earlier = [ids[j] for j in range(n) if rank[j] < rank[k]]
+            deps = data.draw(st.lists(st.sampled_from(earlier), max_size=4)
+                             if earlier else st.just([]), label="deps")
+            stages.append(StageProfile(stage_id=ids[k], name=f"s{k}",
+                                       num_tasks_hint=None, depends_on=deps))
+        if data.draw(st.booleans(), label="extra edge"):
+            k = data.draw(st.integers(0, n - 1), label="child")
+            stages[k].depends_on.append(data.draw(st.sampled_from(ids)))
+        plan = JobPlan("hand-built", stages)
+        graph = _stage_digraph(plan)
+        if nx.is_directed_acyclic_graph(graph):
+            assert _ids(plan.topological()) == list(nx.topological_sort(graph))
+        else:
+            with pytest.raises(ValueError, match="cyclic stage graph"):
+                plan.topological()
+
+    def test_cyclic_plan_raises(self):
+        def stage(stage_id, *deps):
+            return StageProfile(stage_id=stage_id, name=f"s{stage_id}",
+                                num_tasks_hint=None, depends_on=list(deps))
+
+        cyclic = JobPlan("loop", [stage(0), stage(1, 0, 2), stage(2, 1)])
+        with pytest.raises(ValueError,
+                           match="job 'loop' compiled to a cyclic stage graph"):
+            cyclic.topological()
+        self_loop = JobPlan("self", [stage(0), stage(1, 1)])
+        with pytest.raises(ValueError, match="cyclic stage graph"):
+            self_loop.topological()
 
 
 class TestCacheRegistry:

@@ -156,7 +156,11 @@ def test_pagerank_plan_acyclic_any_iterations(iterations):
     for job in jobs:
         plan = compile_job(job, registry, first_stage_id=next_id)
         next_id += plan.num_stages
-        assert nx.is_directed_acyclic_graph(plan.graph())
+        graph = nx.DiGraph()
+        graph.add_nodes_from(s.stage_id for s in plan.stages)
+        graph.add_edges_from((dep, s.stage_id) for s in plan.stages
+                             for dep in s.depends_on)
+        assert nx.is_directed_acyclic_graph(graph)
         for stage in plan.stages:
             for rdd_id, mb, rb in stage.materializes:
                 registry.materialize(rdd_id, mb, rb)

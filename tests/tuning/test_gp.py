@@ -130,6 +130,40 @@ class TestAcquisitions:
         pi = probability_of_improvement(np.array([0.5, 2.0]), np.array([0.3, 0.3]), 1.0)
         assert ((pi >= 0) & (pi <= 1)).all()
 
+    def test_ei_and_pi_match_scipy_stats_bitwise(self):
+        """EI and PI compute the normal CDF and PDF without importing
+        ``scipy.stats``; the old ``stats.norm`` formulas are the oracle,
+        bit for bit, over random z, |z| up to 40, +-0 and +-inf."""
+        from scipy import stats
+
+        def reference(mean, std, best, xi):
+            std = np.maximum(np.asarray(std, dtype=float), 1e-12)
+            improvement = best - np.asarray(mean, dtype=float) - xi
+            z = improvement / std
+            return (improvement * stats.norm.cdf(z)
+                    + std * stats.norm.pdf(z)), stats.norm.cdf(z)
+
+        def bits(a):
+            return np.asarray(a, dtype=float).view(np.int64)
+
+        rng = np.random.default_rng(25)
+        z = np.concatenate([
+            rng.standard_normal(20_000) * 4.0,
+            rng.uniform(-40.0, 40.0, 20_000),
+            [0.0, -0.0, 40.0, -40.0, 38.0, -38.0, 8.3, -8.3, 1e-300,
+             -1e-300, np.inf, -np.inf],
+        ])
+        cases = [(-z, np.ones_like(z), best, 0.0) for best in (0.0, -0.0)]
+        cases.append((rng.normal(0.0, 3.0, 5_000),
+                      np.abs(rng.normal(0.0, 2.0, 5_000)), 0.7, 0.01))
+        with np.errstate(invalid="ignore"):
+            for mean, std, best, xi in cases:
+                want_ei, want_pi = reference(mean, std, best, xi)
+                got_ei = expected_improvement(mean, std, best, xi)
+                got_pi = probability_of_improvement(mean, std, best, xi)
+                np.testing.assert_array_equal(bits(got_ei), bits(want_ei))
+                np.testing.assert_array_equal(bits(got_pi), bits(want_pi))
+
     def test_lcb_kappa_zero_is_mean(self):
         m = np.array([1.0, 2.0])
         assert np.allclose(lower_confidence_bound(m, np.ones(2), kappa=0.0), m)
