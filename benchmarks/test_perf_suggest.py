@@ -9,23 +9,25 @@ and records them in ``BENCH_suggest.json`` at the repo root, gated by
   with hyperparameter re-optimization pushed out of the window so the
   measurement isolates the per-call surrogate work (rank-1 Cholesky
   update + acquisition) from the periodic O(n³) refit both modes pay
-  identically.  ``incremental=True`` (the default: append-only encoded
-  design matrix, per-point cost transform, running incumbent) must be
-  **≥ 3×** the ``incremental=False`` reference, which re-encodes the
-  full history twice per suggest — and the two suggestion streams must
-  be identical, config for config (the bit-identity the hypothesis
-  suite in ``tests/tuning/test_bo_incremental.py`` proves in depth).
+  identically.  :class:`BayesOptTuner` (append-only encoded design
+  matrix, per-point cost transform, running incumbent) must be
+  **≥ 3×** the ``RebuildBayesOptTuner`` reference (``tests/oracles.py``),
+  which re-encodes the full history twice per suggest — and the two
+  suggestion streams must be identical, config for config (the
+  bit-identity the hypothesis suite in
+  ``tests/tuning/test_bo_incremental.py`` proves in depth).
 * ``similarity_lookup_1M``: ``find_similar_workloads`` against a
   synthetic **1,000,000-record** history spread over 16 workload keys.
   The indexed path (one vectorized (W, d) distance op over the
   :class:`~repro.core.simindex.SignatureIndex`'s cached means) must
   answer **≥ 50×** faster than the pre-index reference
-  (``find_similar_workloads_scan``: one full-log pass per workload
-  key), and return identical neighbours.  The one-time incremental
+  (``find_similar_workloads_scan`` in ``tests/oracles.py``: one
+  full-log pass per workload key), and return identical neighbours.  The one-time incremental
   sync cost is reported separately — it is paid once per batch of
   appended records, not per query.
 
-Run: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_suggest.py -s``
+Run from the repository root, so ``tests.oracles`` imports:
+``PYTHONPATH=src python -m pytest benchmarks/test_perf_suggest.py -s``
 """
 
 from __future__ import annotations
@@ -42,11 +44,9 @@ from repro.config.space import Configuration
 from repro.config.spark_params import spark_core_space
 from repro.core.histlog import HistoryLog
 from repro.core.history import HistoryStore
-from repro.core.similarity import (
-    find_similar_workloads,
-    find_similar_workloads_scan,
-)
+from repro.core.similarity import find_similar_workloads
 from repro.tuning.bo.bayesopt import BayesOptTuner
+from tests.oracles import RebuildBayesOptTuner, find_similar_workloads_scan
 
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_suggest.json"
 
@@ -67,9 +67,10 @@ N_QUERIES = 200           # indexed lookups per timing pass
 
 def _suggest_campaign(incremental: bool, observations, costs):
     """Feed 200 observations, absorb the one-time fit, time N_TIMED cycles."""
-    tuner = BayesOptTuner(
+    tuner_cls = BayesOptTuner if incremental else RebuildBayesOptTuner
+    tuner = tuner_cls(
         spark_core_space(), seed=9, n_init=8, n_candidates=N_CANDIDATES,
-        refit_every=10**9, incremental=incremental,
+        refit_every=10**9,
     )
     for config, cost in observations:
         tuner.observe(config, cost)

@@ -7,8 +7,8 @@ trajectory is tracked across PRs:
 * ``seed_serial``: the seed-repo loop — ``run_tuner`` driving a plain
   :class:`SimulationObjective`, one simulation per call, no cache.
 * ``engine_serial_scalar``: the engine's pre-batching cold path,
-  reproduced exactly — per-candidate dispatch (``group_batches=False``)
-  on a simulator with the compiled-plan cache disabled
+  reproduced exactly — per-candidate dispatch (``UngroupedExecutor``,
+  ``tests/oracles.py``) on a simulator with the compiled-plan cache disabled
   (``plan_cache_size=0``), i.e. jobs are re-planned for every
   evaluation.  This is the baseline the batch fast path is judged
   against.
@@ -46,7 +46,8 @@ trajectory is tracked across PRs:
 Every scenario runs in-process, on one thread; the engine has no other
 executor.
 
-Run: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_throughput.py -s``
+Run from the repository root, so ``tests.oracles`` imports:
+``PYTHONPATH=src python -m pytest benchmarks/test_perf_throughput.py -s``
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from repro.config.space import Configuration
 from repro.config.spark_params import SPARK_DEFAULTS, spark_core_space
 from repro.cloud import Cluster
 from repro.engine import EngineObjective, EvaluationEngine
-from repro.engine.executors import SerialExecutor
 from repro.sparksim import SparkSimulator
 from repro.sparksim.costmodel import Calibration
 from repro.sparksim.scheduler import (
@@ -80,6 +80,7 @@ from repro.tuning import (
     run_tuner_batched,
 )
 from repro.workloads import Sort
+from tests.oracles import UngroupedExecutor
 
 N_CANDIDATES = 200
 BATCH_SIZE = 25
@@ -132,7 +133,7 @@ def _scenario_engine(executor, warm=False, simulator=None):
 def _scenario_engine_scalar(plan_cache_size):
     """Per-candidate serial dispatch, optionally without the plan cache."""
     sim = SparkSimulator(plan_cache_size=plan_cache_size)
-    executor = SerialExecutor(sim, group_batches=False)
+    executor = UngroupedExecutor(sim)
     return _scenario_engine(executor, simulator=sim)
 
 

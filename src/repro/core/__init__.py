@@ -21,7 +21,6 @@ from .similarity import (
     KMedoids,
     SimilarWorkload,
     find_similar_workloads,
-    find_similar_workloads_scan,
     signature_distance,
 )
 from .slo import SLOMetric, SLOReport, TuningSLO, evaluate_slo
@@ -41,7 +40,6 @@ __all__ = [
     "KMedoids",
     "SimilarWorkload",
     "find_similar_workloads",
-    "find_similar_workloads_scan",
     "signature_distance",
     "SignatureIndex",
     "signature_index",

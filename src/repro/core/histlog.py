@@ -6,8 +6,8 @@ workloads' execution history across users".  The store's job is to
 append records and answer queries, so the log is one list of immutable
 records:
 
-* **Appends** allocate the record's identity (``record_id``) and the
-  provider's logical clock (``timestamp``), and append.
+* **Appends** allocate the record's identity (``record_id``), which is
+  also its position in the provider's append order, and append.
 * **Reads** copy: :meth:`HistoryLog.tail` returns a tuple of the records
   from one append-order position on, and :meth:`HistoryLog.snapshot`
   the whole log.  Records never move, so a consumer that remembers how
@@ -58,8 +58,6 @@ class ExecutionRecord:
     runtime_s: float
     success: bool
     signature: np.ndarray        # workload characterization vector
-    #: logical timestamp (provider-side event counter)
-    timestamp: int = 0
 
     @property
     def key(self) -> tuple[str, str]:
@@ -85,13 +83,12 @@ class HistoryLog:
     def __init__(self):
         self._records: list[ExecutionRecord] = []
         self._next_id = 0
-        self._clock = 0
 
     # --- writers ----------------------------------------------------------
     def append_new(self, *, tenant: str, workload_label: str, input_mb: float,
                    cluster: str, config: Configuration, runtime_s: float,
                    success: bool, signature: np.ndarray) -> ExecutionRecord:
-        """Build and append a record, allocating its id and clock."""
+        """Build and append a record, allocating its id."""
         rec = ExecutionRecord(
             record_id=self._next_id,
             tenant=tenant,
@@ -102,10 +99,8 @@ class HistoryLog:
             runtime_s=runtime_s,
             success=success,
             signature=readonly_signature(signature),
-            timestamp=self._clock,
         )
         self._next_id += 1
-        self._clock += 1
         self._records.append(rec)
         return rec
 
@@ -113,14 +108,13 @@ class HistoryLog:
         """Append a pre-built record (e.g. loaded from disk).
 
         The record's signature is replaced with a read-only copy and the
-        id/clock counters advance past the record's, so records created
+        id counter advances past the record's, so records created
         afterwards never collide with loaded ones.
         """
         record = replace(
             record, signature=readonly_signature(record.signature),
         )
         self._next_id = max(self._next_id, record.record_id + 1)
-        self._clock = max(self._clock, record.timestamp + 1)
         self._records.append(record)
         return record
 

@@ -4,6 +4,9 @@ The vision's feasibility rests on the cloud keeping "a record of the
 different workloads' execution history ... across users" — a record that
 outlives any single tuning session.  This module serializes a
 :class:`~repro.core.history.HistoryStore` to versioned JSON and back.
+Version 1 files also carried a per-record logical ``timestamp``; the
+record id already gives the append order, so version 2 drops it and
+the reader ignores it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from .history import ExecutionRecord, HistoryStore
 
 __all__ = ["save_history", "load_history", "FORMAT_VERSION"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+#: every version :func:`load_history` reads
+_READABLE_VERSIONS = (1, 2)
 
 
 def _record_to_dict(record: ExecutionRecord) -> dict:
@@ -32,7 +37,6 @@ def _record_to_dict(record: ExecutionRecord) -> dict:
         "runtime_s": record.runtime_s,
         "success": record.success,
         "signature": [float(x) for x in record.signature],
-        "timestamp": record.timestamp,
     }
 
 
@@ -47,7 +51,6 @@ def _record_from_dict(data: dict) -> ExecutionRecord:
         runtime_s=float(data["runtime_s"]),
         success=bool(data["success"]),
         signature=np.asarray(data["signature"], dtype=float),
-        timestamp=int(data["timestamp"]),
     )
 
 
@@ -64,10 +67,10 @@ def load_history(path: str | Path) -> HistoryStore:
     """Read a store previously written by :func:`save_history`."""
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ValueError(
             f"unsupported history format version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions {_READABLE_VERSIONS}"
         )
     store = HistoryStore()
     for data in payload["records"]:

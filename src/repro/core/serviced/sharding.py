@@ -7,15 +7,9 @@ running similar workloads land on the same shard, whose engine cache,
 compiled-plan cache and warm models answer their repeated candidates —
 while unrelated workloads spread across shards.
 
-Fingerprints come in two strengths:
-
-* Before any execution exists, :func:`workload_fingerprint` hashes the
-  observable submission facts — workload name and the input-size decade
-  — which is what a provider knows at submit time.
-* Once the tenant has history, the caller can pass the workload's mean
-  characterization *signature* (quantized, so near-identical workloads
-  collide on purpose) for content-based placement that survives tenants
-  naming the same workload differently.
+:func:`workload_fingerprint` hashes the observable submission facts —
+workload name and the input-size decade — which is what a provider
+knows at submit time.
 
 Shards are units of placement and state, not of execution: each owns
 a full :class:`~repro.core.service.TuningService` (its own engine, warm
@@ -55,23 +49,15 @@ from ..service import TuningService
 __all__ = ["workload_fingerprint", "shard_index", "ShardPool"]
 
 
-def workload_fingerprint(workload: object, input_mb: float,
-                         signature: np.ndarray | None = None) -> str:
+def workload_fingerprint(workload: object, input_mb: float) -> str:
     """Stable hex fingerprint of a submission's workload identity.
 
-    With a characterization ``signature`` (a returning tenant), the
-    fingerprint is content-based: the signature is quantized to one
-    decimal per feature so measurement noise and tiny variants still
-    collide onto the same shard.  Without one (first contact), it falls
-    back to the submission facts: workload name + input-size decade.
+    Built from the submission facts: workload name + input-size decade,
+    so one workload's submissions at similar sizes land on one shard.
     """
-    if signature is not None:
-        sig = np.asarray(signature, dtype=float)
-        payload = "sig:" + ",".join(f"{x:.1f}" for x in sig)
-    else:
-        name = getattr(workload, "name", type(workload).__name__)
-        decade = int(np.floor(np.log10(max(1.0, float(input_mb)))))
-        payload = f"sub:{name}:{decade}"
+    name = getattr(workload, "name", type(workload).__name__)
+    decade = int(np.floor(np.log10(max(1.0, float(input_mb)))))
+    payload = f"sub:{name}:{decade}"
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
 
 

@@ -1,7 +1,8 @@
 """A single tuning campaign: tune and record, with stopping rules.
 
 Wraps a tuner + simulation objective so every exploratory execution is
-recorded into the provider history store and charged to a cost ledger.
+recorded into the provider history store; the objective charges each
+run to its cost ledger.
 The characterization probe that precedes a campaign is run, recorded
 and observed by :meth:`repro.core.service.TuningService.tune_disc`.
 Stopping combines a hard budget with CherryPick's EI rule and an
@@ -15,7 +16,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..cloud.cluster import Cluster
-from ..cloud.pricing import CostLedger
 from ..config.space import Configuration
 from ..sparksim.metrics import ExecutionResult
 from ..tuning.base import (
@@ -54,7 +54,6 @@ class TuningSession:
     tuner: Tuner
     objective: SimulationObjective
     store: HistoryStore | None = None
-    ledger: CostLedger | None = None
     #: optional per-phase wall-time accumulator (the owning service's)
     profiler: PhaseProfiler | None = None
     result: TuningResult = field(default_factory=TuningResult)
@@ -125,8 +124,6 @@ class TuningSession:
                 obs = self.tuner.observe(suggestion, cost, succeeded=succeeded)
                 self.result.history.append(obs)
                 self._record(suggestion, exec_result)
-                if self.ledger is not None and self.objective.ledger is None:
-                    self.ledger.charge_tuning(self.cluster, exec_result.runtime_s)
                 evals += 1
             if evals < cfg.min_evaluations:
                 continue

@@ -9,9 +9,10 @@ FastPAM-style vectorized swap).
 Neighbour lookup is served by the incremental
 :class:`~repro.core.simindex.SignatureIndex` — one (W, d) matrix op per
 query instead of a full-log scan per workload key.  The pre-index scan
-(:func:`find_similar_workloads_scan`) is kept as the reference
-implementation: the identity suite asserts both return bit-identical
-neighbours, and the ``similarity_lookup_1M`` bench measures the gap.
+is the reference implementation, kept with the tests
+(``tests/oracles.py``): the identity suite asserts both return
+bit-identical neighbours, and the ``similarity_lookup_1M`` bench
+measures the gap.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "signature_distance",
     "KMedoids",
     "find_similar_workloads",
-    "find_similar_workloads_scan",
     "SimilarWorkload",
 ]
 
@@ -141,7 +141,7 @@ def find_similar_workloads(store: HistoryStore, target_signature: np.ndarray,
 
     Served by the store's shared :class:`~repro.core.simindex.SignatureIndex`:
     one vectorized (W, d) distance computation over cached per-workload
-    means, bit-identical to :func:`find_similar_workloads_scan`.
+    means, bit-identical to the pre-index full-log scan.
     """
     hits = store.index().find_similar(
         scaled(target_signature), _FEATURE_SCALE, k, exclude, max_distance,
@@ -151,29 +151,3 @@ def find_similar_workloads(store: HistoryStore, target_signature: np.ndarray,
         for (tenant, label), distance, mean_sig in hits
     ]
 
-
-def find_similar_workloads_scan(store: HistoryStore, target_signature: np.ndarray,
-                                k: int = 3, exclude: tuple[str, str] | None = None,
-                                max_distance: float = np.inf) -> list[SimilarWorkload]:
-    """Pre-index reference path: one full-log scan *per workload key*.
-
-    O(workloads × records) per query — the behaviour the index replaced.
-    Kept verbatim so the identity suite can assert the indexed path
-    returns bit-identical neighbours and the ``similarity_lookup_1M``
-    bench can measure the speedup against it.
-    """
-    records = store.all()
-    keys = sorted({r.key for r in records})
-    neighbours = []
-    for tenant, label in keys:
-        if exclude is not None and (tenant, label) == exclude:
-            continue
-        runs = [r for r in records if r.key == (tenant, label) and r.success]
-        if not runs:
-            continue
-        mean_sig = np.mean([r.signature for r in runs], axis=0)
-        d = signature_distance(target_signature, mean_sig)
-        if d <= max_distance:
-            neighbours.append(SimilarWorkload(tenant, label, d, mean_sig))
-    neighbours.sort(key=lambda s: s.distance)
-    return neighbours[:k]

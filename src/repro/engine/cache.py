@@ -18,10 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Hashable
 
-from ..sparksim.dag import fingerprint_jobs
-
-__all__ = ["config_fingerprint", "jobs_fingerprint", "CacheStats",
-           "EvaluationCache"]
+__all__ = ["config_fingerprint", "CacheStats", "EvaluationCache"]
 
 
 def config_fingerprint(config: Mapping[str, Any]) -> str:
@@ -49,33 +46,6 @@ def config_fingerprint(config: Mapping[str, Any]) -> str:
         config._fingerprint = digest  # type: ignore[attr-defined]
     except (AttributeError, TypeError):
         pass
-    return digest
-
-
-def jobs_fingerprint(workload: Any, input_mb: float) -> str | None:
-    """Content digest of ``workload.jobs(input_mb)``.
-
-    A workload's name does not identify its runs: ``PageRank()`` and
-    ``PageRank(cpu_scale=3.0)`` share one.  This is the digest the
-    simulator's plan cache keeps such workloads apart by
-    (:func:`~repro.sparksim.dag.fingerprint_jobs`), memoized on the
-    workload object so it is computed once per (workload, input size),
-    whatever the simulator's ``plan_cache_size``.  Like the plan cache,
-    it assumes ``workload.jobs`` is pure.
-
-    A job list the workload refuses to build (``ValueError``, e.g. a
-    non-positive input) has no digest: the executor builds the same
-    list and raises the same error, so that key is never stored.
-    """
-    input_mb = float(input_mb)
-    memo = workload.__dict__.setdefault("_jobs_fingerprints", {})
-    digest = memo.get(input_mb)
-    if digest is None:
-        try:
-            jobs = workload.jobs(input_mb)
-        except ValueError:
-            return None
-        digest = memo[input_mb] = fingerprint_jobs(jobs)
     return digest
 
 

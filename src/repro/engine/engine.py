@@ -34,15 +34,11 @@ from typing import Any
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
 from ..config.space import Configuration
+from ..sparksim.dag import jobs_fingerprint
 from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
-from .cache import (
-    CacheStats,
-    EvaluationCache,
-    config_fingerprint,
-    jobs_fingerprint,
-)
+from .cache import CacheStats, EvaluationCache, config_fingerprint
 from .executors import SerialExecutor
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]
@@ -95,17 +91,14 @@ class EvaluationEngine:
         ``"serial"`` (default) runs every batch in-process, on the
         caller's thread; any object implementing
         ``run_batch(requests) -> list[ExecutionResult]`` is used as given
-        (an ungrouped :class:`SerialExecutor`, or a test double).
-    cache_size:
-        LRU capacity; 0 disables memoization entirely.
+        (the per-request reference loop, or a test double).
     """
 
     #: duck-typed: SerialExecutor or any run_batch() object
     _executor: Any
 
     def __init__(self, simulator: SparkSimulator | None = None,
-                 executor: str | object = "serial",
-                 cache_size: int = 4096):
+                 executor: str | object = "serial"):
         if simulator is None:
             simulator = SparkSimulator()
         self.simulator = simulator
@@ -115,7 +108,7 @@ class EvaluationEngine:
             self._executor = executor
         else:
             raise ValueError("executor must be 'serial' or expose run_batch()")
-        self.cache = EvaluationCache(capacity=cache_size) if cache_size else None
+        self.cache = EvaluationCache()
         self.n_evaluated = 0         # simulations actually run (cache misses)
         self.n_requested = 0         # total requests answered
         #: misses whose identity differs from a previously-seen request
@@ -126,7 +119,7 @@ class EvaluationEngine:
 
     @property
     def stats(self) -> CacheStats:
-        return self.cache.stats if self.cache is not None else CacheStats()
+        return self.cache.stats
 
     def counters(self) -> dict[str, Any]:
         """Flat snapshot: cache hit/miss/latency plus request counts."""
@@ -155,7 +148,7 @@ class EvaluationEngine:
         # Cache pass: answer known keys, dedup the rest.
         miss_of_key: dict[tuple, list[int]] = {}
         for i, (req, key) in enumerate(zip(requests, keys)):
-            hit = self.cache.get(key) if self.cache is not None else None
+            hit = self.cache.get(key)
             if hit is not None:
                 records[i] = EvalRecord(req, hit, cached=True, latency_s=0.0)
             else:
@@ -167,19 +160,17 @@ class EvaluationEngine:
             try:
                 results = self._executor.run_batch(unique)
             except BaseException:
-                if self.cache is not None:
-                    # An unanswered batch looked nothing up.
-                    n_missed = sum(map(len, miss_of_key.values()))
-                    self.cache.stats.misses -= n_missed
-                    self.cache.stats.hits -= len(requests) - n_missed
+                # An unanswered batch looked nothing up.
+                n_missed = sum(map(len, miss_of_key.values()))
+                self.cache.stats.misses -= n_missed
+                self.cache.stats.hits -= len(requests) - n_missed
                 raise
             elapsed = time.perf_counter() - start
             per_request = elapsed / len(unique)
             self.n_evaluated += len(unique)
             for (key, slots), result in zip(miss_of_key.items(), results):
                 self._note_env_distinct(key)
-                if self.cache is not None:
-                    self.cache.put(key, result, latency_s=per_request)
+                self.cache.put(key, result, latency_s=per_request)
                 first = slots[0]
                 for i in slots:
                     records[i] = EvalRecord(

@@ -9,75 +9,54 @@ randomness from it, so grouping a batch into ``run_batch`` calls changes
 wall-clock, never observations.
 
 The engine accepts any object with that method; the throughput bench and
-the identity suites pass an ungrouped ``SerialExecutor`` through it as
-the per-request reference.
+the identity suites pass the per-request reference loop
+(``tests/oracles.py``) and test doubles through it.
 """
 
 from __future__ import annotations
 
 from ..sparksim.simulator import SparkSimulator
 
-__all__ = ["SerialExecutor", "run_grouped"]
-
-
-def run_grouped(simulator: SparkSimulator, requests) -> list:
-    """Answer ``requests`` in order, batching same-workload runs.
-
-    Requests that share a workload object, input size and cluster form
-    one :meth:`~repro.sparksim.simulator.SparkSimulator.run_batch` call
-    (one plan-cache lookup + one vectorized cost sweep), which is
-    bit-identical to running them one by one.  Grouping keys on the
-    workload's *identity*: same-origin requests carry the same object.
-    """
-    requests = list(requests)
-    groups: dict[tuple, list[int]] = {}
-    for idx, r in enumerate(requests):
-        key = (id(r.workload), float(r.input_mb), r.cluster)
-        groups.setdefault(key, []).append(idx)
-    results: list = [None] * len(requests)
-    for idxs in groups.values():
-        if len(idxs) == 1:
-            i = idxs[0]
-            r = requests[i]
-            results[i] = simulator.run(
-                r.workload, r.input_mb, r.cluster, r.config,
-                env=r.env, seed=r.seed,
-            )
-        else:
-            first = requests[idxs[0]]
-            batch = simulator.run_batch(
-                first.workload, first.input_mb, first.cluster,
-                [requests[i].config for i in idxs],
-                envs=[requests[i].env for i in idxs],
-                seeds=[requests[i].seed for i in idxs],
-            )
-            for i, result in zip(idxs, batch):
-                results[i] = result
-    return results
+__all__ = ["SerialExecutor"]
 
 
 class SerialExecutor:
-    """Run every request in-process on one simulator.
+    """Run every request in-process on one simulator."""
 
-    With ``group_batches`` (the default), same-workload requests dispatch
-    through the simulator's candidate-batched fast path; results stay
-    bit-identical to the per-request loop, which ``group_batches=False``
-    runs as the reference.
-    """
-
-    def __init__(self, simulator: SparkSimulator | None = None,
-                 group_batches: bool = True):
+    def __init__(self, simulator: SparkSimulator | None = None):
         self.simulator = simulator or SparkSimulator()
-        self.group_batches = group_batches
 
     def run_batch(self, requests) -> list:
+        """Answer ``requests`` in order, batching same-workload runs.
+
+        Requests that share a workload object, input size and cluster form
+        one :meth:`~repro.sparksim.simulator.SparkSimulator.run_batch` call
+        (one plan-cache lookup + one vectorized cost sweep), which is
+        bit-identical to running them one by one.  Grouping keys on the
+        workload's *identity*: same-origin requests carry the same object.
+        """
         requests = list(requests)
-        if self.group_batches and len(requests) > 1:
-            return run_grouped(self.simulator, requests)
-        return [
-            self.simulator.run(
-                r.workload, r.input_mb, r.cluster, r.config,
-                env=r.env, seed=r.seed,
-            )
-            for r in requests
-        ]
+        groups: dict[tuple, list[int]] = {}
+        for idx, r in enumerate(requests):
+            key = (id(r.workload), float(r.input_mb), r.cluster)
+            groups.setdefault(key, []).append(idx)
+        results: list = [None] * len(requests)
+        for idxs in groups.values():
+            if len(idxs) == 1:
+                i = idxs[0]
+                r = requests[i]
+                results[i] = self.simulator.run(
+                    r.workload, r.input_mb, r.cluster, r.config,
+                    env=r.env, seed=r.seed,
+                )
+            else:
+                first = requests[idxs[0]]
+                batch = self.simulator.run_batch(
+                    first.workload, first.input_mb, first.cluster,
+                    [requests[i].config for i in idxs],
+                    envs=[requests[i].env for i in idxs],
+                    seeds=[requests[i].seed for i in idxs],
+                )
+                for i, result in zip(idxs, batch):
+                    results[i] = result
+        return results

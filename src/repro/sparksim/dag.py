@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from .rdd import RDD, Job
 
@@ -26,6 +26,7 @@ __all__ = [
     "CompiledWorkload",
     "compile_workload",
     "fingerprint_jobs",
+    "jobs_fingerprint",
 ]
 
 
@@ -374,6 +375,33 @@ def fingerprint_jobs(jobs: Sequence[Job]) -> str:
             unpersist,
         )).encode())
     return h.hexdigest()
+
+
+def jobs_fingerprint(workload: Any, input_mb: float) -> str | None:
+    """Content digest of ``workload.jobs(input_mb)``: a run's workload
+    identity.
+
+    A workload's name does not identify its runs: ``PageRank()`` and
+    ``PageRank(cpu_scale=3.0)`` share one.  The simulator's plan cache
+    and the evaluation engine's cache both key on this digest
+    (:func:`fingerprint_jobs`), memoized on the workload object so it is
+    computed once per (workload, input size).  Like both caches, it
+    assumes ``workload.jobs`` is pure.
+
+    A job list the workload refuses to build (``ValueError``, e.g. a
+    non-positive input) has no digest: the caller builds the same list
+    and raises the same error, so that key is never stored.
+    """
+    input_mb = float(input_mb)
+    memo = workload.__dict__.setdefault("_jobs_fingerprints", {})
+    digest = memo.get(input_mb)
+    if digest is None:
+        try:
+            jobs = workload.jobs(input_mb)
+        except ValueError:
+            return None
+        digest = memo[input_mb] = fingerprint_jobs(jobs)
+    return digest
 
 
 def compile_workload(name: str, input_mb: float, jobs: Sequence[Job],

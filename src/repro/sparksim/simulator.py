@@ -17,15 +17,18 @@ behaviour Section IV of the paper describes.
 Three throughput layers sit on top of the single-run path:
 
 * a **compiled-plan cache**: the stage DAG and the cache-registry
-  evolution are config-independent, so each ``(workload, input_mb,
+  evolution are config-independent, so each ``(name, input_mb,
   job-list fingerprint)`` compiles once and every candidate evaluation
-  replays the immutable :class:`~repro.sparksim.dag.CompiledWorkload`;
+  replays the immutable :class:`~repro.sparksim.dag.CompiledWorkload`
+  (the fingerprint is :func:`~repro.sparksim.dag.jobs_fingerprint`,
+  the evaluation engine's workload identity too);
 * a **joint cost program**: :meth:`SparkSimulator.run_batch` costs all
   stages for the distinct (configuration, environment) object pairs of
   a batch in one fused ``(stages, columns)`` numpy sweep
-  (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over
-  cached :class:`~repro.sparksim.costmodel.PlanArrays`) — an ingest
-  batch of one deployed configuration costs a single column;
+  (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over the
+  plan's :class:`~repro.sparksim.costmodel.PlanArrays`, kept in its
+  plan-cache entry) — an ingest batch of one deployed configuration
+  costs a single column;
 * **stage-major draws, shape-major scheduling**: every stage draws for
   every candidate before the next stage starts.  Each candidate keeps
   its own noise generator (pre-seeded by one vectorized sweep,
@@ -56,6 +59,7 @@ out of the batch and finish on the scalar path).
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -72,7 +76,7 @@ from .costmodel import (
     compute_plan_cost_batch,
     compute_stage_cost,
 )
-from .dag import CompiledWorkload, compile_workload, fingerprint_jobs
+from .dag import CompiledWorkload, compile_workload, jobs_fingerprint
 from .executor import ExecutorModel
 from .faults import NO_FAULTS, FaultPlan
 from .memory import plan_cache
@@ -96,7 +100,6 @@ if TYPE_CHECKING:
     from ..workloads.base import Workload
     from .costmodel import BatchInputs, PlanCostBatch, StageCost
     from .dag import CompiledStage
-    from .rdd import Job
 
 __all__ = ["SparkSimulator"]
 
@@ -133,6 +136,15 @@ _Shape = tuple[int, int, tuple[float, float] | None]
 _COST_CACHE_SIZE = 1024
 
 
+@dataclass(slots=True)
+class _Plan:
+    """A plan-cache entry: the compiled plan and, once a batch has
+    needed them, its joint-program arrays (immutable, like the plan)."""
+
+    compiled: CompiledWorkload
+    arrays: PlanArrays | None = None
+
+
 class SparkSimulator:
     """Simulates Spark application executions.
 
@@ -149,11 +161,13 @@ class SparkSimulator:
         noise stream), so injected scenarios are reproducible and a
         non-firing plan leaves results bit-identical to no plan.
     plan_cache_size:
-        Number of compiled workload plans kept (LRU); 0 disables plan
-        caching and recompiles on every run (the throughput benchmark
-        uses this to measure the cache's contribution).  Plans are
-        immutable and config-independent; the cache only trades memory
-        for re-compilation time, never changes results.
+        Number of compiled workload plans kept (LRU), each with its
+        joint-program arrays; 0 disables plan caching, recompiling on
+        every run and rebuilding the arrays on every batch (the
+        throughput benchmark uses this to measure the cache's
+        contribution).  Plans are immutable and config-independent; the
+        cache only trades memory for re-compilation time, never changes
+        results.
     """
 
     def __init__(self, calibration: Calibration | None = None, noise: bool = True,
@@ -164,21 +178,13 @@ class SparkSimulator:
         if plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0")
         self.plan_cache_size = plan_cache_size
-        # Identity tier: (id(workload), input_mb) -> (workload, compiled).
-        # Holding the workload object strongly pins its id, so a hit is
-        # guaranteed to be the same object (ids are only reused after
-        # collection).  Content tier: (name, input_mb, fingerprint) ->
-        # compiled, so equal-content workload *objects* share one plan
-        # while same-named workloads with different job lists never
-        # collide (the fingerprint is part of the key).
-        self._plan_cache_by_id: OrderedDict = OrderedDict()
-        self._plan_cache_by_content: OrderedDict = OrderedDict()
+        # (name, input_mb, jobs fingerprint) -> _Plan: equal-content
+        # workload *objects* share one plan, while same-named workloads
+        # with different job lists never collide (the fingerprint is
+        # part of the key).
+        self._plans: OrderedDict[tuple[str, float, str], _Plan] = OrderedDict()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Joint-program cache: id(compiled) -> (compiled, PlanArrays).
-        # Holding the compiled plan strongly pins its id, like the plan
-        # cache's identity tier.
-        self._plan_arrays_cache: OrderedDict = OrderedDict()
         # Cost-program cache for recurring one-column batches:
         # (id(plan), id(config), cluster, env, calibration) ->
         # (plan, config, BatchInputs, PlanCostBatch); the strong refs pin
@@ -195,40 +201,36 @@ class SparkSimulator:
         """Return the (cached) compiled plan for ``workload`` at ``input_mb``.
 
         Assumes ``workload.jobs()`` is pure (same object, same job list)
-        — true for every workload in :mod:`repro.workloads`.  Distinct
-        objects fall through to a content fingerprint, so two same-named
-        workloads with different job lists get distinct plans.
+        — true for every workload in :mod:`repro.workloads`.  Plans are
+        keyed by job-list content, so two same-named workloads with
+        different job lists get distinct plans.
         """
-        if self.plan_cache_size == 0:
+        return self._plan(workload, input_mb).compiled
+
+    def _plan(self, workload: Workload, input_mb: float) -> _Plan:
+        """The plan-cache entry for ``workload`` at ``input_mb``."""
+        fingerprint = (jobs_fingerprint(workload, input_mb)
+                       if self.plan_cache_size else None)
+        if fingerprint is None:
+            # Uncached, or a job list the workload refuses to build:
+            # jobs() raises that ValueError here, to the caller.
+            jobs = workload.jobs(input_mb)
             self.plan_cache_misses += 1
-            return compile_workload(
-                workload.name, input_mb, workload.jobs(input_mb),
-            )
-        id_key = (id(workload), float(input_mb))
-        hit = self._plan_cache_by_id.get(id_key)
-        if hit is not None and hit[0] is workload:
-            self._plan_cache_by_id.move_to_end(id_key)
+            return _Plan(compile_workload(workload.name, input_mb, jobs))
+        key = (workload.name, float(input_mb), fingerprint)
+        entry = self._plans.get(key)
+        if entry is not None:
+            self._plans.move_to_end(key)
             self.plan_cache_hits += 1
-            return hit[1]
-        jobs = workload.jobs(input_mb)
-        fingerprint = fingerprint_jobs(jobs)
-        content_key = (workload.name, float(input_mb), fingerprint)
-        compiled = self._plan_cache_by_content.get(content_key)
-        if compiled is not None:
-            self._plan_cache_by_content.move_to_end(content_key)
-            self.plan_cache_hits += 1
-        else:
-            self.plan_cache_misses += 1
-            compiled = compile_workload(
-                workload.name, input_mb, jobs, fingerprint=fingerprint,
-            )
-            self._plan_cache_by_content[content_key] = compiled
-            while len(self._plan_cache_by_content) > self.plan_cache_size:
-                self._plan_cache_by_content.popitem(last=False)
-        self._plan_cache_by_id[id_key] = (workload, compiled)
-        while len(self._plan_cache_by_id) > self.plan_cache_size:
-            self._plan_cache_by_id.popitem(last=False)
-        return compiled
+            return entry
+        self.plan_cache_misses += 1
+        entry = self._plans[key] = _Plan(compile_workload(
+            workload.name, input_mb, workload.jobs(input_mb),
+            fingerprint=fingerprint,
+        ))
+        while len(self._plans) > self.plan_cache_size:
+            self._plans.popitem(last=False)
+        return entry
 
     # --- single-candidate path -------------------------------------------
     def run(self, workload: Workload, input_mb: float, cluster: Cluster,
@@ -236,13 +238,6 @@ class SparkSimulator:
             env: Environment = QUIET, seed: int = 0) -> ExecutionResult:
         """Execute ``workload`` at ``input_mb`` scale and return metrics."""
         compiled = self.compile_workload(workload, input_mb)
-        return self._run_compiled(compiled, cluster, config, env=env, seed=seed)
-
-    def run_jobs(self, name: str, input_mb: float, jobs: Sequence[Job],
-                 cluster: Cluster, config: Mapping[str, Any],
-                 env: Environment = QUIET, seed: int = 0) -> ExecutionResult:
-        """Execute an explicit job list (compiled fresh, uncached)."""
-        compiled = compile_workload(name, input_mb, jobs)
         return self._run_compiled(compiled, cluster, config, env=env, seed=seed)
 
     def _run_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
@@ -427,7 +422,8 @@ class SparkSimulator:
             raise ValueError("configs, envs and seeds must have equal length")
         if n == 0:
             return RunBatch(workload.name, input_mb, [])
-        compiled = self.compile_workload(workload, input_mb)
+        entry = self._plan(workload, input_mb)
+        compiled = entry.compiled
         # Screen candidates: simulated faults (stage targets, env spikes)
         # perturb control flow mid-run, so those candidates take the
         # scalar path; rejected grants fail before any rng draw and are
@@ -453,29 +449,10 @@ class SparkSimulator:
         columns = None
         if active:
             columns = self._run_columns(
-                compiled, cluster, [configs[i] for i in active],
+                entry, cluster, [configs[i] for i in active],
                 [envs[i] for i in active], [seeds[i] for i in active], grants,
             )
         return RunBatch(compiled.name, compiled.input_mb, items, columns)
-
-    def _plan_program(self, compiled: CompiledWorkload) -> PlanArrays:
-        """The (cached) joint-program columns for ``compiled``.
-
-        Keyed by plan identity like the plan cache's id tier; plans are
-        immutable, so the derived arrays are too.
-        """
-        if self.plan_cache_size == 0:
-            return build_plan_arrays(compiled)
-        key = id(compiled)
-        hit = self._plan_arrays_cache.get(key)
-        if hit is not None and hit[0] is compiled:
-            self._plan_arrays_cache.move_to_end(key)
-            return hit[1]
-        arrays = build_plan_arrays(compiled)
-        self._plan_arrays_cache[key] = (compiled, arrays)
-        while len(self._plan_arrays_cache) > self.plan_cache_size:
-            self._plan_arrays_cache.popitem(last=False)
-        return arrays
 
     def _cost_program(self, plan: PlanArrays, cluster: Cluster,
                       configs: Sequence[Mapping[str, Any]],
@@ -517,7 +494,7 @@ class SparkSimulator:
                 self._cost_cache.popitem(last=False)
         return b, cost
 
-    def _run_columns(self, compiled: CompiledWorkload, cluster: Cluster,
+    def _run_columns(self, entry: _Plan, cluster: Cluster,
                      configs: Sequence[Mapping[str, Any]],
                      envs: Sequence[Environment], seeds: Sequence[int],
                      grants: Sequence[ResourceGrant]) -> BatchColumns:
@@ -561,7 +538,9 @@ class SparkSimulator:
         bounds = np.searchsorted(col[order], np.arange(n_cols + 1)).tolist()
         rows_of = [order[bounds[u]:bounds[u + 1]] for u in range(n_cols)]
         first = [int(rows[0]) for rows in rows_of]
-        plan = self._plan_program(compiled)
+        plan = entry.arrays
+        if plan is None:
+            plan = entry.arrays = build_plan_arrays(entry.compiled)
         b, cost = self._cost_program(plan, cluster,
                                      [configs[k] for k in first],
                                      [grants[k] for k in first],

@@ -12,10 +12,10 @@ Surrogate state is **incremental**: every observation is encoded once,
 on arrival, into an append-only design matrix (grown by capacity
 doubling), the log-cost transform is applied per point, and the model
 incumbent (the EI baseline) is tracked as a running minimum.  A
-``suggest()`` call therefore never re-encodes the history — the
-rebuild-from-scratch path (``incremental=False``) is kept as the
-reference implementation the identity suite and the
-``suggest_throughput`` bench compare against.
+``suggest()`` call therefore never re-encodes the history.  The
+rebuild-from-scratch reference that the identity suite and the
+``suggest_throughput`` bench compare against lives in the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ class BayesOptTuner(Tuner):
         Optional list of ``(config, cost)`` pairs injected into the model
         before any suggestion — the transfer-learning hook used by the
         provider-side service (paper challenge V.B).
-    incremental:
-        Keep the encoded design matrix and transformed costs in
-        append-only buffers maintained at ``observe()`` time (default).
-        ``False`` restores the per-``suggest`` rebuild — bit-identical
-        by the identity suite, kept as reference and bench baseline.
     """
 
     def __init__(self, space: ConfigurationSpace, seed: int = 0,
@@ -63,8 +58,7 @@ class BayesOptTuner(Tuner):
                  kernel: Kernel | None = None,
                  n_candidates: int = 512, log_costs: bool = True,
                  refit_every: int = 4,
-                 warm_start: list[tuple[Configuration, float]] | None = None,
-                 incremental: bool = True):
+                 warm_start: list[tuple[Configuration, float]] | None = None):
         super().__init__(space, seed)
         if acquisition not in ("ei", "lcb"):
             raise ValueError("acquisition must be 'ei' or 'lcb'")
@@ -75,7 +69,6 @@ class BayesOptTuner(Tuner):
         self.n_candidates = n_candidates
         self.log_costs = log_costs
         self.refit_every = max(1, refit_every)
-        self.incremental = incremental
         self._init_points = space.latin_hypercube(n_init, self.rng)
         self._gp = GaussianProcess(kernel=kernel or Matern52(), seed=seed)
         self._fitted_at = 0
@@ -128,27 +121,10 @@ class BayesOptTuner(Tuner):
 
     @property
     def best(self) -> Observation | None:
-        if self.incremental:
-            return self._best_obs
-        return super().best
-
-    def _training_data(self):
-        """Rebuild the design matrix from scratch (reference path).
-
-        The incremental buffers must stay bit-identical to this — the
-        hypothesis identity suite drives both and compares.
-        """
-        pairs = self._warm + [(o.config, o.cost) for o in self.history]
-        X = np.array([self.space.encode(c) for c, _ in pairs])
-        y = np.array([cost for _, cost in pairs], dtype=float)
-        if self.log_costs:
-            y = np.log(np.maximum(y, 1e-9))
-        return X, y
+        return self._best_obs
 
     def _model_data(self):
-        if self.incremental:
-            return self._X_buf[:self._n_pairs], self._y_buf[:self._n_pairs]
-        return self._training_data()
+        return self._X_buf[:self._n_pairs], self._y_buf[:self._n_pairs]
 
     def _refit(self) -> None:
         X, y = self._model_data()
@@ -177,15 +153,8 @@ class BayesOptTuner(Tuner):
         return np.vstack(cands)
 
     def _incumbent_y(self) -> float:
-        """EI's baseline: the minimum of the model-space costs.
-
-        Tracked incrementally; the rebuild path recomputes it from the
-        full design so both modes answer bit-identically.
-        """
-        if self.incremental:
-            return float(self._y_model_min)
-        _, y = self._training_data()
-        return float(y.min())
+        """EI's baseline: the minimum of the model-space costs."""
+        return float(self._y_model_min)
 
     # --- Tuner interface -----------------------------------------------------
     def suggest(self) -> Configuration:

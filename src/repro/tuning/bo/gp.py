@@ -53,14 +53,6 @@ class GaussianProcess:
         self._alpha: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
-        # Capacity-doubled backing buffers for the training state; the
-        # public ``_X``/``_y``/``_L`` views slice the first n rows, so
-        # :meth:`update` appends points by writing one row instead of
-        # reallocating an (n+1)-sized copy per observation.
-        self._capacity = 0
-        self._X_buf: np.ndarray | None = None
-        self._y_buf: np.ndarray | None = None
-        self._L_buf: np.ndarray | None = None
 
     @property
     def theta(self) -> np.ndarray:
@@ -129,66 +121,12 @@ class GaussianProcess:
                     best_nll, best_theta = float(res.fun), res.x
         self._theta = best_theta
         L = self._chol(X, best_theta)
-        self._adopt(X, yn, L)
+        # Own copies of the training state: update() grows them.
+        self._X, self._y, self._L = np.array(X, order="C"), yn, L
         self._alpha = solve_triangular(
             L.T, solve_triangular(L, yn, lower=True), lower=False
         )
         return self
-
-    # --- training-state buffers -------------------------------------------
-    def _adopt(self, X: np.ndarray, yn: np.ndarray, L: np.ndarray) -> None:
-        """Copy a freshly factorized training state into growable buffers."""
-        n, d = X.shape
-        self._reserve(n, d)
-        self._X_buf[:n] = X
-        self._y_buf[:n] = yn
-        self._L_buf[:n, :n] = L
-        self._publish(n)
-
-    def _reserve(self, n: int, d: int) -> None:
-        """Ensure buffer capacity for ``n`` rows of dimension ``d``.
-
-        Growth doubles capacity, so a suggest loop appending one point
-        per step amortizes to O(1) allocations per observation instead
-        of one (n+1)² zero matrix each — the difference the
-        ``suggest_throughput`` bench measures.
-        """
-        if (self._X_buf is not None and self._capacity >= n
-                and self._X_buf.shape[1] == d):
-            return
-        cap = max(16, self._capacity)
-        while cap < n:
-            cap *= 2
-        X_buf = np.zeros((cap, d))
-        y_buf = np.zeros(cap)
-        L_buf = np.zeros((cap, cap))
-        if self._X is not None and self._X_buf is not None \
-                and self._X.shape[1] == d:
-            kept = len(self._X)
-            X_buf[:kept] = self._X
-            y_buf[:kept] = self._y
-            L_buf[:kept, :kept] = self._L
-        self._capacity = cap
-        self._X_buf, self._y_buf, self._L_buf = X_buf, y_buf, L_buf
-
-    def _publish(self, n: int) -> None:
-        """Point the public training views at the first ``n`` buffer rows."""
-        self._X = self._X_buf[:n]
-        self._y = self._y_buf[:n]
-        self._L = self._L_buf[:n, :n]
-
-    def _L_contiguous(self) -> np.ndarray:
-        """The Cholesky factor as a C-contiguous (n, n) matrix.
-
-        ``_L`` is a strided view into the capacity-padded buffer, and
-        scipy's triangular solves dispatch differently on strided vs.
-        contiguous operands (trans tricks vs. copies), which perturbs
-        results in the last ulp.  Every solve therefore goes through a
-        contiguous factor — identical memory layout, and bit-identical
-        numerics, to the pre-buffer implementation.  The O(n²) copy is
-        dominated by the O(n²)–O(n³) solve it feeds.
-        """
-        return np.ascontiguousarray(self._L)
 
     @property
     def n_observations(self) -> int:
@@ -214,26 +152,23 @@ class GaussianProcess:
             return self
         theta = self._theta
         noise = np.exp(theta[-1]) + 1e-10
-        dim = self._X.shape[1]
         for x, yv in zip(X_new, y_new):
             yn = (yv - self._y_mean) / self._y_std
             k_vec = self.kernel(x[None, :], self._X, theta[:-1]).ravel()
-            b = solve_triangular(self._L_contiguous(), k_vec, lower=True)
+            b = solve_triangular(self._L, k_vec, lower=True)
             d = float(self.kernel.diag(x[None, :], theta[:-1])[0] + noise - b @ b)
             n = len(self._X)
-            # Grow in place: one row write into the pre-allocated buffers
-            # instead of rebuilding an (n+1)² zero matrix per point.
-            self._reserve(n + 1, dim)
-            self._L_buf[:n, n] = 0.0      # clear any stale column values
-            self._L_buf[n, :n] = b
+            L = np.zeros((n + 1, n + 1))
+            L[:n, :n] = self._L
+            L[n, :n] = b
             # Numerical floor mirrors the jitter the full factorization uses.
-            self._L_buf[n, n] = np.sqrt(max(d, 1e-10))
-            self._X_buf[n] = x
-            self._y_buf[n] = yn
-            self._publish(n + 1)
-        L = self._L_contiguous()
+            L[n, n] = np.sqrt(max(d, 1e-10))
+            self._L = L
+            self._X = np.vstack([self._X, x[None, :]])
+            self._y = np.append(self._y, yn)
         self._alpha = solve_triangular(
-            L.T, solve_triangular(L, self._y, lower=True), lower=False
+            self._L.T, solve_triangular(self._L, self._y, lower=True),
+            lower=False,
         )
         return self
 
@@ -244,7 +179,7 @@ class GaussianProcess:
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
         Ks = self.kernel(Xs, self._X, self._theta[:-1])
         mean = Ks @ self._alpha
-        v = solve_triangular(self._L_contiguous(), Ks.T, lower=True)
+        v = solve_triangular(self._L, Ks.T, lower=True)
         var = self.kernel.diag(Xs, self._theta[:-1]) - np.sum(v**2, axis=0)
         var = np.maximum(var, 1e-12)
         return (

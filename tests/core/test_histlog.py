@@ -14,7 +14,7 @@ def _record(i: int, tenant: str = "t1", label: str = "wc") -> ExecutionRecord:
         input_mb=1000.0 + i, cluster="4x m5.xlarge (aws)",
         config=spark_core_space().default_configuration(),
         runtime_s=100.0 + i, success=i % 5 != 3,
-        signature=np.full(8, float(i)), timestamp=i,
+        signature=np.full(8, float(i)),
     )
 
 
@@ -25,8 +25,7 @@ class _LegacyListStore:
         self.records = []
 
     def append_new(self, **kw):
-        rec = ExecutionRecord(record_id=len(self.records),
-                              timestamp=len(self.records), **kw)
+        rec = ExecutionRecord(record_id=len(self.records), **kw)
         self.records.append(rec)
         return rec
 
@@ -42,7 +41,6 @@ class TestHistoryLogBasics:
             )
         snap = log.snapshot()
         assert [r.record_id for r in snap] == list(range(10))
-        assert [r.timestamp for r in snap] == list(range(10))
         assert len(log) == 10
 
     def test_round_trip_equals_in_memory_store(self):
@@ -77,7 +75,6 @@ class TestHistoryLogBasics:
             runtime_s=1.0, success=True, signature=np.ones(2),
         )
         assert rec.record_id == 42
-        assert rec.timestamp == 42
 
     def test_snapshot_is_immutable_and_cached(self):
         log = HistoryLog()

@@ -38,7 +38,7 @@ def _deployment(service, family, input_mb, tenant="tenant-a"):
 
 
 def _record_fields(record):
-    return (record.record_id, record.timestamp, record.tenant,
+    return (record.record_id, record.tenant,
             record.workload_label, record.input_mb, record.cluster,
             record.config, record.runtime_s, record.success,
             record.signature.tobytes())

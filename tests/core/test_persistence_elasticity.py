@@ -60,6 +60,23 @@ class TestPersistence:
             store.best_for("t", "sort").runtime_s
         )
 
+    def test_reads_version_one_files(self, cluster, simulator, tmp_path):
+        """Version 1 carried a per-record ``timestamp``; version 2 drops
+        it, and the reader ignores it in older files."""
+        store = self._store(cluster, simulator)
+        path = tmp_path / "history.json"
+        save_history(store, path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert all("timestamp" not in r for r in payload["records"])
+        payload["format_version"] = 1
+        for r in payload["records"]:
+            r["timestamp"] = r["record_id"]
+        path.write_text(json.dumps(payload))
+        loaded = load_history(path)
+        assert [r.record_id for r in loaded.all()] == \
+               [r.record_id for r in store.all()]
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format_version": 99, "records": []}))

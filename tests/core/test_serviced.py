@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.cloud.cluster import Cluster
@@ -226,16 +225,6 @@ class TestFingerprints:
         assert workload_fingerprint(wc, 1000) == workload_fingerprint(wc, 5000)
         assert workload_fingerprint(wc, 1000) != workload_fingerprint(wc, 100)
 
-    def test_signature_fingerprint_quantizes_noise(self):
-        sig = np.array([1.03, 2.04, 0.51])
-        noisy = sig + 0.004
-        far = sig + 10.0
-        wc = Wordcount()
-        assert (workload_fingerprint(wc, 1, signature=sig)
-                == workload_fingerprint(wc, 1, signature=noisy))
-        assert (workload_fingerprint(wc, 1, signature=sig)
-                != workload_fingerprint(wc, 1, signature=far))
-
     def test_shard_index_in_range(self):
         fp = workload_fingerprint(Wordcount(), 1000)
         for n in (1, 2, 7):
@@ -246,13 +235,10 @@ class TestFingerprints:
         one: a digest that folds in process state (a first-seen index, a
         salted ``hash``) passes every same-process comparison above."""
         wc, pr = Wordcount(), PageRank()
-        sig = np.array([1.03, 2.04, 0.51])
         cases = [
             (workload_fingerprint(wc, 1000), "c0234f5cdbecd371", [1, 1, 2]),
             (workload_fingerprint(pr, 12000), "777443447ca08800", [0, 0, 5]),
             (workload_fingerprint(wc, 100), "2bc2afd47933818c", [0, 0, 0]),
-            (workload_fingerprint(wc, 1, signature=sig), "902d69245780de83",
-             [1, 3, 6]),
         ]
         for fingerprint, expected, shards in cases:
             assert fingerprint == expected

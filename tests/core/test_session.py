@@ -13,11 +13,12 @@ def _session(cluster, tuner_cls=RandomSearchTuner, store=None, ledger=None, **tu
     space = spark_core_space()
     workload = Wordcount()
     input_mb = 20_000
-    objective = SimulationObjective(workload, input_mb, cluster=cluster, seed=9)
+    objective = SimulationObjective(workload, input_mb, cluster=cluster, seed=9,
+                                    ledger=ledger)
     return TuningSession(
         tenant="t", workload_label="wc", workload=workload, input_mb=input_mb,
         cluster=cluster, tuner=tuner_cls(space, seed=1, **tuner_kwargs),
-        objective=objective, store=store, ledger=ledger,
+        objective=objective, store=store,
     )
 
 

@@ -14,11 +14,8 @@ from repro.config.space import Configuration
 from repro.core.histlog import HistoryLog
 from repro.core.history import HistoryStore
 from repro.core.simindex import SignatureIndex, signature_index
-from repro.core.similarity import (
-    find_similar_workloads,
-    find_similar_workloads_scan,
-    signature_distance,
-)
+from repro.core.similarity import find_similar_workloads, signature_distance
+from tests.oracles import find_similar_workloads_scan
 
 N_FEATURES = 11  # characterization signature dimension (scaled() asserts it)
 

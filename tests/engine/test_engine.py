@@ -17,6 +17,7 @@ from repro.engine import (
 from repro.sparksim import SparkSimulator
 from repro.tuning import RandomSearchTuner, run_tuner, run_tuner_batched
 from repro.workloads import PageRank, Sort
+from tests.oracles import UngroupedExecutor
 
 CLUSTER = Cluster.of("m5.2xlarge", 6)
 SPACE = spark_core_space()
@@ -102,15 +103,6 @@ class TestEvaluationEngine:
         runs_after_miss = ledger.tuning_runs
         objective(config)
         assert ledger.tuning_runs == runs_after_miss == 1
-
-    def test_cache_size_zero_disables_memoization(self):
-        engine = EvaluationEngine(cache_size=0)
-        objective = _objective(engine)
-        config = _configs(1)[0]
-        objective(config)
-        objective(config)
-        assert engine.n_evaluated == 2
-        assert engine.counters()["hits"] == 0
 
     @pytest.mark.parametrize("executor", ["threads", "process"])
     def test_rejects_unknown_executor(self, executor):
@@ -200,17 +192,17 @@ class TestSerialExecutorGrouping:
     def test_grouped_and_ungrouped_records_are_identical(self):
         from repro.sparksim import SparkSimulator
 
-        def campaign(group_batches):
+        def campaign(executor_cls):
             sim = SparkSimulator()
-            executor = SerialExecutor(sim, group_batches=group_batches)
+            executor = executor_cls(sim)
             engine = EvaluationEngine(simulator=sim, executor=executor)
             objective = _objective(engine)
             tuner = RandomSearchTuner(SPACE, seed=21)
             return run_tuner_batched(tuner, objective, budget=15,
                                      batch_size=5)
 
-        grouped = campaign(True)
-        ungrouped = campaign(False)
+        grouped = campaign(SerialExecutor)
+        ungrouped = campaign(UngroupedExecutor)
         assert [o.cost for o in grouped.history] == \
                [o.cost for o in ungrouped.history]
 

@@ -515,6 +515,7 @@ def test_histories_identical_under_engine_batching():
     from repro.engine import EngineObjective, EvaluationEngine
     from repro.engine.executors import SerialExecutor
     from repro.tuning import RandomSearchTuner, run_tuner_batched
+    from tests.oracles import UngroupedExecutor
 
     def campaign(simulator, executor):
         eng = EvaluationEngine(simulator=simulator, executor=executor)
@@ -526,9 +527,9 @@ def test_histories_identical_under_engine_batching():
         )
 
     sim_a = SparkSimulator()
-    batched = campaign(sim_a, SerialExecutor(sim_a, group_batches=True))
+    batched = campaign(sim_a, SerialExecutor(sim_a))
     sim_b = SparkSimulator()
-    scalar = campaign(sim_b, SerialExecutor(sim_b, group_batches=False))
+    scalar = campaign(sim_b, UngroupedExecutor(sim_b))
     assert [o.cost for o in batched.history] == \
            [o.cost for o in scalar.history]
     assert [o.config for o in batched.history] == \

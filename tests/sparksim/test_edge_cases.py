@@ -18,6 +18,18 @@ GOOD = _config(**{
 })
 
 
+class _AdHoc:
+    """A workload that runs a fixed, hand-built job list."""
+
+    name = "adhoc"
+
+    def __init__(self, jobs):
+        self._jobs = jobs
+
+    def jobs(self, input_mb):
+        return self._jobs
+
+
 class TestExtremeClusters:
     def test_single_tiny_node(self, simulator):
         cluster = Cluster.of("m5.large", 1)  # 2 vCPU, 8 GiB
@@ -124,7 +136,7 @@ class TestLineageEdgeCases:
         # single-job workload touching it once still succeeds.
         cached = RDD.source("d", 1_000).map().cache()
         job = cached.filter().count()
-        result = simulator.run_jobs("adhoc", 1_000, [job], cluster, GOOD, seed=1)
+        result = simulator.run(_AdHoc([job]), 1_000, cluster, GOOD, seed=1)
         assert result.success
 
 

@@ -1,7 +1,8 @@
 """The compiled-plan cache: hits, misses, LRU bounds, aliasing guard.
 
 Stage DAGs are config-independent, so the simulator compiles each
-``(workload, input_mb)`` once and replays the immutable plan for every
+``(workload, input_mb)`` once and replays the immutable plan, and the
+joint-program arrays the first batch builds from it, for every
 candidate.  The cache must never change results — and in particular two
 workloads that share ``name``/``input_mb`` but run different job lists
 must never collide (the content fingerprint is part of the key).
@@ -56,6 +57,19 @@ class TestCounters:
         assert a is b
         assert sim.plan_cache_hits == 1 and sim.plan_cache_misses == 1
 
+    def test_first_batch_builds_the_plan_arrays_and_keeps_them(self):
+        sim = SparkSimulator()
+        w = Sort()
+        config = _config()
+        sim.run(w, 512.0, CLUSTER, config, seed=1)
+        [plan] = sim._plans.values()
+        assert plan.arrays is None               # run() never needs them
+        first = sim.run_batch(w, 512.0, CLUSTER, [config] * 2, seeds=[1, 2])
+        arrays = plan.arrays
+        assert arrays is not None and first.columns.plan is arrays
+        again = sim.run_batch(Sort(), 512.0, CLUSTER, [config], seeds=[3])
+        assert again.columns.plan is arrays      # equal content, one entry
+
     def test_distinct_input_sizes_compile_separately(self):
         sim = SparkSimulator()
         w = Sort()
@@ -89,8 +103,7 @@ class TestBoundsAndDisabling:
         w = Sort()
         for mb in (256.0, 512.0, 1024.0, 2048.0):
             sim.compile_workload(w, mb)
-        assert len(sim._plan_cache_by_id) <= 2
-        assert len(sim._plan_cache_by_content) <= 2
+        assert [key[1] for key in sim._plans] == [1024.0, 2048.0]
         # The oldest entry was evicted: recompiling it is a miss again.
         misses = sim.plan_cache_misses
         sim.compile_workload(w, 256.0)
@@ -103,7 +116,11 @@ class TestBoundsAndDisabling:
         b = sim.compile_workload(w, 512.0)
         assert a is not b
         assert sim.plan_cache_misses == 2 and sim.plan_cache_hits == 0
-        assert not sim._plan_cache_by_id and not sim._plan_cache_by_content
+        configs = [_config()] * 2
+        batch = sim.run_batch(w, 512.0, CLUSTER, configs, seeds=[1, 2])
+        assert not sim._plans and not sim._cost_cache
+        assert batch == SparkSimulator().run_batch(w, 512.0, CLUSTER, configs,
+                                                   seeds=[1, 2])
 
     def test_negative_size_rejected(self):
         try:
@@ -121,10 +138,3 @@ class TestBoundsAndDisabling:
             a = cached.run(Sort(), 512.0, CLUSTER, config, seed=seed)
             b = uncached.run(Sort(), 512.0, CLUSTER, config, seed=seed)
             assert a == b
-
-    def test_run_jobs_bypasses_the_cache(self):
-        sim = SparkSimulator()
-        jobs = Sort().jobs(512.0)
-        config = _config()
-        sim.run_jobs("adhoc", 512.0, jobs, CLUSTER, config, seed=1)
-        assert sim.plan_cache_misses == 0 and sim.plan_cache_hits == 0

@@ -1,10 +1,11 @@
 """Identity suite: incremental BayesOpt surrogate state vs. rebuild.
 
-``BayesOptTuner(incremental=True)`` — the default — encodes each
-observation once into append-only buffers and tracks EI's incumbent as
-a running minimum; ``incremental=False`` is the old rebuild-everything
-reference.  Whole campaigns must be *bit-identical* between the two:
-same suggestion stream, same EI values, same posteriors.
+``BayesOptTuner`` encodes each observation once into append-only
+buffers and tracks EI's incumbent as a running minimum;
+``RebuildBayesOptTuner`` (``tests/oracles.py``) is the old
+rebuild-everything reference.  Whole campaigns must be *bit-identical*
+between the two: same suggestion stream, same EI values, same
+posteriors.
 """
 
 import numpy as np
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 from repro.config.cloud_params import cloud_space
 from repro.config.spark_params import spark_core_space
 from repro.tuning.bo.bayesopt import BayesOptTuner
+from tests.oracles import RebuildBayesOptTuner
 
 
 def _campaign(space, seed, cost_seed, n_steps, log_costs=True,
-              refit_every=4, warm=None, incremental=True):
-    tuner = BayesOptTuner(
+              refit_every=4, warm=None, tuner_cls=BayesOptTuner):
+    tuner = tuner_cls(
         space, seed=seed, n_init=4, n_candidates=48, log_costs=log_costs,
-        refit_every=refit_every, warm_start=warm, incremental=incremental,
+        refit_every=refit_every, warm_start=warm,
     )
     costs = np.random.default_rng(cost_seed)
     trail = []
@@ -39,11 +41,10 @@ def test_campaigns_bit_identical(seed, cost_seed, n_steps, log_costs,
                                  refit_every):
     space = cloud_space("aws")
     t_inc, trail_inc = _campaign(
-        space, seed, cost_seed, n_steps, log_costs, refit_every,
-        incremental=True)
+        space, seed, cost_seed, n_steps, log_costs, refit_every)
     t_ref, trail_ref = _campaign(
         space, seed, cost_seed, n_steps, log_costs, refit_every,
-        incremental=False)
+        tuner_cls=RebuildBayesOptTuner)
     for (c_a, ei_a), (c_b, ei_b) in zip(trail_inc, trail_ref):
         assert c_a == c_b
         assert ei_a == ei_b        # bitwise: same incumbent, same posterior
@@ -60,18 +61,21 @@ def test_warm_started_campaigns_bit_identical(seed, n_steps):
     warm = [(space.decode(rng.random(space.dimension)),
              float(10.0 + 100.0 * rng.random())) for _ in range(3)]
     _, trail_inc = _campaign(space, seed, seed ^ 0x5bf, n_steps,
-                             warm=list(warm), incremental=True)
+                             warm=list(warm))
     _, trail_ref = _campaign(space, seed, seed ^ 0x5bf, n_steps,
-                             warm=list(warm), incremental=False)
+                             warm=list(warm), tuner_cls=RebuildBayesOptTuner)
     assert [c for c, _ in trail_inc] == [c for c, _ in trail_ref]
     assert [ei for _, ei in trail_inc] == [ei for _, ei in trail_ref]
 
 
 def test_buffers_match_training_data_rebuild():
-    """The append-only buffers must equal ``_training_data()`` bitwise."""
+    """The append-only buffers must equal the reference's
+    ``_training_data()`` bitwise."""
     space = cloud_space("aws")
-    tuner, _ = _campaign(space, 11, 13, 12, incremental=True)
-    X_ref, y_ref = tuner._training_data()
+    tuner, _ = _campaign(space, 11, 13, 12)
+    reference, _ = _campaign(space, 11, 13, 12,
+                             tuner_cls=RebuildBayesOptTuner)
+    X_ref, y_ref = reference._training_data()
     X_buf, y_buf = tuner._model_data()
     assert np.array_equal(X_buf, X_ref)
     assert np.array_equal(y_buf, y_ref)
@@ -83,9 +87,11 @@ def test_design_matrix_tracks_rebuild_between_refits():
     huge), the surrogate grows by rank-1 updates only — its training
     views must still match the from-scratch design matrix bitwise."""
     space = cloud_space("aws")
-    tuner, _ = _campaign(space, 3, 7, 14, refit_every=50, incremental=True)
+    tuner, _ = _campaign(space, 3, 7, 14, refit_every=50)
+    reference, _ = _campaign(space, 3, 7, 14, refit_every=50,
+                             tuner_cls=RebuildBayesOptTuner)
     tuner._refit()
-    X, y = tuner._training_data()
+    X, y = reference._training_data()
     yn = (y - tuner._gp._y_mean) / tuner._gp._y_std
     assert np.array_equal(tuner._gp._X, X)
     assert np.array_equal(tuner._gp._y, yn)
@@ -94,9 +100,8 @@ def test_design_matrix_tracks_rebuild_between_refits():
 def test_failed_observations_enter_model_like_reference():
     space = cloud_space("aws")
 
-    def run(incremental):
-        t = BayesOptTuner(space, seed=5, n_init=3, n_candidates=32,
-                          incremental=incremental)
+    def run(tuner_cls):
+        t = tuner_cls(space, seed=5, n_init=3, n_candidates=32)
         rng = np.random.default_rng(21)
         for i in range(10):
             c = t.suggest()
@@ -104,6 +109,6 @@ def test_failed_observations_enter_model_like_reference():
                       succeeded=(i % 3 != 0))
         return t
 
-    a, b = run(True), run(False)
+    a, b = run(BayesOptTuner), run(RebuildBayesOptTuner)
     assert [o.config for o in a.history] == [o.config for o in b.history]
     assert a.best.config == b.best.config and a.best.cost == b.best.cost

@@ -1,11 +1,10 @@
-"""Identity suite: pre-allocated GP Cholesky growth vs. rebuild.
+"""Identity suite: rank-1 GP Cholesky growth vs. the reference update.
 
-``GaussianProcess.update`` now writes appended points into
-capacity-doubled backing buffers instead of building an (n+1)² zero
-matrix per point.  Pure performance: the published ``_L``/``_X``/``_y``
-views — and therefore every posterior — must be bit-identical to the
-old rebuild-per-point behaviour, across buffer growth boundaries and
-across re-fits that shrink the training set inside a large buffer.
+``GaussianProcess.update`` grows its factor by one row and column per
+appended point.  The training state ``_L``/``_X``/``_y`` — and therefore
+every posterior — must be bit-identical to the reference below, whether
+points arrive one at a time or as one batch, and after re-fits that
+shrink the training set.
 """
 
 import numpy as np
@@ -16,7 +15,7 @@ from repro.tuning.bo import GaussianProcess, Matern52
 
 
 def _reference_update(gp, X_new, y_new):
-    """The pre-buffer update: rebuild (n+1)-sized arrays per point."""
+    """The reference update: rebuild (n+1)-sized arrays per point."""
     theta = gp._theta
     noise = np.exp(theta[-1]) + 1e-10
     from scipy.linalg import solve_triangular
@@ -50,8 +49,6 @@ def test_buffered_update_bit_identical_to_rebuild(seed, n_fit, n_new, dim):
     gp.fit(X[:n_fit], y[:n_fit], optimize_hyperparams=False)
     X_ref, y_ref, L_ref, alpha_ref = _reference_update(
         gp, X[n_fit:], y[n_fit:])
-    # n_new up to 40 from a 16-row initial buffer: crosses at least one
-    # capacity-doubling boundary.
     for i in range(n_fit, n_fit + n_new):
         gp.update(X[i:i + 1], y[i:i + 1])
     assert np.array_equal(gp._X, X_ref)
@@ -76,14 +73,14 @@ def test_refit_smaller_inside_big_buffer_leaves_no_stale_state(seed):
     X_big = rng.random((30, 3))
     y_big = rng.random(30)
     gp = GaussianProcess(seed=0)
-    gp.fit(X_big, y_big, optimize_hyperparams=False)        # 32-row buffer
+    gp.fit(X_big, y_big, optimize_hyperparams=False)
     X_small = rng.random((4, 3))
     y_small = rng.random(4)
-    gp.fit(X_small, y_small, optimize_hyperparams=False)    # reuses buffer
+    gp.fit(X_small, y_small, optimize_hyperparams=False)
     X_upd = rng.random((3, 3))
     y_upd = rng.random(3)
     gp.update(X_upd, y_upd)
-    fresh = GaussianProcess(seed=0)                          # clean buffers
+    fresh = GaussianProcess(seed=0)
     fresh.fit(X_small, y_small, optimize_hyperparams=False)
     fresh.update(X_upd, y_upd)
     assert np.array_equal(gp._L, fresh._L)
@@ -92,18 +89,20 @@ def test_refit_smaller_inside_big_buffer_leaves_no_stale_state(seed):
     assert np.array_equal(gp.predict(Xs)[1], fresh.predict(Xs)[1])
 
 
-def test_views_track_buffer_growth():
+def test_training_state_is_contiguous_and_owned():
+    """Every solve reads ``_L`` as it is, so after ``fit`` and after each
+    ``update`` it must be a C-contiguous matrix that owns its memory:
+    scipy's triangular solves on a strided view differ in the last ulp.
+    ``_X`` must not alias the caller's array either."""
     rng = np.random.default_rng(0)
+    X = rng.random((3, 2))
     gp = GaussianProcess(seed=0)
-    gp.fit(rng.random((2, 2)), rng.random(2), optimize_hyperparams=False)
-    caps = {gp._capacity}
-    for _ in range(40):
-        gp.update(rng.random((1, 2)), rng.random(1))
-        caps.add(gp._capacity)
-        assert len(gp._X) == gp.n_observations
+    gp.fit(X, rng.random(3), optimize_hyperparams=False)
+    assert not np.shares_memory(gp._X, X)
+    for step in range(21):
+        if step:
+            gp.update(rng.random((1, 2)), rng.random(1))
+        for state in (gp._L, gp._X, gp._y):
+            assert state.flags.c_contiguous and state.flags.owndata
         assert gp._L.shape == (gp.n_observations, gp.n_observations)
-        # the published views must alias the buffers, not copies
-        assert gp._X.base is gp._X_buf
-        assert gp._L.base is gp._L_buf
-    assert len(caps) > 1          # growth actually crossed a boundary
-    assert gp.n_observations == 42
+    assert gp.n_observations == 23
