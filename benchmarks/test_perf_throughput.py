@@ -4,13 +4,19 @@ Measures evaluations/sec for a 200-candidate random-search campaign and
 records them in ``BENCH_throughput.json`` at the repo root, so the perf
 trajectory is tracked across PRs:
 
+Every scalar baseline runs the scalar reference simulator,
+``ScalarSimulator`` from ``tests/oracles.py`` (one execution at a time:
+per-stage scalar costing and list scheduling), which the shipped
+simulator's ``run()`` no longer is — it is a batch of one.
+
 * ``seed_serial``: the seed-repo loop — ``run_tuner`` driving a plain
-  :class:`SimulationObjective`, one simulation per call, no cache.
+  :class:`SimulationObjective` on the scalar reference, one simulation
+  per call, no cache.
 * ``engine_serial_scalar``: the engine's pre-batching cold path,
   reproduced exactly — per-candidate dispatch (``UngroupedExecutor``,
-  ``tests/oracles.py``) on a simulator with the compiled-plan cache disabled
-  (``plan_cache_size=0``), i.e. jobs are re-planned for every
-  evaluation.  This is the baseline the batch fast path is judged
+  ``tests/oracles.py``) on the scalar reference with the compiled-plan
+  cache disabled (``plan_cache_size=0``), i.e. jobs are re-planned for
+  every evaluation.  This is the baseline the batch fast path is judged
   against.
 * ``engine_serial_plancache``: per-candidate dispatch with the plan
   cache on — isolates the plan cache's contribution from batching's.
@@ -18,8 +24,9 @@ trajectory is tracked across PRs:
   candidate-batched fast path (``run_batch``).  The headline cold
   number.
 * ``sim_scalar_cold`` / ``sim_batch_cold``: the simulator alone on the
-  identical 200 candidates — a cold per-eval ``run()`` loop with the
-  plan cache off (the pre-batching fast path) vs cold ``run_batch``
+  identical 200 candidates — a cold per-eval scalar reference ``run()``
+  loop with the plan cache off (the pre-batching fast path) vs cold
+  ``run_batch``
   chunks.  This pair isolates the batch fast path from the tuner +
   objective + engine harness that every engine scenario pays
   identically (sampling, resolve/repair, request building — ~80 µs/eval
@@ -33,7 +40,7 @@ trajectory is tracked across PRs:
 * ``sim_batch_repeated``: ingest-shaped batches — ONE configuration
   (the space defaults, repaired to the cluster) run under 100 seeds,
   the shape production-run ingest sends, in one ``run_batch`` call vs a
-  ``run()`` loop over the same seeds.  Here every stage's task count is
+  scalar reference ``run()`` loop over the same seeds.  Here every stage's task count is
   shared, so the stage-major path schedules each stage as one
   ``(runs, tasks)`` matrix; results must equal the loop bit for bit and
   the scenario reports runs/s as ``evals_per_s``.
@@ -80,7 +87,7 @@ from repro.tuning import (
     run_tuner_batched,
 )
 from repro.workloads import Sort
-from tests.oracles import UngroupedExecutor
+from tests.oracles import ScalarSimulator, UngroupedExecutor
 
 N_CANDIDATES = 200
 BATCH_SIZE = 25
@@ -110,7 +117,8 @@ def _timed(fn):
 
 def _scenario_seed_serial():
     objective = SimulationObjective(Sort(), 4096.0, cluster=CLUSTER,
-                                    repair=True, seed=3)
+                                    repair=True, seed=3,
+                                    simulator=ScalarSimulator())
     return _timed(lambda: run_tuner(_tuner(), objective, budget=N_CANDIDATES))
 
 
@@ -131,8 +139,9 @@ def _scenario_engine(executor, warm=False, simulator=None):
 
 
 def _scenario_engine_scalar(plan_cache_size):
-    """Per-candidate serial dispatch, optionally without the plan cache."""
-    sim = SparkSimulator(plan_cache_size=plan_cache_size)
+    """Per-candidate serial dispatch on the scalar reference, optionally
+    without the plan cache."""
+    sim = ScalarSimulator(plan_cache_size=plan_cache_size)
     executor = UngroupedExecutor(sim)
     return _scenario_engine(executor, simulator=sim)
 
@@ -151,7 +160,8 @@ def _resolved_candidates():
 
 
 def _scenario_sim_pair(reps=5):
-    """Cold scalar ``run()`` loop vs cold ``run_batch`` over ``reps`` reps.
+    """Cold scalar reference ``run()`` loop vs cold ``run_batch`` over
+    ``reps`` reps.
 
     Both sides simulate the identical candidates and seeds, so results
     must agree bitwise; fresh simulators per rep keep the plan cache
@@ -165,7 +175,7 @@ def _scenario_sim_pair(reps=5):
     scalar_times, batch_times, joint_times = [], [], []
     scalar_results = batch_results = joint_results = None
     for _ in range(reps):
-        sim = SparkSimulator(plan_cache_size=0)
+        sim = ScalarSimulator(plan_cache_size=0)
         t0 = time.perf_counter()
         scalar_results = [
             sim.run(workload, 4096.0, CLUSTER, configs[i], seed=seeds[i])
@@ -201,15 +211,16 @@ def _scenario_sim_pair(reps=5):
 
 
 def _scenario_sim_repeated(reps=5):
-    """One configuration x ``REPEATED_RUNS`` seeds: ``run()`` loop vs one
-    ``run_batch`` call, fresh simulators per rep.  Returns the best
-    elapsed time per side and the median per-rep speedup."""
+    """One configuration x ``REPEATED_RUNS`` seeds: scalar reference
+    ``run()`` loop vs one ``run_batch`` call, fresh simulators per rep.
+    Returns the best elapsed time per side and the median per-rep
+    speedup."""
     config = repair(Configuration(dict(SPARK_DEFAULTS)), CLUSTER)
     seeds = list(range(5000, 5000 + REPEATED_RUNS))
     workload = Sort()
     scalar_times, batch_times = [], []
     for _ in range(reps):
-        sim = SparkSimulator()
+        sim = ScalarSimulator()
         t0 = time.perf_counter()
         scalar = [sim.run(workload, 4096.0, CLUSTER, config, seed=s)
                   for s in seeds]

@@ -9,6 +9,7 @@ model suggestions back into valid configurations.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterator, Mapping
@@ -24,6 +25,7 @@ __all__ = [
     "CategoricalParameter",
     "Configuration",
     "ConfigurationSpace",
+    "config_fingerprint",
 ]
 
 
@@ -242,9 +244,10 @@ class CategoricalParameter(Parameter):
 class Configuration(Mapping):
     """An immutable, hashable assignment of values to every space parameter."""
 
-    # _fingerprint memoizes the engine's content digest
-    # (repro.engine.cache.config_fingerprint), which keys caches and
-    # derives per-config seeds — twice per evaluation on the hot path.
+    # _fingerprint memoizes the content digest (config_fingerprint,
+    # below), which keys the engine's cache and the simulator's cost
+    # programs and derives per-config seeds, several times per
+    # evaluation on the hot path.
     # _grant memoizes the cluster-manager packing decision
     # (repro.config.constraints.grant_resources), likewise asked twice
     # per evaluation (tuner-side repair, then the simulator).
@@ -300,6 +303,34 @@ class Configuration(Mapping):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         body = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"Configuration({body})"
+
+
+def config_fingerprint(config: Mapping[str, Any]) -> str:
+    """Stable digest of a configuration's items.
+
+    Python's built-in ``hash`` is salted per process (``PYTHONHASHSEED``),
+    so it cannot key a cache, or seed a candidate, that must agree across
+    runs.  This digest is derived from the sorted ``repr`` of the
+    items, which is deterministic for the str/int/float/bool values
+    configurations hold.
+    """
+    cached = getattr(config, "_fingerprint", None)
+    if cached is not None:
+        return cached
+    # Configuration backs its Mapping interface with a plain dict;
+    # hashing that directly skips the abc ItemsView iteration (the items
+    # and therefore the digest are identical either way).
+    values = getattr(config, "_values", None)
+    items = values.items() if values is not None else config.items()
+    payload = repr(sorted(items)).encode()
+    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    try:
+        # Configuration reserves a slot for exactly this memo; other
+        # mappings (plain dicts, test doubles) simply skip it.
+        config._fingerprint = digest  # type: ignore[attr-defined]
+    except (AttributeError, TypeError):
+        pass
+    return digest
 
 
 class ConfigurationSpace:

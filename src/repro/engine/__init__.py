@@ -1,6 +1,7 @@
 """Batch evaluation engine: memoized, batched candidate evaluation."""
 
-from .cache import CacheStats, EvaluationCache, config_fingerprint
+from ..config.space import config_fingerprint
+from .cache import CacheStats, EvaluationCache
 from .engine import EngineObjective, EvalRecord, EvalRequest, EvaluationEngine
 from .executors import SerialExecutor
 

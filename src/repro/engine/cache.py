@@ -12,41 +12,11 @@ conflating two genuinely different runs.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Hashable
 
-__all__ = ["config_fingerprint", "CacheStats", "EvaluationCache"]
-
-
-def config_fingerprint(config: Mapping[str, Any]) -> str:
-    """Stable digest of a configuration's items.
-
-    Python's built-in ``hash`` is salted per process (``PYTHONHASHSEED``),
-    so it cannot key a cache, or seed a candidate, that must agree across
-    runs.  This digest is derived from the sorted ``repr`` of the
-    items, which is deterministic for the str/int/float/bool values
-    configurations hold.
-    """
-    cached = getattr(config, "_fingerprint", None)
-    if cached is not None:
-        return cached
-    # Configuration backs its Mapping interface with a plain dict;
-    # hashing that directly skips the abc ItemsView iteration (the items
-    # and therefore the digest are identical either way).
-    values = getattr(config, "_values", None)
-    items = values.items() if values is not None else config.items()
-    payload = repr(sorted(items)).encode()
-    digest = hashlib.blake2b(payload, digest_size=16).hexdigest()
-    try:
-        # Configuration reserves a slot for exactly this memo; other
-        # mappings (plain dicts, test doubles) simply skip it.
-        config._fingerprint = digest  # type: ignore[attr-defined]
-    except (AttributeError, TypeError):
-        pass
-    return digest
+__all__ = ["CacheStats", "EvaluationCache"]
 
 
 @dataclass

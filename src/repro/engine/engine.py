@@ -33,12 +33,12 @@ from typing import Any
 
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
-from ..config.space import Configuration
+from ..config.space import Configuration, config_fingerprint
 from ..sparksim.dag import jobs_fingerprint
 from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
-from .cache import CacheStats, EvaluationCache, config_fingerprint
+from .cache import CacheStats, EvaluationCache
 from .executors import SerialExecutor
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]

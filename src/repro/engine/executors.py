@@ -32,8 +32,9 @@ class SerialExecutor:
         Requests that share a workload object, input size and cluster form
         one :meth:`~repro.sparksim.simulator.SparkSimulator.run_batch` call
         (one plan-cache lookup + one vectorized cost sweep), which is
-        bit-identical to running them one by one.  Grouping keys on the
-        workload's *identity*: same-origin requests carry the same object.
+        bit-identical to running them one by one; a lone request is a
+        batch of one.  Grouping keys on the workload's *identity*:
+        same-origin requests carry the same object.
         """
         requests = list(requests)
         groups: dict[tuple, list[int]] = {}
@@ -42,21 +43,13 @@ class SerialExecutor:
             groups.setdefault(key, []).append(idx)
         results: list = [None] * len(requests)
         for idxs in groups.values():
-            if len(idxs) == 1:
-                i = idxs[0]
-                r = requests[i]
-                results[i] = self.simulator.run(
-                    r.workload, r.input_mb, r.cluster, r.config,
-                    env=r.env, seed=r.seed,
-                )
-            else:
-                first = requests[idxs[0]]
-                batch = self.simulator.run_batch(
-                    first.workload, first.input_mb, first.cluster,
-                    [requests[i].config for i in idxs],
-                    envs=[requests[i].env for i in idxs],
-                    seeds=[requests[i].seed for i in idxs],
-                )
-                for i, result in zip(idxs, batch):
-                    results[i] = result
+            first = requests[idxs[0]]
+            batch = self.simulator.run_batch(
+                first.workload, first.input_mb, first.cluster,
+                [requests[i].config for i in idxs],
+                envs=[requests[i].env for i in idxs],
+                seeds=[requests[i].seed for i in idxs],
+            )
+            for i, result in zip(idxs, batch):
+                results[i] = result
         return results

@@ -1,12 +1,6 @@
 """Discrete-event Spark simulator: RDDs, DAGs, executors, cost model."""
 
-from .costmodel import (
-    Calibration,
-    StageCost,
-    TaskCost,
-    compute_stage_cost,
-    with_overrides,
-)
+from .costmodel import Calibration, with_overrides
 from .dag import (
     CacheRegistry,
     CompiledJob,
@@ -29,11 +23,10 @@ from .faults import (
     oom_kill,
     straggler,
 )
-from .memory import CachePlan, SpillOutcome, gc_fraction, plan_cache, spill_outcome
+from .memory import CachePlan, gc_fraction, plan_cache
 from .metrics import ExecutionResult, RunBatch, StageMetrics, TaskMetrics
 from .rdd import RDD, Job
-from .scheduler import StageSchedule, schedule_stage
-from .shuffle import CODECS, SERIALIZERS, shuffle_read, shuffle_write
+from .shuffle import CODECS, SERIALIZERS
 from .simulator import SparkSimulator
 
 __all__ = [
@@ -57,21 +50,12 @@ __all__ = [
     "oom_kill",
     "env_spike",
     "CachePlan",
-    "SpillOutcome",
     "plan_cache",
-    "spill_outcome",
     "gc_fraction",
     "CODECS",
     "SERIALIZERS",
-    "shuffle_read",
-    "shuffle_write",
     "Calibration",
-    "TaskCost",
-    "StageCost",
-    "compute_stage_cost",
     "with_overrides",
-    "StageSchedule",
-    "schedule_stage",
     "event_lines",
     "write_event_log",
     "read_event_log",

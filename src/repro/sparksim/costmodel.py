@@ -1,9 +1,11 @@
 """Analytic per-task cost model.
 
-Given one stage, a configuration, a cluster and the cache state, compute
-the deterministic cost components of a single task (CPU, disk, network,
-GC) plus stage-level driver overheads.  The scheduler then turns these
-into a makespan by simulating slot occupancy with noise and stragglers.
+Given a compiled plan, candidate configurations, a cluster and the
+interference environments, compute for every (stage, candidate) the
+deterministic cost components of one task (CPU, disk, network, GC) plus
+stage-level driver overheads, in one struct-of-arrays sweep.  The
+scheduler then turns these into a makespan by simulating slot occupancy
+with noise and stragglers.
 
 Every empirical constant lives in :class:`Calibration` so ablation
 benches can perturb them.
@@ -20,16 +22,13 @@ from ..cloud.cluster import Cluster
 from ..cloud.interference import Environment
 from ..config.constraints import ResourceGrant
 from ..config.encoding import ConfigColumns
-from .dag import CompiledWorkload, StageProfile
+from .dag import CompiledWorkload
 from .executor import RESERVED_MB, ExecutorModel
-from .memory import CachePlan, gc_fraction, plan_cache, spill_outcome
-from .shuffle import CODECS, codec_of, serializer_of, shuffle_read, shuffle_write
+from .memory import gc_fraction, plan_cache
+from .shuffle import CODECS, serializer_of
 
 __all__ = [
     "Calibration",
-    "TaskCost",
-    "StageCost",
-    "compute_stage_cost",
     "BatchInputs",
     "build_batch_inputs",
     "PlanArrays",
@@ -65,218 +64,6 @@ class Calibration:
     min_parallelism_efficiency: float = 0.05
 
 
-@dataclass(frozen=True)
-class TaskCost:
-    """Deterministic cost components of one task of a stage."""
-
-    cpu_s: float
-    disk_s: float
-    net_s: float
-    gc_s: float
-    launch_s: float
-    idle_s: float            # locality-wait scheduling idle
-    spilled_mb: float
-    oom: bool
-
-    @property
-    def total_s(self) -> float:
-        return self.cpu_s + self.disk_s + self.net_s + self.gc_s + self.launch_s + self.idle_s
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Per-stage cost: one representative task plus driver-side overheads."""
-
-    stage: StageProfile
-    num_tasks: int
-    task: TaskCost
-    driver_s: float
-    # observable byte counters for metrics
-    input_mb: float
-    cached_read_mb: float
-    shuffle_read_mb: float
-    shuffle_write_mb: float
-    spill_mb_total: float
-
-
-def resolve_num_tasks(stage: StageProfile, config: Mapping) -> int:
-    if stage.num_tasks_hint is not None:
-        return max(1, int(stage.num_tasks_hint))
-    return max(1, int(config["spark.default.parallelism"]))
-
-
-def compute_stage_cost(
-    stage: StageProfile,
-    config: Mapping,
-    cluster: Cluster,
-    grant: ResourceGrant,
-    executor: ExecutorModel,
-    cache: CachePlan,
-    env: Environment,
-    num_map_tasks: int = 0,
-    calib: Calibration | None = None,
-) -> StageCost:
-    """Compute the cost of ``stage`` under ``config`` on ``cluster``.
-
-    ``cache`` describes the current cache fit (for stages that read cached
-    data) and ``num_map_tasks`` the upstream map-output count (for stages
-    that read a shuffle).
-    """
-    if calib is None:
-        calib = Calibration()
-    if grant.executors < 1:
-        raise ValueError("cannot cost a stage with zero granted executors")
-
-    n_tasks = resolve_num_tasks(stage, config)
-    ser = serializer_of(config)
-    core_speed = cluster.instance.cpu_speed
-
-    # --- per-task data volumes ---------------------------------------------
-    input_pt = stage.input_mb / n_tasks
-    cached_pt = stage.cached_read_mb / n_tasks
-    shuffle_read_pt = stage.shuffle_read_mb / n_tasks
-    shuffle_write_pt = stage.shuffle_write_mb / n_tasks
-    output_pt = (stage.output_mb / n_tasks) if stage.writes_output else 0.0
-
-    # --- resource sharing on a node ------------------------------------------
-    execs_per_node = max(1.0, grant.executors / cluster.count)
-    tasks_per_node = execs_per_node * executor.concurrent_tasks
-    disk_share = cluster.node_disk_mb_s / tasks_per_node / env.disk_factor
-    net_share = cluster.node_network_mb_s / tasks_per_node / env.network_factor
-    remote_nodes_fraction = (
-        (cluster.count - 1) / cluster.count if cluster.count > 1 else 0.0
-    )
-
-    cpu = 0.0
-    disk = 0.0
-    net = 0.0
-
-    # --- operator computation -------------------------------------------------
-    cpu += stage.cpu_s / n_tasks / core_speed
-
-    # --- external input (HDFS-style: mostly node-local) ------------------------
-    if input_pt > 0:
-        locality_wait = float(config.get("spark.locality.wait", 3.0))
-        remote_frac = 0.12 * pow(2.718281828, -locality_wait / 1.5)
-        disk += input_pt * (1.0 - remote_frac) / disk_share
-        net += input_pt * remote_frac / net_share
-
-    # --- cached input -----------------------------------------------------------
-    if cached_pt > 0:
-        hit = cache.hit_fraction
-        cpu += cached_pt * hit * cache.read_cpu_s_per_mb / core_speed
-        cpu += cached_pt * hit / calib.cached_read_mb_s  # memory scan
-        miss = cached_pt * (1.0 - hit)
-        if miss > 0:
-            if cache.miss_to_disk:
-                disk += miss / disk_share
-                cpu += miss * ser.deserialize_s_per_mb / core_speed
-            else:
-                # Recompute the partition: re-run its producing chain
-                # (CPU) and re-read its inputs — shuffle re-fetches go
-                # over the network, source re-scans over the disk.
-                reread = miss * cache.recompute_io_mb_per_mb
-                disk += 0.4 * reread / disk_share
-                net += 0.6 * reread / net_share
-                cpu += miss * (
-                    cache.recompute_cpu_s_per_mb + calib.recompute_cpu_s_per_mb
-                ) / core_speed
-
-    # --- shuffle read --------------------------------------------------------------
-    if shuffle_read_pt > 0:
-        cost, fetch_eff = shuffle_read(
-            shuffle_read_pt, config,
-            num_map_tasks=max(1, num_map_tasks),
-            remote_fraction=max(0.0, min(1.0, remote_nodes_fraction + 0.05)),
-        )
-        cpu += cost.cpu_s / core_speed
-        disk += cost.disk_mb / disk_share
-        net += cost.net_mb / net_share / fetch_eff
-
-    # --- shuffle write -----------------------------------------------------------------
-    if shuffle_write_pt > 0:
-        reduce_tasks = int(config["spark.default.parallelism"])
-        cost = shuffle_write(shuffle_write_pt, config, num_reduce_tasks=reduce_tasks)
-        cpu += cost.cpu_s / core_speed
-        disk += cost.disk_mb / disk_share
-
-    # --- final output -------------------------------------------------------------------
-    if output_pt > 0:
-        cpu += output_pt * ser.serialize_s_per_mb / core_speed
-        disk += output_pt / disk_share
-
-    # --- memory: spill or die -------------------------------------------------------------
-    working_set = (
-        shuffle_read_pt * ser.expansion
-        + shuffle_write_pt * calib.shuffle_write_buffer_fraction * ser.expansion
-        + (input_pt + cached_pt) * calib.map_working_set_fraction * ser.expansion
-    )
-    storage_per_exec = cache.stored_mb / grant.executors if grant.executors else 0.0
-    available = executor.execution_per_task_mb(storage_per_exec)
-    spill = spill_outcome(working_set, available, stage.unspillable_fraction)
-    spilled_logical = spill.spilled_mb / ser.expansion
-    if spilled_logical > 0:
-        spill_bytes = spilled_logical
-        spill_cpu = spilled_logical * (ser.serialize_s_per_mb + ser.deserialize_s_per_mb)
-        if config.get("spark.shuffle.spill.compress", True):
-            codec = codec_of(config)
-            spill_bytes *= codec.ratio
-            spill_cpu += spilled_logical * (
-                codec.compress_s_per_mb + codec.decompress_s_per_mb
-            )
-        spill_cpu += spill.merge_passes * spilled_logical * calib.spill_merge_cpu_s_per_mb
-        cpu += spill_cpu / core_speed
-        disk += 2.0 * spill_bytes / disk_share  # write + read back
-
-    # --- GC pressure ----------------------------------------------------------------------
-    resident = min(working_set, available) * executor.concurrent_tasks
-    occupancy = (storage_per_exec + resident + RESERVED_MB) / max(
-        executor.heap_mb, 1.0
-    )
-    gc = gc_fraction(occupancy) * cpu
-
-    # Interference slows computation too (shared cores / hyperthread pairs).
-    cpu *= env.cpu_factor
-    gc *= env.cpu_factor
-
-    # --- scheduling idle from locality wait -------------------------------------------------
-    locality_wait = float(config.get("spark.locality.wait", 3.0))
-    effective_slots = grant.executors * executor.concurrent_tasks
-    waves = max(1.0, n_tasks / max(1, effective_slots))
-    idle = 0.0
-    if (input_pt > 0 or cached_pt > 0) and locality_wait > 0:
-        # Waiting for local slots delays a fraction of waves.
-        idle = min(locality_wait, 0.02 * locality_wait * waves) / waves
-
-    task = TaskCost(
-        cpu_s=cpu,
-        disk_s=disk,
-        net_s=net,
-        gc_s=gc,
-        launch_s=calib.task_launch_s,
-        idle_s=idle,
-        spilled_mb=spilled_logical,
-        oom=spill.oom,
-    )
-
-    driver = (
-        calib.driver_stage_overhead_s
-        + calib.driver_dispatch_s_per_task * n_tasks
-        + stage.collect_mb * calib.collect_s_per_mb
-    )
-    return StageCost(
-        stage=stage,
-        num_tasks=n_tasks,
-        task=task,
-        driver_s=driver,
-        input_mb=stage.input_mb,
-        cached_read_mb=stage.cached_read_mb,
-        shuffle_read_mb=stage.shuffle_read_mb,
-        shuffle_write_mb=stage.shuffle_write_mb,
-        spill_mb_total=spilled_logical * n_tasks,
-    )
-
-
 def with_overrides(calib: Calibration, **kwargs) -> Calibration:
     """Convenience for ablations: return a modified calibration."""
     return replace(calib, **kwargs)
@@ -285,8 +72,9 @@ def with_overrides(calib: Calibration, **kwargs) -> Calibration:
 # --- struct-of-arrays batch cost model ----------------------------------------
 #
 # N candidate configurations as numpy columns, costed by the plan
-# program below.  The contract is bit-identity with
-# :func:`compute_stage_cost`: every elementwise operation replicates the
+# program below.  The contract is bit-identity with the scalar reference,
+# ``compute_stage_cost`` in ``tests/oracles.py``, which costs one (stage,
+# candidate) at a time: every elementwise operation replicates the
 # scalar code's operations in the same order and association,
 # per-candidate branches become exact-zero masked contributions (adding
 # 0.0 to a non-negative accumulator is a bitwise no-op), and every
@@ -450,7 +238,7 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
 #
 # All S stages of a compiled workload costed for all N candidates in one
 # fused sweep of (S, N) struct-of-arrays operations, bit-identical to
-# :func:`compute_stage_cost` called once per (stage, candidate).
+# the scalar reference called once per (stage, candidate).
 # Stage-level branches of the scalar model become per-row masks whose
 # contributions are ``np.where(mask, term, 0.0)`` — adding exact 0.0 to
 # the non-negative accumulators is a bitwise no-op — so the bit-identity
@@ -593,7 +381,8 @@ def compute_plan_cost_batch(
 ) -> PlanCostBatch:
     """All stages x all candidates in one fused struct-of-arrays sweep.
 
-    Bit-identical to the scalar :func:`compute_stage_cost` called once
+    Bit-identical to the scalar reference (``compute_stage_cost`` in
+    ``tests/oracles.py``) called once
     per (stage, candidate): every elementwise operation is the same IEEE
     operation in the same order, broadcast over ``(S, N)``; the scalar
     model's ``if`` guards become masks with exact-zero masked

@@ -1,10 +1,12 @@
-"""Memory behaviour: cache planning, spill, GC pressure, OOM detection.
+"""Memory behaviour: cache planning and GC pressure.
 
-This module produces the configuration-sensitive cliffs the tuning
-literature measures: undersized execution memory spills to disk
-(multiplying I/O), oversubscribed heaps burn CPU in GC superlinearly, and
-working sets that cannot spill at all kill the task — the "plausible but
-crashes" configurations the paper warns end-users about.
+With the spill-or-die decision in the batch cost program
+(:func:`~repro.sparksim.costmodel.compute_plan_cost_batch`), this module
+produces the configuration-sensitive cliffs the tuning literature
+measures: undersized execution memory spills to disk (multiplying I/O),
+oversubscribed heaps burn CPU in GC superlinearly, and working sets that
+cannot spill at all kill the task — the "plausible but crashes"
+configurations the paper warns end-users about.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Mapping
 from .executor import ExecutorModel
 from .shuffle import codec_of, serializer_of
 
-__all__ = ["CachePlan", "plan_cache", "SpillOutcome", "spill_outcome", "gc_fraction"]
+__all__ = ["CachePlan", "plan_cache", "gc_fraction"]
 
 
 @dataclass(frozen=True)
@@ -77,41 +79,6 @@ def plan_cache(cached_logical_mb: float, executors: int,
         recompute_cpu_s_per_mb=recompute_cpu_s_per_mb,
         recompute_io_mb_per_mb=recompute_io_mb_per_mb,
     )
-
-
-@dataclass(frozen=True)
-class SpillOutcome:
-    """Spill behaviour of one task given its working set."""
-
-    working_set_mb: float
-    available_mb: float
-    spilled_mb: float      # logical MB written+read back to disk
-    merge_passes: int      # extra merge rounds over spilled runs
-    oom: bool
-
-
-def spill_outcome(working_set_mb: float, available_mb: float,
-                  unspillable_fraction: float) -> SpillOutcome:
-    """Decide whether a task fits, spills, or dies.
-
-    The unspillable floor models aggregation hash maps and record buffers
-    that must be heap-resident: when even that floor exceeds the per-task
-    execution memory, the task OOMs (Spark would retry and then fail the
-    stage).
-    """
-    if working_set_mb < 0 or available_mb < 0:
-        raise ValueError("sizes must be non-negative")
-    floor = 32.0 + working_set_mb * unspillable_fraction
-    if available_mb < floor:
-        return SpillOutcome(working_set_mb, available_mb,
-                            spilled_mb=0.0, merge_passes=0, oom=True)
-    if working_set_mb <= available_mb:
-        return SpillOutcome(working_set_mb, available_mb,
-                            spilled_mb=0.0, merge_passes=0, oom=False)
-    spilled = working_set_mb - available_mb
-    passes = int(working_set_mb // max(available_mb, 1.0))
-    return SpillOutcome(working_set_mb, available_mb,
-                        spilled_mb=spilled, merge_passes=passes, oom=False)
 
 
 def gc_fraction(occupancy: float) -> float:

@@ -150,18 +150,21 @@ class BatchColumns:
     the distinct (configuration, environment) cost columns they use and
     ``S`` the plan's stages.  Everything a configuration decides — task
     counts, summed resource times, grants, the OOM stage — is stored
-    once per column; only what the noise stream decides is per row.
+    once per column; only what the noise stream decides is per row.  A
+    row struck by a stage fault is a column of its own, so its final
+    slots and its kill stage are column fields too.
     """
 
     plan: PlanArrays
     col: np.ndarray              # (R,) cost column of each row
     envs: list[Environment]      # (R,)
     runtime_s: np.ndarray        # (R,)
-    #: (U,) first OOM stage of each column; ``plan.n_stages`` if none
+    #: (U,) first OOM (or injected kill) stage of each column;
+    #: ``plan.n_stages`` if none
     fail_stage: np.ndarray
     executors: np.ndarray        # (U,)
     requested: np.ndarray        # (U,)
-    slots: np.ndarray            # (U,)
+    slots: np.ndarray            # (U,) after any executor loss
     num_tasks: np.ndarray        # (S, U)
     spill_mb: np.ndarray         # (S, U) stage totals, as StageMetrics
     cpu_time_s: np.ndarray       # (S, U)
@@ -174,6 +177,10 @@ class BatchColumns:
     task_p50_s: np.ndarray
     task_p95_s: np.ndarray
     task_max_s: np.ndarray
+    #: row -> its audit trail of injected faults, for rows that drew any
+    faults_injected: dict[int, tuple[str, ...]]
+    #: column -> failure reason, for columns an injected kill ended
+    kill_reason: dict[int, str]
 
 
 class StageTotals(NamedTuple):
@@ -213,11 +220,12 @@ class CostColumn(NamedTuple):
 class RunBatch(Sequence[ExecutionResult]):
     """The results of one ``SparkSimulator.run_batch`` call.
 
-    A read-only sequence whose item ``i`` equals what ``run()`` returns
-    for candidate ``i``.  Executions the stage-major path simulated live
-    in :attr:`columns` and become an :class:`ExecutionResult` only when
-    indexed (each access builds a fresh object); executions the scalar
-    path ran (faults, rejected grants) are stored as returned.  Callers
+    A read-only sequence whose item ``i`` is the result of candidate
+    ``i``.  Executions the stage-major path simulated, fault-struck ones
+    included, live in :attr:`columns` and become an
+    :class:`ExecutionResult` only when indexed (each access builds a
+    fresh object); rejected grants, answered before any simulation, are
+    stored as built.  Callers
     that need only runtimes, outcomes or per-column statistics read
     :attr:`runtimes`, :attr:`successes` and :meth:`cost_columns`, and
     never build the per-stage object graph; only this class decodes the
@@ -233,7 +241,7 @@ class RunBatch(Sequence[ExecutionResult]):
         self.workload = workload
         self.input_mb = input_mb
         self.columns = columns
-        #: per candidate: its scalar-path result, or its row in ``columns``
+        #: per candidate: its stored result, or its row in ``columns``
         self._items = list(items)
         self._lists: dict | None = None
         self._stages: dict[int, list[StageTotals]] = {}
@@ -286,7 +294,8 @@ class RunBatch(Sequence[ExecutionResult]):
 
     def cost_columns(self) -> list[CostColumn]:
         """The executions the stage-major path simulated, one entry per
-        cost column; the rest are plain items of the sequence.
+        cost column; the rest (rejected grants) are plain items of the
+        sequence.
 
         Every field of a member's :class:`StageMetrics` except its
         duration and task statistics is the column's
@@ -360,7 +369,7 @@ class RunBatch(Sequence[ExecutionResult]):
             for s in range(min(fail, plan.n_stages))
         ]
         if fail < plan.n_stages:
-            # what the scalar path's failed-stage record keeps
+            # a failed stage keeps its task count and byte counters only
             stages.append(StageTotals(
                 plan.stage_ids[fail], plan.names[fail], n_tasks[fail],
                 plan.input_mb_l[fail], plan.cached_read_mb_l[fail],
@@ -397,9 +406,11 @@ class RunBatch(Sequence[ExecutionResult]):
         ]
         reason = None
         if totals and totals[-1].failed:
-            fail = len(totals) - 1
-            reason = oom_failure_reason(totals[-1].stage_id, totals[-1].name,
-                                        lists["spilled_mb"][u][fail])
+            reason = c.kill_reason.get(u)
+            if reason is None:
+                reason = oom_failure_reason(
+                    totals[-1].stage_id, totals[-1].name,
+                    lists["spilled_mb"][u][len(totals) - 1])
         return ExecutionResult(
             workload=self.workload, input_mb=self.input_mb,
             runtime_s=lists["runtime_s"][row], success=reason is None,
@@ -409,5 +420,5 @@ class RunBatch(Sequence[ExecutionResult]):
             total_slots=lists["slots"][u],
             failure_reason=reason,
             environment_factor=c.envs[row].combined(),
-            faults_injected=(),
+            faults_injected=c.faults_injected.get(row, ()),
         )

@@ -6,39 +6,27 @@ heavy-tailed straggler model and optional speculative execution
 (``spark.speculation``) that relaunches outliers at the cost of duplicate
 work — the classic tail-vs-waste trade-off.
 
-The scalar path (:func:`schedule_stage`) reduces with ``np.median`` /
-``np.quantile`` and is the oracle for the batch twins the stage-major
-batch simulator calls: :func:`_schedule_1d` (one row, partition-kernel
+The simulator calls :func:`_schedule_1d` (one row, partition-kernel
 reductions) and the row-matrix pair :func:`_sample_duration_rows` /
 :func:`_schedule_rows` (row sorts; the simulator draws a matrix per
 stage and schedules the matrices of every stage of one shape in one
-call).  Every twin is exact — bit-identical values for the same noise
-stream, not an approximation.
+call).  Their oracle is the scalar reference, ``schedule_stage`` in
+``tests/oracles.py``, which reduces with ``np.median`` /
+``np.quantile``.  Every kernel is exact — bit-identical values for the
+same noise stream, not an approximation.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .costmodel import Calibration
-from .metrics import TaskMetrics
 
-__all__ = ["StageSchedule", "schedule_stage"]
-
-
-@dataclass(frozen=True)
-class StageSchedule:
-    """Outcome of scheduling one stage."""
-
-    makespan_s: float
-    task_metrics: TaskMetrics
-    speculated_tasks: int
-    wasted_task_seconds: float
+__all__: list[str] = []
 
 
 def _sample_durations(n_tasks: int, base_task_s: float, rng: np.random.Generator,
@@ -87,77 +75,12 @@ def _sample_duration_rows(n_tasks: int, base_task_s: np.ndarray,
     return durations
 
 
-def _apply_speculation(durations: np.ndarray, config: Mapping) -> tuple[np.ndarray, int, float]:
-    """Clamp the straggler tail as speculative copies overtake originals."""
-    median = float(np.median(durations))
-    multiplier = float(config.get("spark.speculation.multiplier", 1.5))
-    quantile = float(config.get("spark.speculation.quantile", 0.75))
-    threshold = median * max(1.01, multiplier)
-    # Speculation only monitors once `quantile` of tasks completed; tasks
-    # below that completion point are never candidates.
-    cutoff = float(np.quantile(durations, quantile))
-    candidates = durations > max(threshold, cutoff)
-    n_spec = int(candidates.sum())
-    if n_spec == 0:
-        return durations, 0, 0.0
-    clamped = durations.copy()
-    # The speculative copy starts at the threshold and runs a fresh median
-    # duration; the task finishes at whichever copy is first.
-    finish_with_copy = threshold + median
-    clamped[candidates] = np.minimum(clamped[candidates], finish_with_copy)
-    wasted = float(n_spec * median)  # duplicate occupancy
-    return clamped, n_spec, wasted
-
-
-def schedule_stage(n_tasks: int, base_task_s: float, slots: int,
-                   config: Mapping, rng: np.random.Generator,
-                   calib: Calibration | None = None,
-                   noise: bool = True) -> StageSchedule:
-    """List-schedule ``n_tasks`` noisy tasks onto ``slots`` slots."""
-    if calib is None:
-        calib = Calibration()
-    if n_tasks < 1:
-        raise ValueError("n_tasks must be >= 1")
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    if base_task_s < 0:
-        raise ValueError("base_task_s must be non-negative")
-    if noise:
-        durations = _sample_durations(n_tasks, base_task_s, rng, calib)
-    else:
-        durations = np.full(n_tasks, base_task_s)
-
-    speculated, wasted = 0, 0.0
-    if config.get("spark.speculation", False) and noise and n_tasks >= 4:
-        durations, speculated, wasted = _apply_speculation(durations, config)
-        # Duplicate copies occupy slots: model as extra tasks of median size.
-        if speculated:
-            extra = np.full(speculated, float(np.median(durations)) * 0.5)
-            durations = np.concatenate([durations, extra])
-
-    makespan = _list_schedule(durations, slots)
-    real = durations[:n_tasks]
-    metrics = TaskMetrics(
-        count=n_tasks,
-        mean_s=float(real.sum() / real.size),
-        p50_s=float(np.median(real)),
-        p95_s=float(np.quantile(real, 0.95)),
-        max_s=float(real.max()),
-    )
-    return StageSchedule(
-        makespan_s=float(makespan),
-        task_metrics=metrics,
-        speculated_tasks=speculated,
-        wasted_task_seconds=wasted,
-    )
-
-
 def _schedule_1d(n_tasks: int, base_task_s: float, slots: int,
                  speculation: tuple[float, float] | None,
                  rng: np.random.Generator, calib: Calibration, noise: bool
                  ) -> tuple[float, float, float, float, float]:
-    """One batch row of :func:`schedule_stage` on validated inputs, as
-    ``(makespan, mean, p50, p95, max)``.
+    """One row of the scalar reference's ``schedule_stage`` on validated
+    inputs, as ``(makespan, mean, p50, p95, max)``.
 
     ``speculation`` is the configuration's ``(multiplier, quantile)``
     when ``spark.speculation`` is on, else ``None``.  The same draws and
@@ -172,7 +95,7 @@ def _schedule_1d(n_tasks: int, base_task_s: float, slots: int,
         durations = np.full(n_tasks, base_task_s)
 
     if speculation is not None and noise and n_tasks >= 4:
-        # _apply_speculation's clamp, on kernel reductions
+        # the reference's speculative clamp, on kernel reductions
         multiplier, quantile = speculation
         median, cutoff = _median_quantile_1d(durations, quantile)
         threshold = median * max(1.01, multiplier)

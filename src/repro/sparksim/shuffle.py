@@ -1,4 +1,4 @@
-"""Serialization and compression cost tables, and shuffle I/O costs.
+"""Serialization and compression cost tables.
 
 All CPU costs are seconds per MB of *uncompressed* data on a reference
 core; compression ratios are compressed/uncompressed size.  Values follow
@@ -19,9 +19,6 @@ __all__ = [
     "SERIALIZERS",
     "codec_of",
     "serializer_of",
-    "ShuffleCost",
-    "shuffle_write",
-    "shuffle_read",
 ]
 
 
@@ -64,81 +61,3 @@ def codec_of(config: Mapping) -> Codec:
 
 def serializer_of(config: Mapping) -> Serializer:
     return SERIALIZERS[config["spark.serializer"]]
-
-
-@dataclass(frozen=True)
-class ShuffleCost:
-    """CPU and byte costs of moving one task's shuffle data."""
-
-    cpu_s: float        # serialization + compression work
-    disk_mb: float      # bytes touching local disk
-    net_mb: float       # bytes crossing the network
-
-
-def shuffle_write(data_mb: float, config: Mapping, num_reduce_tasks: int = 1) -> ShuffleCost:
-    """Cost of one map task writing ``data_mb`` of shuffle output.
-
-    Small ``spark.shuffle.file.buffer`` values force frequent flushes,
-    inflating effective disk traffic; the sort path costs extra CPU unless
-    the bypass-merge threshold admits the reduce-partition count.
-    """
-    if data_mb < 0:
-        raise ValueError("data_mb must be non-negative")
-    ser = serializer_of(config)
-    cpu = data_mb * ser.serialize_s_per_mb
-    disk_mb = data_mb
-    if config.get("spark.shuffle.compress", True):
-        codec = codec_of(config)
-        cpu += data_mb * codec.compress_s_per_mb
-        disk_mb = data_mb * codec.ratio
-    buffer_kb = float(config.get("spark.shuffle.file.buffer", 32))
-    flush_overhead = 1.0 + 0.08 * (32.0 / buffer_kb) ** 0.5
-    bypass = num_reduce_tasks <= int(
-        config.get("spark.shuffle.sort.bypassMergeThreshold", 200)
-    )
-    if bypass:
-        # Hash-style path: no sort CPU, slightly more file overhead.
-        flush_overhead *= 1.05
-    else:
-        cpu += data_mb * 0.0030  # sort-merge pass
-    return ShuffleCost(cpu_s=cpu, disk_mb=disk_mb * flush_overhead, net_mb=0.0)
-
-
-def shuffle_read(data_mb: float, config: Mapping, num_map_tasks: int,
-                 remote_fraction: float = 0.875) -> tuple[ShuffleCost, float]:
-    """Cost of one reduce task fetching ``data_mb`` of shuffle input.
-
-    Returns ``(cost, fetch_efficiency)``.  ``fetch_efficiency`` in (0, 1]
-    models request pipelining: a small ``spark.reducer.maxSizeInFlight``
-    under-utilizes the network.  Per-map-output connection setup is
-    amortized by ``spark.shuffle.io.numConnectionsPerPeer`` and
-    consolidated files.
-    """
-    if data_mb < 0:
-        raise ValueError("data_mb must be non-negative")
-    if not 0.0 <= remote_fraction <= 1.0:
-        raise ValueError("remote_fraction must be in [0, 1]")
-    ser = serializer_of(config)
-    cpu = data_mb * ser.deserialize_s_per_mb
-    wire_mb = data_mb
-    if config.get("spark.shuffle.compress", True):
-        codec = codec_of(config)
-        cpu += data_mb * codec.decompress_s_per_mb
-        wire_mb = data_mb * codec.ratio
-
-    inflight = float(config.get("spark.reducer.maxSizeInFlight", 48))
-    fetch_efficiency = min(1.0, (inflight / 48.0) ** 0.35)
-    fetch_efficiency = max(fetch_efficiency, 0.35)
-
-    connections = int(config.get("spark.shuffle.io.numConnectionsPerPeer", 1))
-    per_block_s = 0.00025 / max(1, connections)
-    if config.get("spark.shuffle.consolidateFiles", False):
-        per_block_s *= 0.4
-    cpu += num_map_tasks * per_block_s
-
-    cost = ShuffleCost(
-        cpu_s=cpu,
-        disk_mb=wire_mb * (1.0 - remote_fraction),
-        net_mb=wire_mb * remote_fraction,
-    )
-    return cost, fetch_efficiency

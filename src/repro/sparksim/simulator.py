@@ -14,7 +14,9 @@ the cluster fail fast; tasks whose working set cannot even spill OOM and
 fail the application after retries — both produce the expensive crash
 behaviour Section IV of the paper describes.
 
-Three throughput layers sit on top of the single-run path:
+Every execution, one or many, runs through one path,
+:meth:`SparkSimulator.run_batch`; :meth:`SparkSimulator.run` is a batch
+of one.  Three throughput layers make it fast:
 
 * a **compiled-plan cache**: the stage DAG and the cache-registry
   evolution are config-independent, so each ``(name, input_mb,
@@ -22,19 +24,20 @@ Three throughput layers sit on top of the single-run path:
   replays the immutable :class:`~repro.sparksim.dag.CompiledWorkload`
   (the fingerprint is :func:`~repro.sparksim.dag.jobs_fingerprint`,
   the evaluation engine's workload identity too);
-* a **joint cost program**: :meth:`SparkSimulator.run_batch` costs all
-  stages for the distinct (configuration, environment) object pairs of
-  a batch in one fused ``(stages, columns)`` numpy sweep
+* a **joint cost program**: a batch costs all stages for the distinct
+  (configuration, environment) object pairs of its candidates in one
+  fused ``(stages, columns)`` numpy sweep
   (:func:`~repro.sparksim.costmodel.compute_plan_cost_batch` over the
   plan's :class:`~repro.sparksim.costmodel.PlanArrays`, kept in its
-  plan-cache entry) — an ingest batch of one deployed configuration
-  costs a single column;
+  plan-cache entry) — an ingest batch of one deployed configuration,
+  and every single run, costs a single column, whose program is kept
+  once it recurs;
 * **stage-major draws, shape-major scheduling**: every stage draws for
   every candidate before the next stage starts.  Each candidate keeps
   its own noise generator (pre-seeded by one vectorized sweep,
-  :mod:`repro.sparksim.rngpool`) and draws from it exactly what
-  :meth:`SparkSimulator.run` draws, in the same order — stage by stage,
-  then the run-level noise — so reordering *across* generators is
+  :mod:`repro.sparksim.rngpool`) and draws from it exactly what one
+  execution draws on its own, in the same order — stage by stage, then
+  the run-level noise — so reordering *across* generators is
   unobservable.  Candidates that share a stage's task count, slot
   count and speculation setting (every run of an ingest batch does)
   are sampled as one ``(rows, tasks)`` matrix with one masked
@@ -44,16 +47,22 @@ Three throughput layers sit on top of the single-run path:
   median / p95 / max from one row sort
   (:func:`~repro.sparksim.scheduler._schedule_rows`).  Groups below
   ``_MIN_MATRIX_ROWS`` are scheduled one row at a time at their own
-  stage (:func:`~repro.sparksim.scheduler._schedule_1d`, the scalar
-  scheduler's arithmetic on partition-kernel reductions).
+  stage (:func:`~repro.sparksim.scheduler._schedule_1d`, one row's
+  arithmetic on partition-kernel reductions).
   Results come back as a
   :class:`~repro.sparksim.metrics.RunBatch`, which keeps the columns
   and builds an :class:`ExecutionResult` only when indexed.
 
-The contract of all three is *bit-identity*: item ``i`` of a batch
-equals :meth:`SparkSimulator.run` for candidate ``i`` exactly, including
-OOM/reject candidates and injected faults (fault-struck candidates drop
-out of the batch and finish on the scalar path).
+Injected faults (:mod:`repro.sparksim.faults`) ride the same path: a
+rejected grant is answered while the batch is screened, and a candidate
+struck by a stage fault gets a cost column of its own, scheduled row by
+row with the fault applied at its stage.
+
+The contract is *bit-identity*: item ``i`` of a batch equals, field for
+field, what the scalar reference (``ScalarSimulator`` in
+``tests/oracles.py``: per-stage scalar costing and list scheduling, one
+execution at a time) returns for candidate ``i``, including OOM and
+rejected candidates and injected faults.
 """
 
 from __future__ import annotations
@@ -67,39 +76,25 @@ import numpy as np
 from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, Environment
 from ..config.constraints import grant_resources
-from ..config.space import Configuration
+from ..config.space import config_fingerprint
 from .costmodel import (
     Calibration,
     PlanArrays,
     build_batch_inputs,
     build_plan_arrays,
     compute_plan_cost_batch,
-    compute_stage_cost,
 )
 from .dag import CompiledWorkload, compile_workload, jobs_fingerprint
 from .executor import ExecutorModel
-from .faults import NO_FAULTS, FaultPlan
-from .memory import plan_cache
-from .metrics import (
-    BatchColumns,
-    ExecutionResult,
-    RunBatch,
-    StageMetrics,
-    oom_failure_reason,
-)
+from .faults import NO_FAULTS, FaultDraw, FaultPlan
+from .metrics import BatchColumns, ExecutionResult, RunBatch
 from .rngpool import GeneratorPool
-from .scheduler import (
-    _sample_duration_rows,
-    _schedule_1d,
-    _schedule_rows,
-    schedule_stage,
-)
+from .scheduler import _sample_duration_rows, _schedule_1d, _schedule_rows
 
 if TYPE_CHECKING:
     from ..config.constraints import ResourceGrant
     from ..workloads.base import Workload
-    from .costmodel import BatchInputs, PlanCostBatch, StageCost
-    from .dag import CompiledStage
+    from .costmodel import BatchInputs, PlanCostBatch
 
 __all__ = ["SparkSimulator"]
 
@@ -128,11 +123,12 @@ _MIN_MATRIX_ROWS = 4
 #: the rows of every stage with one shape are scheduled as one matrix
 _Shape = tuple[int, int, tuple[float, float] | None]
 
-#: one-column cost programs kept across ``run_batch`` calls (LRU).  An
-#: entry is ~8 KB for a 2-stage plan.  A service shard's simulator held
-#: at most 69 (``ingest_closed``), 184 (``burst_mixed``) and 334 (the
-#: 1000-tenant load scenario) live deployments' columns, so this bound
-#: keeps the LRU from cycling in every benchmarked scenario.
+#: one-column cost programs kept across ``run_batch`` calls, and the keys
+#: of columns seen once (one LRU).  A program is ~8 KB for a 2-stage
+#: plan.  A service shard's simulator held at most 23 entries
+#: (``ingest_closed``, seed 3), 105 (``burst_mixed``, seed 3) and 264
+#: (the 1000-tenant load scenario), so this bound keeps the LRU from
+#: cycling in every benchmarked scenario.
 _COST_CACHE_SIZE = 1024
 
 
@@ -185,10 +181,10 @@ class SparkSimulator:
         self._plans: OrderedDict[tuple[str, float, str], _Plan] = OrderedDict()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
-        # Cost-program cache for recurring one-column batches:
-        # (id(plan), id(config), cluster, env, calibration) ->
-        # (plan, config, BatchInputs, PlanCostBatch); the strong refs pin
-        # both ids.
+        # Cost programs of recurring one-column batches:
+        # (id(plan), config fingerprint, cluster, env, calibration) ->
+        # (plan, (BatchInputs, PlanCostBatch) or None until the key
+        # recurs); the strong ref pins the plan's id.
         self._cost_cache: OrderedDict = OrderedDict()
         self.cost_cache_hits = 0
         self.cost_cache_misses = 0
@@ -232,187 +228,29 @@ class SparkSimulator:
             self._plans.popitem(last=False)
         return entry
 
-    # --- single-candidate path -------------------------------------------
+    # --- the simulation path ---------------------------------------------
     def run(self, workload: Workload, input_mb: float, cluster: Cluster,
             config: Mapping[str, Any],
             env: Environment = QUIET, seed: int = 0) -> ExecutionResult:
-        """Execute ``workload`` at ``input_mb`` scale and return metrics."""
-        compiled = self.compile_workload(workload, input_mb)
-        return self._run_compiled(compiled, cluster, config, env=env, seed=seed)
+        """Execute ``workload`` at ``input_mb`` scale and return metrics:
+        a batch of one."""
+        return self.run_batch(workload, input_mb, cluster, [config],
+                              envs=[env], seeds=[seed])[0]
 
-    def _run_compiled(self, compiled: CompiledWorkload, cluster: Cluster,
-                      config: Mapping[str, Any], env: Environment = QUIET,
-                      seed: int = 0) -> ExecutionResult:
-        calib = self.calibration
-        name = compiled.name
-        input_mb = compiled.input_mb
-        rng = np.random.default_rng(seed)
-        # Faults ride their own (salt, seed)-keyed stream: drawing them
-        # never perturbs the noise rng, so a non-firing plan is a no-op.
-        faults = (
-            self.fault_plan.draw(seed) if self.fault_plan is not None
-            else NO_FAULTS
-        )
-        injected: list[str] = []
-        if faults.env_multiplier > 1.0:
-            env = faults.spike_env(env)
-            injected.append(f"env_spike:x{faults.env_multiplier:g}")
-        grant = grant_resources(config, cluster)
-        if grant.executors < 1:
-            return ExecutionResult(
-                workload=name, input_mb=input_mb, runtime_s=_REJECT_S,
-                success=False, executors_granted=0,
-                executors_requested=grant.requested_executors,
-                failure_reason="executor container does not fit any node",
-                environment_factor=env.combined(),
-                faults_injected=tuple(injected),
-            )
-
-        executor = ExecutorModel.from_config(config)
-        # spark.task.cpus reserves multiple cores per task: the number of
-        # concurrently running tasks is executors x (cores // task.cpus).
-        slots = max(1, grant.executors * executor.concurrent_tasks)
-        runtime = calib.app_startup_base_s + calib.app_startup_per_executor_s * grant.executors
-        stage_metrics: list[StageMetrics] = []
-        tasks_of_stage: dict[int, int] = {}
-        ordinal = 0          # executed-stage counter; targets stage faults
-
-        for cjob in compiled.jobs:
-            runtime += calib.job_submit_s
-            for cstage in cjob.stages:
-                stage = cstage.stage
-                cache = plan_cache(
-                    cstage.cached_mb, grant.executors, executor, config,
-                    recompute_cpu_s_per_mb=cstage.recompute_cpu_s_per_mb,
-                    recompute_io_mb_per_mb=cstage.recompute_io_mb_per_mb,
-                )
-                num_map_tasks = sum(
-                    tasks_of_stage.get(dep, 0) for dep in stage.depends_on
-                )
-                cost = compute_stage_cost(
-                    stage, config, cluster, grant, executor, cache, env,
-                    num_map_tasks=num_map_tasks, calib=calib,
-                )
-                tasks_of_stage[stage.stage_id] = cost.num_tasks
-
-                if ordinal == faults.oom_stage:
-                    # Injected container kill: retries then application abort,
-                    # the same expensive crash shape as a genuine OOM.
-                    wasted = cost.task.total_s * _MAX_ATTEMPTS + cost.driver_s
-                    runtime += wasted
-                    stage_metrics.append(self._failed_stage(stage, cost, wasted))
-                    injected.append(f"oom_kill:stage{ordinal}")
-                    return ExecutionResult(
-                        workload=name, input_mb=input_mb, runtime_s=runtime,
-                        success=False, stages=stage_metrics,
-                        executors_granted=grant.executors,
-                        executors_requested=grant.requested_executors,
-                        total_slots=slots,
-                        failure_reason=(
-                            f"fault-injected OOM kill in stage "
-                            f"{stage.stage_id} ({stage.name})"
-                        ),
-                        environment_factor=env.combined(),
-                        faults_injected=tuple(injected),
-                    )
-
-                if cost.task.oom:
-                    # Retries then application abort.
-                    wasted = cost.task.total_s * _MAX_ATTEMPTS + cost.driver_s
-                    runtime += wasted
-                    stage_metrics.append(self._failed_stage(stage, cost, wasted))
-                    return ExecutionResult(
-                        workload=name, input_mb=input_mb, runtime_s=runtime,
-                        success=False, stages=stage_metrics,
-                        executors_granted=grant.executors,
-                        executors_requested=grant.requested_executors,
-                        total_slots=slots,
-                        failure_reason=oom_failure_reason(
-                            stage.stage_id, stage.name, cost.task.spilled_mb,
-                        ),
-                        environment_factor=env.combined(),
-                        faults_injected=tuple(injected),
-                    )
-
-                schedule = schedule_stage(
-                    cost.num_tasks, cost.task.total_s, slots,
-                    config, rng, calib=calib, noise=self.noise,
-                )
-                makespan = schedule.makespan_s
-                if ordinal == faults.straggler_stage:
-                    makespan *= faults.straggler_factor
-                    injected.append(
-                        f"straggler:stage{ordinal}:x{faults.straggler_factor:g}"
-                    )
-                if ordinal == faults.loss_stage and faults.loss_fraction > 0.0:
-                    # In-flight work on the lost executors re-runs, and every
-                    # later stage schedules onto the surviving slots only.
-                    makespan += schedule.makespan_s * faults.loss_fraction
-                    lost = min(
-                        grant.executors - 1,
-                        max(1, round(grant.executors * faults.loss_fraction)),
-                    )
-                    if lost > 0:
-                        slots = max(
-                            1,
-                            (grant.executors - lost) * executor.concurrent_tasks,
-                        )
-                    injected.append(f"executor_loss:stage{ordinal}:{lost}")
-                elapsed = makespan + cost.driver_s
-                runtime += elapsed
-                ordinal += 1
-                n = cost.num_tasks
-                stage_metrics.append(
-                    StageMetrics(
-                        stage_id=stage.stage_id,
-                        name=stage.name,
-                        num_tasks=n,
-                        duration_s=elapsed,
-                        input_mb=cost.input_mb,
-                        cached_read_mb=cost.cached_read_mb,
-                        shuffle_read_mb=cost.shuffle_read_mb,
-                        shuffle_write_mb=cost.shuffle_write_mb,
-                        spill_mb=cost.spill_mb_total,
-                        cpu_time_s=cost.task.cpu_s * n,
-                        gc_time_s=cost.task.gc_s * n,
-                        io_time_s=cost.task.disk_s * n,
-                        net_time_s=cost.task.net_s * n,
-                        task_metrics=schedule.task_metrics,
-                        output_mb=stage.output_mb if stage.writes_output else 0.0,
-                        writes_output=stage.writes_output,
-                    )
-                )
-
-        if self.noise:
-            runtime *= float(
-                rng.lognormal(
-                    mean=-0.5 * calib.run_noise_sigma**2,
-                    sigma=calib.run_noise_sigma,
-                )
-            )
-        return ExecutionResult(
-            workload=name, input_mb=input_mb, runtime_s=runtime, success=True,
-            stages=stage_metrics,
-            executors_granted=grant.executors,
-            executors_requested=grant.requested_executors,
-            total_slots=slots,
-            environment_factor=env.combined(),
-            faults_injected=tuple(injected),
-        )
-
-    # --- candidate-batched path ------------------------------------------
     def run_batch(self, workload: Workload, input_mb: float, cluster: Cluster,
                   configs: Sequence[Mapping[str, Any]],
                   envs: Sequence[Environment] | None = None,
                   seeds: Sequence[int] | None = None) -> RunBatch:
         """Evaluate many configurations of one workload; item ``i`` is
-        bit-identical to ``self.run(workload, input_mb, cluster,
-        configs[i], env=envs[i], seed=seeds[i])``.
+        the execution of ``configs[i]`` in ``envs[i]`` with noise seed
+        ``seeds[i]`` (:meth:`run` is a batch of one).
 
         ``envs``/``seeds`` default to ``QUIET``/``0`` for every candidate
-        (matching :meth:`run`'s defaults).  Candidates struck by
-        simulated faults, and rejected grants, finish on the scalar
-        path; everything else runs stage-major (:meth:`_run_columns`).
+        (matching :meth:`run`'s defaults).  Each candidate's faults are
+        drawn from its seed, and an interference spike applies to its
+        environment before anything else.  A rejected grant fails before
+        any draw and is answered here; every granted candidate, struck by
+        a fault or not, runs stage-major (:meth:`_run_columns`).
         """
         configs = list(configs)
         n = len(configs)
@@ -424,25 +262,33 @@ class SparkSimulator:
             return RunBatch(workload.name, input_mb, [])
         entry = self._plan(workload, input_mb)
         compiled = entry.compiled
-        # Screen candidates: simulated faults (stage targets, env spikes)
-        # perturb control flow mid-run, so those candidates take the
-        # scalar path; rejected grants fail before any rng draw and are
-        # also handled scalar (it is the same early-exit code).
+        # Screen candidates.  Faults ride their own (salt, seed)-keyed
+        # stream: drawing them never perturbs the noise stream, so a
+        # non-firing plan is a no-op.
         items: list[ExecutionResult | int] = []
         active: list[int] = []
         grants: list[ResourceGrant] = []
+        faults: dict[int, FaultDraw] = {}
         for i in range(n):
-            faults = (
+            draw = (
                 self.fault_plan.draw(seeds[i]) if self.fault_plan is not None
                 else NO_FAULTS
             )
+            if draw.any:
+                envs[i] = draw.spike_env(envs[i])
             grant = grant_resources(configs[i], cluster)
-            if (faults.loss_stage >= 0 or faults.straggler_stage >= 0
-                    or faults.oom_stage >= 0 or faults.env_multiplier > 1.0
-                    or grant.executors < 1):
-                items.append(self._run_compiled(compiled, cluster, configs[i],
-                                                env=envs[i], seed=seeds[i]))
+            if grant.executors < 1:
+                items.append(ExecutionResult(
+                    workload=compiled.name, input_mb=compiled.input_mb,
+                    runtime_s=_REJECT_S, success=False, executors_granted=0,
+                    executors_requested=grant.requested_executors,
+                    failure_reason="executor container does not fit any node",
+                    environment_factor=envs[i].combined(),
+                    faults_injected=tuple(_spike_notes(draw)),
+                ))
                 continue
+            if draw.any:
+                faults[len(active)] = draw
             items.append(len(active))
             active.append(i)
             grants.append(grant)
@@ -451,6 +297,7 @@ class SparkSimulator:
             columns = self._run_columns(
                 entry, cluster, [configs[i] for i in active],
                 [envs[i] for i in active], [seeds[i] for i in active], grants,
+                faults,
             )
         return RunBatch(compiled.name, compiled.input_mb, items, columns)
 
@@ -462,34 +309,39 @@ class SparkSimulator:
         """The joint cost program of the columns ``configs`` x ``envs``.
 
         A deployed configuration's recurring runs arrive batch after
-        batch as one (configuration, environment) column, so a one-column
-        program is kept (LRU, ``_COST_CACHE_SIZE`` entries, read-only
-        arrays) and reused while plan, configuration object, cluster,
-        environment and calibration all match.  Only immutable
-        ``Configuration`` columns are kept: a plain mapping may change
-        between calls.  ``plan_cache_size=0`` (cold simulation) keeps
-        none.
+        batch as one (configuration, environment) column, and so does
+        every :meth:`run`, so a one-column program is kept (LRU,
+        ``_COST_CACHE_SIZE`` entries, read-only arrays) and reused while
+        plan, configuration content
+        (:func:`~repro.config.space.config_fingerprint`), cluster,
+        environment and calibration all match.  A column is kept only
+        once it recurs: its first miss records the key and its second
+        keeps the program, so one-off columns (a tuner's candidates)
+        keep none.  ``plan_cache_size=0`` (cold simulation) keeps none.
         """
-        key = None
-        if (self.plan_cache_size and len(configs) == 1
-                and isinstance(configs[0], Configuration)):
-            key = (id(plan), id(configs[0]), cluster, envs[0],
-                   self.calibration)
-            hit = self._cost_cache.get(key)
-            if hit is not None and hit[0] is plan and hit[1] is configs[0]:
-                self._cost_cache.move_to_end(key)
+        key = seen = None
+        if self.plan_cache_size and len(configs) == 1:
+            key = (id(plan), config_fingerprint(configs[0]), cluster,
+                   envs[0], self.calibration)
+            seen = self._cost_cache.pop(key, None)
+            if seen is not None and seen[1] is not None:
+                self._cost_cache[key] = seen        # most recently used
                 self.cost_cache_hits += 1
-                return hit[2], hit[3]
+                return seen[1]
             self.cost_cache_misses += 1
         b = build_batch_inputs(configs, cluster, grants,
                                [ExecutorModel.from_config(c) for c in configs],
                                envs)
         cost = compute_plan_cost_batch(plan, b, self.calibration)
         if key is not None:
-            for array in (*vars(b).values(), *vars(cost).values()):
-                if isinstance(array, np.ndarray):
-                    array.setflags(write=False)
-            self._cost_cache[key] = (plan, configs[0], b, cost)
+            program = None
+            if seen is not None:
+                # the key recurs: keep the program
+                for array in (*vars(b).values(), *vars(cost).values()):
+                    if isinstance(array, np.ndarray):
+                        array.setflags(write=False)
+                program = (b, cost)
+            self._cost_cache[key] = (plan, program)
             while len(self._cost_cache) > _COST_CACHE_SIZE:
                 self._cost_cache.popitem(last=False)
         return b, cost
@@ -497,14 +349,17 @@ class SparkSimulator:
     def _run_columns(self, entry: _Plan, cluster: Cluster,
                      configs: Sequence[Mapping[str, Any]],
                      envs: Sequence[Environment], seeds: Sequence[int],
-                     grants: Sequence[ResourceGrant]) -> BatchColumns:
-        """Simulate fault-free, granted candidates: draw stage-major,
-        schedule shape-major.
+                     grants: Sequence[ResourceGrant],
+                     faults: Mapping[int, FaultDraw]) -> BatchColumns:
+        """Simulate granted candidates: draw stage-major, schedule
+        shape-major.
 
-        Costs come from one fused ``(stages, columns)`` program over the
-        distinct (configuration, environment) object pairs — an ingest
-        batch of one configuration in one environment costs a single
-        column.  Then three phases:
+        ``faults`` holds the fault draw of each row that drew one, its
+        environment already spiked.  Costs come from one fused ``(stages,
+        columns)`` program over the distinct (configuration, environment)
+        object pairs — an ingest batch of one configuration in one
+        environment costs a single column — plus one column per row
+        struck by a stage fault.  Then three phases:
 
         1. Stage by stage, every candidate makes its draws.  Each
            candidate's generator still makes its scalar draws in its
@@ -517,7 +372,12 @@ class SparkSimulator:
            ``_MIN_MATRIX_ROWS`` or more rows is drawn as one ``(rows,
            tasks)`` matrix and kept under its shape; a smaller one is
            drawn and scheduled one row at a time, there and then
-           (:func:`~repro.sparksim.scheduler._schedule_1d`).
+           (:func:`~repro.sparksim.scheduler._schedule_1d`).  A struck
+           row is always scheduled alone: a kill at or before its OOM
+           stage ends the run there (on a tie the kill wins), and a
+           completed stage's makespan ``m`` becomes ``m * straggler
+           factor``, then gains ``m * loss fraction``; an executor loss
+           shrinks the slots of every later stage.
         2. Shape by shape, the kept matrices of every stage go through
            one :func:`~repro.sparksim.scheduler._schedule_rows` call.  It
            reads each row on its own, so a row's results do not depend
@@ -525,14 +385,21 @@ class SparkSimulator:
         3. Stage by stage, runtimes accumulate as a column, each row
            receiving the scalar path's additions in the scalar order.
 
-        Results stay bit-identical to :meth:`_run_compiled`.
+        Results stay bit-identical to the scalar reference, one
+        execution at a time, faults and audit trail included.
         """
         calib = self.calibration
         noise = self.noise
         n_rows = len(configs)
-        col_of: dict[tuple[int, int], int] = {}
-        col = np.array([col_of.setdefault((id(c), id(e)), len(col_of))
-                        for c, e in zip(configs, envs)], dtype=np.intp)
+        struck = {k: f for k, f in faults.items()
+                  if f.oom_stage >= 0 or f.straggler_stage >= 0
+                  or f.loss_stage >= 0}
+        keys: list[object] = [(id(c), id(e)) for c, e in zip(configs, envs)]
+        for k in struck:
+            keys[k] = k          # a struck row is a cost column of its own
+        col_of: dict[object, int] = {}
+        col = np.array([col_of.setdefault(key, len(col_of)) for key in keys],
+                       dtype=np.intp)
         n_cols = len(col_of)
         order = np.argsort(col, kind="stable")
         bounds = np.searchsorted(col[order], np.arange(n_cols + 1)).tolist()
@@ -549,6 +416,17 @@ class SparkSimulator:
         slots = np.maximum(1, b.executors * b.concurrent)
         fail_stage = np.where(cost.oom.any(axis=0), cost.oom.argmax(axis=0),
                               s_count)
+        # The audit trail of each faulted row: its spike, then per stage
+        # the straggler before the loss, then the kill.
+        notes = {k: _spike_notes(f) for k, f in faults.items()}
+        strikes = {int(col[k]): f for k, f in struck.items()}
+        kill_reason: dict[int, str] = {}
+        for u, f in strikes.items():
+            k = f.oom_stage
+            if 0 <= k < s_count and k <= fail_stage[u]:
+                fail_stage[u] = k
+                kill_reason[u] = (f"fault-injected OOM kill in stage "
+                                  f"{plan.stage_ids[k]} ({plan.names[k]})")
 
         def rows_of_cols(cols: list[int]) -> np.ndarray:
             if len(cols) == n_cols:
@@ -584,13 +462,16 @@ class SparkSimulator:
                              else rows_of_cols(live))
             groups: dict[_Shape, list[int]] = {}
             single: list[int] = []
+            struck_here: list[int] = []
             for u in live:
                 n_tasks = ntasks_ll[s][u]
                 if fail_l[u] == s:
-                    # Retries then application abort — the scalar early
-                    # exit's arithmetic, from the cost columns.
+                    # Retries then application abort (a genuine OOM or an
+                    # injected kill), from the cost columns.
                     out[0, rows_of[u], s] = (total_ll[s][u] * _MAX_ATTEMPTS
                                              + driver_ll[s][u])
+                elif u in strikes:
+                    struck_here.append(u)
                 else:
                     spec = spec_of[u] if noise and n_tasks >= 4 else None
                     groups.setdefault((n_tasks, slots_l[u], spec),
@@ -616,7 +497,7 @@ class SparkSimulator:
                 rows = rows_of_cols(single)
                 row_cols = col[rows]
                 # (makespan, task mean, p50, p95, max) per row, then the
-                # makespan becomes the elapsed time as _run_compiled adds it
+                # makespan becomes the stage's elapsed time
                 scheduled = np.array([
                     _schedule_1d(ntasks_ll[s][u], total_ll[s][u], slots_l[u],
                                  spec_of[u], rngs[k], calib, noise)
@@ -624,6 +505,29 @@ class SparkSimulator:
                 ]).T
                 scheduled[0] += cost.driver_s[s, row_cols]
                 out[:, rows, s] = scheduled
+            for u in struck_here:
+                k = int(rows_of[u][0])
+                f = strikes[u]
+                makespan, *task = _schedule_1d(
+                    ntasks_ll[s][u], total_ll[s][u], slots_l[u], spec_of[u],
+                    rngs[k], calib, noise)
+                elapsed = makespan
+                if s == f.straggler_stage:
+                    elapsed *= f.straggler_factor
+                    notes[k].append(
+                        f"straggler:stage{s}:x{f.straggler_factor:g}")
+                if s == f.loss_stage and f.loss_fraction > 0.0:
+                    # In-flight work on the lost executors re-runs, and
+                    # every later stage schedules onto the surviving slots.
+                    elapsed += makespan * f.loss_fraction
+                    executors = int(b.executors[u])
+                    lost = min(executors - 1,
+                               max(1, round(executors * f.loss_fraction)))
+                    if lost > 0:
+                        slots_l[u] = max(
+                            1, (executors - lost) * int(b.concurrent[u]))
+                    notes[k].append(f"executor_loss:stage{s}:{lost}")
+                out[:, k, s] = (elapsed + driver_ll[s][u], *task)
 
         # Phase 2, shape by shape: one makespan recurrence over the rows
         # of every stage with that shape.  A row's results do not depend
@@ -656,6 +560,10 @@ class SparkSimulator:
                 rngs[k].lognormal(mean=-0.5 * sigma**2, sigma=sigma)
                 for k in done.tolist()
             ])
+        for u in strikes:
+            slots[u] = slots_l[u]
+        for u in kill_reason:
+            notes[int(rows_of[u][0])].append(f"oom_kill:stage{fail_l[u]}")
         n_tasks_su = cost.num_tasks
         return BatchColumns(
             plan=plan, col=col, envs=list(envs), runtime_s=runtime,
@@ -669,17 +577,13 @@ class SparkSimulator:
             spilled_mb=cost.spilled_mb, duration_s=out[0],
             task_mean_s=out[1], task_p50_s=out[2], task_p95_s=out[3],
             task_max_s=out[4],
+            faults_injected={k: tuple(v) for k, v in notes.items()},
+            kill_reason=kill_reason,
         )
 
-    @staticmethod
-    def _failed_stage(stage: CompiledStage, cost: StageCost,
-                      wasted: float) -> StageMetrics:
-        return StageMetrics(
-            stage_id=stage.stage_id, name=stage.name, num_tasks=cost.num_tasks,
-            duration_s=wasted, input_mb=cost.input_mb,
-            cached_read_mb=cost.cached_read_mb,
-            shuffle_read_mb=cost.shuffle_read_mb,
-            shuffle_write_mb=cost.shuffle_write_mb,
-            spill_mb=0.0, cpu_time_s=0.0, gc_time_s=0.0, io_time_s=0.0,
-            net_time_s=0.0, failed=True,
-        )
+
+def _spike_notes(draw: FaultDraw) -> list[str]:
+    """The first entry of a run's audit trail: its interference spike."""
+    if draw.env_multiplier > 1.0:
+        return [f"env_spike:x{draw.env_multiplier:g}"]
+    return []

@@ -309,8 +309,9 @@ class FloatEquality(Rule):
     scope = ("simulator.py", "costmodel.py", "scheduler.py")
     rationale = (
         "simulator.py / costmodel.py / scheduler.py carry a bit-identity "
-        "contract (run_batch == scalar run loop, vector scheduler == heap "
-        "scheduler).  Equality against float literals is where refactors "
+        "contract (run_batch == the scalar reference simulator in "
+        "tests/oracles.py, vector scheduler == heap scheduler).  Equality "
+        "against float literals is where refactors "
         "silently diverge: an expression reassociated by a 'harmless' "
         "cleanup stops comparing equal.  Compare integers, or use an "
         "explicit tolerance; suppress only for exact-value sentinels."

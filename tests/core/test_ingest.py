@@ -4,8 +4,9 @@ path would, and consecutive batches never replay a noise stream.
 ``ingest_production_runs`` simulates a whole batch stage-major, reads
 runtimes and outcomes from the batch's columns and characterizes every
 run with one ``signatures`` call — no per-stage metrics objects.  The
-reference here is the plain path it replaces: one ``run()`` per seed,
-``signature()`` of its result and ``HistoryStore.record``.
+reference here is the plain path it replaces: one scalar reference
+``run()`` per seed (``tests/oracles.py``), ``signature()`` of its result
+and ``HistoryStore.record``.
 """
 
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.core.service import Deployment, TuningService
 from repro.core.serviced.frontend import ingest_production_runs
 from repro.tuning.base import SimulationObjective
 from repro.workloads import get_workload
+from tests.oracles import ScalarSimulator
 
 CLUSTER = Cluster.of("m5.xlarge", 4)
 #: (family, input MB): pagerank at 4000 MB OOMs under the defaults, so
@@ -54,6 +56,7 @@ def test_records_match_run_signature_record_reference(case, batches, seed,
     service = TuningService(seed=seed, interference_level=interference)
     reference = TuningService(seed=seed, interference_level=interference)
     deployment = _deployment(service, family, input_mb)
+    scalar = ScalarSimulator.matching(reference.simulator)
     for n_runs in batches:
         assert ingest_production_runs(service, deployment, input_mb,
                                       n_runs) == n_runs
@@ -61,7 +64,7 @@ def test_records_match_run_signature_record_reference(case, batches, seed,
         for i in range(n_runs):
             env = (reference.interference.step()
                    if reference.interference is not None else QUIET)
-            result = reference.simulator.run(
+            result = scalar.run(
                 deployment.workload, input_mb, CLUSTER, deployment.config,
                 env=env, seed=base + i)
             reference.ledger.charge_production(CLUSTER, result.runtime_s)

@@ -17,7 +17,7 @@ from repro.engine import (
 from repro.sparksim import SparkSimulator
 from repro.tuning import RandomSearchTuner, run_tuner, run_tuner_batched
 from repro.workloads import PageRank, Sort
-from tests.oracles import UngroupedExecutor
+from tests.oracles import ScalarSimulator, UngroupedExecutor
 
 CLUSTER = Cluster.of("m5.2xlarge", 6)
 SPACE = spark_core_space()
@@ -190,10 +190,10 @@ class TestBatchedTunerDriver:
 
 class TestSerialExecutorGrouping:
     def test_grouped_and_ungrouped_records_are_identical(self):
-        from repro.sparksim import SparkSimulator
+        """Grouped batches on the shipped simulator against one scalar
+        reference ``run()`` per request."""
 
-        def campaign(executor_cls):
-            sim = SparkSimulator()
+        def campaign(executor_cls, sim):
             executor = executor_cls(sim)
             engine = EvaluationEngine(simulator=sim, executor=executor)
             objective = _objective(engine)
@@ -201,8 +201,8 @@ class TestSerialExecutorGrouping:
             return run_tuner_batched(tuner, objective, budget=15,
                                      batch_size=5)
 
-        grouped = campaign(SerialExecutor)
-        ungrouped = campaign(UngroupedExecutor)
+        grouped = campaign(SerialExecutor, SparkSimulator())
+        ungrouped = campaign(UngroupedExecutor, ScalarSimulator())
         assert [o.cost for o in grouped.history] == \
                [o.cost for o in ungrouped.history]
 

@@ -1,15 +1,19 @@
-"""Property tests: ``run_batch`` is bit-identical to a loop of ``run()``.
+"""Property tests: ``run_batch`` is bit-identical to the scalar reference.
 
-The candidate-batched fast path (plan cache + struct-of-arrays stage
-costing + stage-major matrix scheduling) is an optimisation, not an
-approximation: every :class:`ExecutionResult` it produces must equal,
-field for field, what the scalar path returns for the same (config,
-env, seed).  These tests drive the contract across workloads, seeds,
-environments, batch sizes, fault plans, and candidate mixes that include
-cluster-manager rejections and OOM-failing configurations — both with a
-distinct configuration per candidate (a tuning batch) and with one
-configuration for every run (an ingest batch, which is what the matrix
-path schedules).
+The simulator's one path (plan cache + struct-of-arrays stage costing +
+stage-major matrix scheduling; ``run()`` is a batch of one) is an
+optimisation, not an approximation: every :class:`ExecutionResult` it
+produces must equal, field for field, what the scalar reference
+(:class:`~tests.oracles.ScalarSimulator`, one execution at a time)
+returns for the same (config, env, seed).  These tests drive the
+contract across workloads, seeds, environments, batch sizes, fault
+plans, and candidate mixes that include cluster-manager rejections and
+OOM-failing configurations — both with a distinct configuration per
+candidate (a tuning batch) and with one configuration for every run (an
+ingest batch, which is what the matrix path schedules).  The batch path
+is the only place fault arithmetic lives, so deterministic cases for
+the fault combinations the plans rarely draw check it against the
+reference too.
 """
 
 from collections import Counter
@@ -21,11 +25,13 @@ from hypothesis import strategies as st
 
 import repro.sparksim.costmodel as costmodel
 import repro.sparksim.simulator as simulator_module
+import tests.oracles as oracles
 from repro.cloud import Cluster
 from repro.cloud.interference import NOISY, QUIET, TYPICAL, InterferenceModel
 from repro.config.spark_params import spark_space
 from repro.sparksim import SparkSimulator
 from repro.sparksim.faults import (
+    FaultDraw,
     FaultPlan,
     env_spike,
     executor_loss,
@@ -33,6 +39,7 @@ from repro.sparksim.faults import (
     straggler,
 )
 from repro.workloads import KMeans, Sort, Wordcount
+from tests.oracles import ScalarSimulator, UngroupedExecutor, _apply_speculation
 
 CLUSTER = Cluster.of("m5.2xlarge", 4)
 SPACE = spark_space()
@@ -77,13 +84,18 @@ def _candidates(rng, n, include_failures):
 
 
 def _assert_batch_identity(sim, workload, input_mb, configs, envs, seeds):
+    """``sim.run_batch`` and each ``sim.run`` (a batch of one) equal the
+    scalar reference with ``sim``'s calibration, noise and fault plan."""
     batch = sim.run_batch(workload, input_mb, CLUSTER, configs,
                           envs=envs, seeds=seeds)
+    reference = ScalarSimulator.matching(sim)
     scalar = [
-        sim.run(workload, input_mb, CLUSTER, c, env=e, seed=s)
+        reference.run(workload, input_mb, CLUSTER, c, env=e, seed=s)
         for c, e, s in zip(configs, envs, seeds)
     ]
     assert batch == scalar
+    assert [sim.run(workload, input_mb, CLUSTER, c, env=e, seed=s)
+            for c, e, s in zip(configs, envs, seeds)] == scalar
     return batch
 
 
@@ -141,7 +153,7 @@ def test_one_config_many_seeds_matches_scalar_loop(w_idx, shape, n, seed,
                                                    interference):
     """What ingest sends: ``run_batch([c] * n, ...)`` with seeds
     ``seed + i``, optionally per-run interference and a fault plan
-    whose strikes move some runs onto the scalar path."""
+    whose strikes give some runs a cost column of their own."""
     workload, input_mb = WORKLOADS[w_idx]
     configs, envs, seeds = _ingest_batch(shape, n, seed, interference)
     sim = SparkSimulator(
@@ -153,11 +165,13 @@ def test_one_config_many_seeds_matches_scalar_loop(w_idx, shape, n, seed,
     assert batch.runtimes == [r.runtime_s for r in batch]
     assert batch.successes == [r.success for r in batch]
     # a recurring batch of one deployment reuses its one-column cost
-    # program and replays the same results
+    # program, kept once its key recurred (the run() loop above), and
+    # replays the same results; a struck run's own column makes the
+    # batch a multi-column one, whose program is never kept
     hits = sim.cost_cache_hits
     assert sim.run_batch(workload, input_mb, CLUSTER, configs, envs=envs,
                          seeds=seeds) == batch
-    if batch.cost_columns() and not interference:
+    if len(batch.cost_columns()) == 1 and not interference:
         assert sim.cost_cache_hits == hits + 1
 
 
@@ -206,7 +220,8 @@ def test_ingest_batches_take_the_matrix_path(monkeypatch):
     oom_configs, _, _ = _ingest_batch("oom", n, 11, False)
     failed = sim.run_batch(Sort(), 1024.0, CLUSTER, oom_configs, seeds=seeds)
     assert not any(failed.successes)
-    assert failed == [sim.run(Sort(), 1024.0, CLUSTER, c, seed=s)
+    reference = ScalarSimulator()
+    assert failed == [reference.run(Sort(), 1024.0, CLUSTER, c, seed=s)
                       for c, s in zip(oom_configs, seeds)]
 
 
@@ -242,8 +257,6 @@ def test_speculating_stages_with_different_copy_counts_merge(monkeypatch):
     """Merged speculating stages whose rows launch different numbers of
     copies: each stage's rows are padded to the merged matrix's widest
     row, not to their own stage's."""
-    from repro.sparksim.scheduler import _apply_speculation
-
     calls = _spy(monkeypatch, "_schedule_rows")
     n = 8
     config = SPACE.default_configuration().replace(**{
@@ -264,7 +277,8 @@ def test_speculating_stages_with_different_copy_counts_merge(monkeypatch):
 
 def test_one_stage_holds_a_matrix_group_and_singles(monkeypatch):
     """At every stage one column's rows form a matrix and two smaller
-    columns, on other slot counts, are scheduled row by row."""
+    columns, on other slot counts, are scheduled row by row; so is each
+    of the identity check's ``run()`` calls, a batch of one row."""
     matrix = _spy(monkeypatch, "_schedule_rows")
     singles = _spy(monkeypatch, "_schedule_1d")
     default = SPACE.default_configuration()
@@ -276,7 +290,7 @@ def test_one_stage_holds_a_matrix_group_and_singles(monkeypatch):
     assert {r.total_slots for r in batch} == {2, 3, 4}
     assert sum(len(durations) for durations, _, _ in matrix) == \
         5 * batch[0].num_stages
-    assert len(singles) == 3 * batch[0].num_stages
+    assert len(singles) == (3 + len(configs)) * batch[0].num_stages
 
 
 def test_run_batch_is_a_read_only_sequence():
@@ -285,7 +299,8 @@ def test_run_batch_is_a_read_only_sequence():
     sim = SparkSimulator(fault_plan=FaultPlan((straggler(0.5, span=2),)))
     batch = sim.run_batch(Sort(), 1024.0, CLUSTER, configs,
                           seeds=list(range(6)))
-    scalar = [sim.run(Sort(), 1024.0, CLUSTER, c, seed=i)
+    reference = ScalarSimulator.matching(sim)
+    scalar = [reference.run(Sort(), 1024.0, CLUSTER, c, seed=i)
               for i, c in enumerate(configs)]
     assert len(batch) == 6 and list(batch) == scalar
     assert batch[-1] == scalar[-1] and batch[1:4] == scalar[1:4]
@@ -310,10 +325,12 @@ def test_run_batch_is_a_read_only_sequence():
             assert column.task_p50_s.shape[1] == sum(
                 not m.failed for m in stages)
         members.extend(column.members.tolist())
-    # the rest (here at least the rejected grant) are stored results
-    scalar_path = [i for i in range(6) if i not in members]
-    assert members and 5 in scalar_path
-    assert all(batch[i] is batch[i] for i in scalar_path)
+    # the rest, the rejected grants (here at least the last candidate),
+    # are stored results
+    stored = [i for i in range(6) if i not in members]
+    assert members and 5 in stored
+    assert all(batch[i] is batch[i] and scalar[i].executors_granted == 0
+               for i in stored)
 
 
 def test_failure_paths_are_exercised_and_identical():
@@ -331,6 +348,75 @@ def test_failure_paths_are_exercised_and_identical():
     assert any(r.faults_injected for r in batch)
 
 
+#: fault combinations the hypothesis plans rarely draw, each spec firing
+#: with probability 1: (specs, configuration overrides, workload, input
+#: MB, the draw's pinned fields, what the result must show)
+FAULT_CASES = {
+    "straggler_and_loss_on_one_stage": (
+        (straggler(1.0, slowdown=3.0), executor_loss(1.0, fraction=0.5)),
+        {}, Sort(), 1024.0, {},
+        {"success": True, "total_slots": 1,
+         "faults_injected": ("straggler:stage0:x3", "executor_loss:stage0:1")},
+    ),
+    "loss_on_a_one_executor_grant": (
+        (executor_loss(1.0, fraction=0.5),),
+        {"spark.executor.instances": 1}, Sort(), 1024.0, {},
+        {"success": True, "total_slots": 1, "executors_granted": 1,
+         "faults_injected": ("executor_loss:stage0:0",)},
+    ),
+    "kill_on_the_genuine_oom_stage": (
+        (oom_kill(1.0),), OOM, Sort(), 1024.0, {},
+        {"success": False, "faults_injected": ("oom_kill:stage0",),
+         "failure_reason": "fault-injected OOM kill in stage 1 (parse)"},
+    ),
+    "kill_at_stage_1_after_a_loss_at_stage_0": (
+        (executor_loss(1.0, fraction=0.5), oom_kill(1.0, span=2)),
+        {}, Sort(), 1024.0, {"oom_stage": 1},
+        {"success": False, "total_slots": 1,
+         "faults_injected": ("executor_loss:stage0:1", "oom_kill:stage1"),
+         "failure_reason": "fault-injected OOM kill in stage 0 (sort)"},
+    ),
+    "spike_on_a_rejected_grant": (
+        (env_spike(1.0, multiplier=2.0),), REJECT, Sort(), 1024.0, {},
+        {"success": False, "runtime_s": 25.0, "total_slots": 0,
+         "faults_injected": ("env_spike:x2",),
+         "environment_factor":
+             FaultDraw(env_multiplier=2.0).spike_env(TYPICAL).combined()},
+    ),
+    "kill_drawn_past_the_last_stage": (
+        (oom_kill(1.0, span=8),), {}, Sort(), 1024.0, {"oom_stage": 5},
+        {"success": True, "faults_injected": ()},
+    ),
+    "kill_drawn_after_the_genuine_oom_stage": (
+        (oom_kill(1.0, span=4),), OOM_SECOND_STAGE, KMeans(), 512.0,
+        {"oom_stage": 3},
+        {"success": False, "faults_injected": ()},
+    ),
+}
+
+
+def _seeds_drawing(plan, n, **fields):
+    """The first ``n`` seeds whose fault draw has ``fields``."""
+    seeds = (s for s in range(10_000)
+             if all(getattr(plan.draw(s), k) == v for k, v in fields.items()))
+    return [next(seeds) for _ in range(n)]
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_CASES))
+def test_rare_fault_combinations_match_the_reference(case):
+    """Each combination, as three struck rows of one batch and as single
+    runs, equals the reference field for field: runtime, audit trail,
+    failure reason and slots included."""
+    specs, overrides, workload, input_mb, draw, want = FAULT_CASES[case]
+    sim = SparkSimulator(fault_plan=FaultPlan(specs))
+    config = SPACE.default_configuration().replace(**overrides)
+    seeds = _seeds_drawing(sim.fault_plan, 3, **draw)
+    batch = _assert_batch_identity(sim, workload, input_mb, [config] * 3,
+                                   [TYPICAL] * 3, seeds)
+    for result in batch:
+        assert {k: getattr(result, k) for k in want} == want
+
+
 def test_noise_off_batch_identity():
     rng = np.random.default_rng(3)
     configs = _candidates(rng, 5, include_failures=True)
@@ -340,17 +426,22 @@ def test_noise_off_batch_identity():
 
 
 def test_both_paths_read_the_one_gc_leaf(monkeypatch):
-    """GC overhead is ``costmodel.gc_fraction``, which the scalar and the
-    batch cost paths both call; the cost-model ablation bench flattens
-    GC by patching that one name.  A path that inlines the curve keeps
-    identity on unpatched runs, so patch it: both paths must move, and
-    stay identical."""
+    """GC overhead is ``costmodel.gc_fraction``, which the batch cost
+    program calls; the cost-model ablation bench flattens GC by patching
+    that one name.  A path that inlines the curve keeps identity on
+    unpatched runs, so patch it (and the reference's own binding):
+    ``run()`` and ``run_batch()`` must move, and stay identical to the
+    patched reference."""
     rng = np.random.default_rng(8)
     configs = _candidates(rng, 6, include_failures=False)
     envs, seeds = [QUIET] * 6, list(range(6))
     before = _assert_batch_identity(SparkSimulator(noise=False), Sort(),
                                     1024.0, configs, envs, seeds)
-    monkeypatch.setattr(costmodel, "gc_fraction", lambda occupancy: 0.3)
+    def flat(occupancy):
+        return 0.3
+
+    monkeypatch.setattr(costmodel, "gc_fraction", flat)
+    monkeypatch.setattr(oracles, "gc_fraction", flat)
     after = _assert_batch_identity(SparkSimulator(noise=False), Sort(),
                                    1024.0, configs, envs, seeds)
     assert [r.runtime_s for r in after] != [r.runtime_s for r in before]
@@ -385,9 +476,9 @@ def test_mixed_envs_and_duplicate_seeds():
 
 
 def test_batch_of_one_and_empty():
-    """A batch of one is screened like any other size: a plain run is
-    simulated stage-major, while a fault-struck run and a rejected grant
-    finish on the scalar path, each equal to ``run()``."""
+    """A batch of one is screened like any other size: a plain run and a
+    fault-struck run are simulated stage-major, while a rejected grant is
+    answered at screening, each equal to the reference."""
     rng = np.random.default_rng(4)
     (config,) = _candidates(rng, 1, include_failures=False)
     sim = SparkSimulator()
@@ -403,7 +494,8 @@ def test_batch_of_one_and_empty():
         fault_plan=FaultPlan((straggler(1.0, slowdown=3.0),)))
     batch = _assert_batch_identity(struck, Sort(), 1024.0, [default],
                                    [QUIET], [3])
-    assert batch[0].faults_injected and batch.cost_columns() == []
+    assert batch[0].faults_injected
+    assert [c.members.tolist() for c in batch.cost_columns()] == [[0]]
     rejected = _assert_batch_identity(sim, Sort(), 1024.0,
                                       [default.replace(**REJECT)], [QUIET],
                                       [3])
@@ -515,7 +607,6 @@ def test_histories_identical_under_engine_batching():
     from repro.engine import EngineObjective, EvaluationEngine
     from repro.engine.executors import SerialExecutor
     from repro.tuning import RandomSearchTuner, run_tuner_batched
-    from tests.oracles import UngroupedExecutor
 
     def campaign(simulator, executor):
         eng = EvaluationEngine(simulator=simulator, executor=executor)
@@ -528,7 +619,7 @@ def test_histories_identical_under_engine_batching():
 
     sim_a = SparkSimulator()
     batched = campaign(sim_a, SerialExecutor(sim_a))
-    sim_b = SparkSimulator()
+    sim_b = ScalarSimulator()
     scalar = campaign(sim_b, UngroupedExecutor(sim_b))
     assert [o.cost for o in batched.history] == \
            [o.cost for o in scalar.history]

@@ -1,4 +1,6 @@
-"""Direct unit tests for compute_stage_cost."""
+"""Direct unit tests for the scalar reference cost model,
+``compute_stage_cost`` (``tests/oracles.py``); the identity suites tie
+it to the shipped batch cost program."""
 
 import pytest
 
@@ -8,10 +10,10 @@ from repro.sparksim import (
     Calibration,
     ExecutorModel,
     StageProfile,
-    compute_stage_cost,
     plan_cache,
     with_overrides,
 )
+from tests.oracles import compute_stage_cost
 
 
 def _config(**overrides):

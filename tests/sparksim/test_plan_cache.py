@@ -14,6 +14,7 @@ from repro.cloud import Cluster
 from repro.config.spark_params import spark_space
 from repro.sparksim import SparkSimulator
 from repro.workloads import Sort, Wordcount
+from tests.oracles import ScalarSimulator
 
 CLUSTER = Cluster.of("m5.2xlarge", 4)
 
@@ -61,12 +62,14 @@ class TestCounters:
         sim = SparkSimulator()
         w = Sort()
         config = _config()
-        sim.run(w, 512.0, CLUSTER, config, seed=1)
+        sim.compile_workload(w, 512.0)
         [plan] = sim._plans.values()
-        assert plan.arrays is None               # run() never needs them
-        first = sim.run_batch(w, 512.0, CLUSTER, [config] * 2, seeds=[1, 2])
+        assert plan.arrays is None               # compiling never needs them
+        sim.run(w, 512.0, CLUSTER, config, seed=1)   # a batch of one
         arrays = plan.arrays
-        assert arrays is not None and first.columns.plan is arrays
+        assert arrays is not None
+        first = sim.run_batch(w, 512.0, CLUSTER, [config] * 2, seeds=[1, 2])
+        assert first.columns.plan is arrays
         again = sim.run_batch(Sort(), 512.0, CLUSTER, [config], seeds=[3])
         assert again.columns.plan is arrays      # equal content, one entry
 
@@ -134,7 +137,9 @@ class TestBoundsAndDisabling:
         config = _config()
         cached = SparkSimulator()
         uncached = SparkSimulator(plan_cache_size=0)
+        reference = ScalarSimulator(plan_cache_size=0)
         for seed in range(4):
             a = cached.run(Sort(), 512.0, CLUSTER, config, seed=seed)
             b = uncached.run(Sort(), 512.0, CLUSTER, config, seed=seed)
-            assert a == b
+            assert a == b == reference.run(Sort(), 512.0, CLUSTER, config,
+                                           seed=seed)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import Configuration, SPARK_DEFAULTS
-from repro.sparksim import schedule_stage
 from repro.sparksim.scheduler import _list_schedule
+from tests.oracles import schedule_stage
 
 
 def _config(**overrides):

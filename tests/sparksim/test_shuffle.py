@@ -1,9 +1,11 @@
-"""Tests for serialization/compression tables and shuffle cost functions."""
+"""Tests for serialization/compression tables and the scalar reference's
+shuffle cost functions (``tests/oracles.py``)."""
 
 import pytest
 
 from repro.config import Configuration, SPARK_DEFAULTS
-from repro.sparksim import CODECS, SERIALIZERS, shuffle_read, shuffle_write
+from repro.sparksim import CODECS, SERIALIZERS
+from tests.oracles import shuffle_read, shuffle_write
 
 
 def _config(**overrides):

@@ -16,10 +16,11 @@ from repro.config import (
 from repro.cloud import Cluster, list_instances
 from repro.core.retuning import CusumDetector, PageHinkleyDetector
 from repro.core.slo import SLOMetric, TuningSLO, evaluate_slo
-from repro.sparksim import RDD, compile_job, gc_fraction, spill_outcome
+from repro.sparksim import RDD, compile_job, gc_fraction
 from repro.sparksim.scheduler import _list_schedule
 from repro.tuning.bo.acquisition import expected_improvement
 from repro.tuning.bo.kernels import Matern52, RBF
+from tests.oracles import spill_outcome
 
 
 # --- configuration space round trips -------------------------------------
