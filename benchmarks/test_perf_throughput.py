@@ -84,7 +84,6 @@ from repro.tuning import (
     RandomSearchTuner,
     SimulationObjective,
     run_tuner,
-    run_tuner_batched,
 )
 from repro.workloads import Sort
 from tests.oracles import ScalarSimulator, UngroupedExecutor
@@ -128,9 +127,8 @@ def _scenario_engine(executor, warm=False, simulator=None):
     def campaign():
         objective = EngineObjective(engine, Sort(), 4096.0,
                                     cluster=CLUSTER, repair=True, seed=3)
-        return run_tuner_batched(_tuner(), objective,
-                                 budget=N_CANDIDATES,
-                                 batch_size=BATCH_SIZE)
+        return run_tuner(_tuner(), objective, budget=N_CANDIDATES,
+                         batch_size=BATCH_SIZE)
 
     if warm:
         campaign()            # provider already paid for these runs

@@ -15,7 +15,6 @@ from .retuning import (
     WindowedZTestDetector,
 )
 from .service import Deployment, ProductionRun, TuningService
-from .session import SessionConfig, TuningSession
 from .simindex import SignatureIndex, signature_index
 from .similarity import (
     KMedoids,
@@ -58,8 +57,6 @@ __all__ = [
     "AmortizationInputs",
     "AmortizationReport",
     "analyze_amortization",
-    "SessionConfig",
-    "TuningSession",
     "Deployment",
     "ProductionRun",
     "TuningService",

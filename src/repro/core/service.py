@@ -10,10 +10,14 @@ four principles of Section IV:
    executions with a drift detector and re-tunes automatically when the
    workload (input size) or environment (interference) shifts.
 3. *Bounded user cost*: exploratory executions are charged to a
-   provider-side ledger; sessions stop early via CherryPick's EI rule;
-   similar workloads' history warm-starts new tenants' models.
+   provider-side ledger; both tuning stages run one campaign loop that
+   stops early via CherryPick's EI rule; similar workloads' history
+   warm-starts new tenants' models.
 4. *Tuning-effectiveness SLOs*: every deployment carries an SLO report
    comparing achieved runtime against the chosen reference.
+
+Every production execution, a service request's batch or one run of
+:meth:`run_production`, goes through :func:`ingest_production_runs`.
 """
 
 from __future__ import annotations
@@ -24,21 +28,22 @@ from ..cloud.cluster import Cluster
 from ..cloud.interference import QUIET, InterferenceModel
 from ..cloud.pricing import CostLedger
 from ..config.cloud_params import cloud_space
-from ..config.space import Configuration, ConfigurationSpace
+from ..config.space import Configuration
 from ..config.spark_params import spark_core_space
 from ..engine import EngineObjective, EvaluationEngine
+from ..sparksim.metrics import RunBatch
 from ..sparksim.simulator import SparkSimulator
-from ..tuning.base import Tuner
+from ..tuning.base import Tuner, TuningResult
 from ..tuning.bo.bayesopt import BayesOptTuner
-from .characterization import probe_configuration, signature
+from .characterization import probe_configuration, signature, signatures
 from .history import HistoryStore
 from .profiling import PhaseProfiler
 from .retuning import DriftDetector, PageHinkleyDetector
-from .session import SessionConfig, TuningSession
 from .slo import SLOMetric, SLOReport, TuningSLO, evaluate_slo
 from .transfer import build_transfer_plan
 
-__all__ = ["Deployment", "ProductionRun", "TuningService"]
+__all__ = ["Deployment", "ProductionRun", "TuningService",
+           "ingest_production_runs"]
 
 #: distance between the first seeds of consecutive sessions
 _SEED_STRIDE = 7919
@@ -88,16 +93,14 @@ class TuningService:
 
     def __init__(self, provider: str = "aws",
                  simulator: SparkSimulator | None = None,
-                 disc_space: ConfigurationSpace | None = None,
                  interference_level: float = 0.0,
-                 engine: EvaluationEngine | None = None,
                  executor: str = "serial",
                  store: HistoryStore | None = None,
                  ledger: CostLedger | None = None,
                  seed: int = 0):
         self.provider = provider
         self.simulator = simulator or SparkSimulator()
-        self.disc_space = disc_space or spark_core_space()
+        self.disc_space = spark_core_space()
         self.cloud_space = cloud_space(provider)
         #: injectable so several service shards can share one provider
         #: history log and one billing ledger; in a shard pool they all
@@ -119,7 +122,7 @@ class TuningService:
         #: key, so cross-session repeats of a candidate re-simulate;
         #: the engine's ``n_env_distinct_misses`` counter measures that
         #: lost amortization.
-        self.engine = engine or EvaluationEngine(
+        self.engine = EvaluationEngine(
             simulator=self.simulator, executor=executor,
         )
         #: per-phase wall-time split of this service's hot path —
@@ -155,6 +158,51 @@ class TuningService:
             "signature_index": self.store.index().counters(),
         }
 
+    def _campaign(self, tuner: Tuner, objective: EngineObjective,
+                  result: TuningResult, budget: int, batch_size: int,
+                  min_evaluations: int, ei_stop_fraction: float,
+                  record_as: tuple[str, str, float, Cluster] | None = None,
+                  ) -> TuningResult:
+        """Suggest, evaluate and observe until the budget or the EI rule
+        stops; both tuning stages run this loop.
+
+        Each chunk of up to ``batch_size`` candidates is proposed by
+        ``suggest()`` when it holds one and by ``suggest_batch(k)``
+        otherwise, then evaluated as one engine batch.  Once
+        ``min_evaluations`` are observed, a :class:`BayesOptTuner` stops
+        at a chunk boundary when CherryPick's rule holds (max EI below
+        ``ei_stop_fraction`` of the incumbent).  ``record_as`` =
+        ``(tenant, label, input_mb, cluster)`` records every evaluation
+        in the history store, as the tuner proposed it.
+        """
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        evals = 0
+        while evals < budget:
+            k = min(batch_size, budget - evals)
+            with self.profiler.phase("suggest"):
+                configs = tuner.suggest_batch(k) if k > 1 else [tuner.suggest()]
+            configs = configs[:budget - evals]
+            with self.profiler.phase("evaluate"):
+                outcomes = objective.evaluate_batch(configs)
+            for config, (cost, succeeded), record in zip(
+                configs, outcomes, objective.last_records,
+            ):
+                result.history.append(
+                    tuner.observe(config, cost, succeeded=succeeded)
+                )
+                if record_as is not None:
+                    tenant, label, input_mb, cluster = record_as
+                    self.store.record(
+                        tenant, label, input_mb, cluster.describe(), config,
+                        record.result, signature(record.result),
+                    )
+                evals += 1
+            if (evals >= min_evaluations and isinstance(tuner, BayesOptTuner)
+                    and tuner.should_stop(ei_stop_fraction)):
+                break
+        return result
+
     # --- stage 1: cloud configuration ------------------------------------
     def tune_cloud(self, workload, input_mb: float, budget: int = 12,
                    metric: str = "price") -> tuple[Cluster, int]:
@@ -176,31 +224,27 @@ class TuningService:
         )
         n_init = min(6, budget)
         tuner = BayesOptTuner(self.cloud_space, seed=seed, n_init=n_init)
-        evaluations = 0
-        for i in range(budget):
-            with self.profiler.phase("suggest"):
-                config = tuner.suggest()
-            with self.profiler.phase("evaluate"):
-                cost = objective(config)
-            tuner.observe(config, cost)
-            evaluations += 1
-            # Consult the EI stop rule as soon as the initial design is
-            # observed — n_init is the tuner's actual design size, not a
-            # hard-coded 6, so small budgets get the rule too.
-            if evaluations >= n_init and tuner.should_stop(0.05):
-                break
-        best = tuner.best.config
+        # Consult the EI stop rule as soon as the initial design is
+        # observed — n_init is the tuner's actual design size, not a
+        # hard-coded 6, so small budgets get the rule too.
+        result = self._campaign(tuner, objective, TuningResult(), budget,
+                                batch_size=1, min_evaluations=n_init,
+                                ei_stop_fraction=0.05)
+        best = result.best_config
         cluster = Cluster.of(best["cloud.instance_type"], int(best["cloud.cluster_size"]))
-        return cluster, evaluations
+        return cluster, result.n_evaluations
 
     # --- stage 2: DISC configuration ------------------------------------------
     def tune_disc(self, tenant: str, workload_label: str, workload,
                   input_mb: float, cluster: Cluster, budget: int = 25,
                   use_transfer: bool = True,
                   batch_size: int = 1,
-                  tuner: Tuner | None = None) -> tuple[TuningSession, list[str]]:
+                  tuner: Tuner | None = None,
+                  ) -> tuple[TuningResult, EngineObjective, list[str]]:
         """Tune the Spark configuration, warm-started from similar history.
 
+        Returns the campaign (the probe first, then every evaluation),
+        the objective that launched it, and the transfer sources.
         ``tuner`` overrides the default Bayesian optimizer — the service
         layer uses this to run lightweight (e.g. random-search) sessions
         under load; transfer observations are then injected through the
@@ -254,29 +298,20 @@ class TuningService:
             )
         elif warm_start:
             tuner.observe_batch(warm_start)
-        session = TuningSession(
-            tenant=tenant, workload_label=workload_label, workload=workload,
-            input_mb=input_mb, cluster=cluster, tuner=tuner,
-            objective=objective, store=self.store,
-            profiler=self.profiler,
-        )
         # The probe is a paid measurement: feed it to the tuner and the
         # campaign history (as it actually launched, post-repair), so the
         # deployed configuration is never worse than the probe.
         projected = Configuration({
             name: probe_as_run[name] for name in self.disc_space.names
         })
-        probe_obs = tuner.observe(
-            projected, probe_cost,
-            succeeded=bool(getattr(probe_result, "success", True)),
-        )
-        session.result.history.append(probe_obs)
-
-        session.run(
-            SessionConfig(budget=budget, min_evaluations=min(10, budget)),
-            batch_size=batch_size,
-        )
-        return session, sources
+        result = TuningResult([
+            tuner.observe(projected, probe_cost,
+                          succeeded=probe_result.success),
+        ])
+        self._campaign(tuner, objective, result, budget, batch_size,
+                       min_evaluations=min(10, budget), ei_stop_fraction=0.02,
+                       record_as=(tenant, workload_label, input_mb, cluster))
+        return result, objective, sources
 
     # --- the seamless front door ---------------------------------------------
     def submit(self, tenant: str, workload, input_mb: float,
@@ -305,20 +340,20 @@ class TuningService:
             cluster, cloud_evals = self.tune_cloud(
                 workload, input_mb, budget=cloud_budget, metric=cloud_metric,
             )
-        session, sources = self.tune_disc(
+        result, objective, sources = self.tune_disc(
             tenant, label, workload, input_mb, cluster,
             budget=disc_budget, use_transfer=use_transfer,
             batch_size=batch_size, tuner=disc_tuner,
         )
-        best = session.result.best
+        best = result.best
         # Deploy the configuration as the objective actually launched it
         # (fully resolved against defaults and repaired to fit the cluster).
-        _, deployed_config = session.objective.resolve(best.config)
+        _, deployed_config = objective.resolve(best.config)
         slo_report = None
         reference_evals = 0
         if slo is not None:
             reference, reference_evals = self._slo_reference(
-                slo, tenant, label, session,
+                slo, tenant, label, objective,
             )
             if reference is not None:
                 slo_report = evaluate_slo(
@@ -332,24 +367,24 @@ class TuningService:
             # Every paid evaluation counts — including the SLO reference
             # run, which is charged to the ledger like any other.
             tuning_evaluations=(
-                cloud_evals + session.result.n_evaluations + reference_evals
+                cloud_evals + result.n_evaluations + reference_evals
             ),
             transferred_from=sources,
         )
 
     def _slo_reference(self, slo: TuningSLO, tenant: str, label: str,
-                       session: TuningSession) -> tuple[float | None, int]:
+                       objective: EngineObjective) -> tuple[float | None, int]:
         """The SLO's reference runtime plus the paid evaluations it cost.
 
         ``IMPROVEMENT_OVER_DEFAULT`` measures the default configuration —
-        a real, ledger-charged execution that happens *after* the session
+        a real, ledger-charged execution that happens *after* the campaign
         ended, so it must be reported to the caller and counted toward
         the deployment's evaluation total (it used to be silently charged
         and uncounted).  The history-based metrics are free lookups.
         """
         if slo.metric is SLOMetric.IMPROVEMENT_OVER_DEFAULT:
             with self.profiler.phase("evaluate"):
-                cost = session.objective(self.disc_space.default_configuration())
+                cost = objective(self.disc_space.default_configuration())
             return cost, 1
         if slo.metric is SLOMetric.WITHIN_BEST_SIMILAR:
             # Masked min over the index's per-key best runtimes — this
@@ -388,38 +423,30 @@ class TuningService:
         seed = self._next_seed(len(input_sizes_mb))
         consecutive_failures = 0
         for i, input_mb in enumerate(input_sizes_mb):
-            env = self.interference.step() if self.interference else QUIET
-            result = self.simulator.run(
-                deployment.workload, input_mb, deployment.cluster,
-                deployment.config, env=env, seed=seed + i,
-            )
-            self.ledger.charge_production(deployment.cluster, result.runtime_s)
-            self.store.record(
-                deployment.tenant, deployment.workload_label, input_mb,
-                deployment.cluster.describe(), deployment.config, result,
-                signature(result),
-            )
+            # One run at a time: a re-tune below changes the deployment
+            # the next run executes.
+            batch = ingest_production_runs(self, deployment, input_mb, 1,
+                                           seed=seed + i)
+            runtime_s, success = batch.runtimes[0], batch.successes[0]
             retune_reason = None
             detector_fed = False
-            if result.success:
+            if success:
                 consecutive_failures = 0
                 detector_fed = True
-                if detector.update(result.runtime_s):
+                if detector.update(runtime_s):
                     retune_reason = "drift"
             else:
                 consecutive_failures += 1
                 if consecutive_failures >= max_consecutive_failures:
                     retune_reason = "failures"
             if retune_reason is not None:
-                session, _ = self.tune_disc(
+                result, objective, _ = self.tune_disc(
                     deployment.tenant, deployment.workload_label,
                     deployment.workload, input_mb, deployment.cluster,
                     budget=retune_budget, use_transfer=True,
                 )
-                _, deployment.config = session.objective.resolve(
-                    session.result.best_config
-                )
-                deployment.expected_runtime_s = session.result.best_cost
+                _, deployment.config = objective.resolve(result.best_config)
+                deployment.expected_runtime_s = result.best_cost
                 deployment.input_mb = input_mb
                 deployment.retuned_count += 1
                 if retune_reason == "failures":
@@ -427,7 +454,7 @@ class TuningService:
                     # drift alarm already reset it internally.
                     detector.reset()
             runs.append(ProductionRun(
-                index=i, runtime_s=result.runtime_s, success=result.success,
+                index=i, runtime_s=runtime_s, success=success,
                 input_mb=input_mb, retuned=retune_reason is not None,
                 detector_fed=detector_fed,
                 consecutive_failures=consecutive_failures,
@@ -436,3 +463,48 @@ class TuningService:
             if retune_reason == "failures":
                 consecutive_failures = 0
         return runs
+
+
+def ingest_production_runs(service: TuningService, deployment: Deployment,
+                           input_mb: float, n_runs: int,
+                           seed: int | None = None) -> RunBatch:
+    """Run ``n_runs`` recurring executions through the batched fast path.
+
+    The production path of the provider vision: every execution is
+    simulated (one ``run_batch`` sweep), charged to the production
+    ledger, and appended to the shared history log with its
+    characterization signature; the simulated :class:`RunBatch` is
+    returned.  Runtimes, outcomes and signatures are read from the
+    batch's columns, so no per-stage metrics are built.  Records are
+    byte-equal to what ``HistoryStore.record`` would append for each
+    ``run()`` result with its ``signature()``.  A service request's
+    batch arrives here whole; :meth:`TuningService.run_production`
+    sends its runs one at a time, seeded ``seed + i``, and keeps the
+    drift detector and the failure policy.
+    """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
+    with service.profiler.phase("ingest"):
+        base_seed = service._next_seed(n_runs) if seed is None else seed
+        envs = None
+        if service.interference is not None:
+            envs = [service.interference.step() for _ in range(n_runs)]
+        batch = service.simulator.run_batch(
+            deployment.workload, input_mb, deployment.cluster,
+            [deployment.config] * n_runs,
+            envs=envs if envs is not None else [QUIET] * n_runs,
+            seeds=[base_seed + i for i in range(n_runs)],
+        )
+        sigs = signatures(batch)
+        cluster = deployment.cluster.describe()
+        charge = service.ledger.charge_production
+        append = service.store.log.append_new
+        for runtime_s, success, sig in zip(batch.runtimes, batch.successes,
+                                           sigs):
+            charge(deployment.cluster, runtime_s)
+            append(tenant=deployment.tenant,
+                   workload_label=deployment.workload_label,
+                   input_mb=input_mb, cluster=cluster,
+                   config=deployment.config, runtime_s=runtime_s,
+                   success=success, signature=sig)
+    return batch

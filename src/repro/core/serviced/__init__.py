@@ -16,6 +16,7 @@ Modules:
 * :mod:`~repro.core.serviced.loadgen` — many-tenant load scenarios
 """
 
+from ..service import ingest_production_runs
 from .admission import (
     REJECT_BUDGET,
     REJECT_QUEUE_FULL,
@@ -28,7 +29,6 @@ from .frontend import (
     ServiceFrontEnd,
     SubmitOutcome,
     TuneRequest,
-    ingest_production_runs,
 )
 from .loadgen import LoadReport, LoadScenario, build_stack, run_load
 from .scheduler import SLOPriorityScheduler, TenantBudget

@@ -21,9 +21,11 @@ Two request kinds cover the service lifecycle:
   :class:`~repro.core.service.Deployment` (the cloud stage is skipped
   when the tenant pins a cluster, which recurring tenants do).
 * :class:`RunBatchRequest` — ingest a batch of recurring production
-  executions for an existing deployment: simulated through the
-  stage-major batch path, charged to the ledger, appended to the
-  shared history log.
+  executions for an existing deployment through
+  :func:`~repro.core.service.ingest_production_runs`, the production
+  path :meth:`~repro.core.service.TuningService.run_production` shares:
+  simulated through the stage-major batch path, charged to the ledger,
+  appended to the shared history log.
 
 Billing attribution: each shard owns its own
 :class:`~repro.cloud.pricing.CostLedger` and executes jobs serially, so
@@ -48,9 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ...cloud.cluster import Cluster
-from ...cloud.interference import QUIET
-from .. import characterization
-from ..service import Deployment, TuningService
+from ..service import Deployment, TuningService, ingest_production_runs
 from ..slo import TuningSLO
 from .admission import AdmissionController
 from .scheduler import RUNS, TUNE, SLOPriorityScheduler, TenantBudget
@@ -61,7 +61,6 @@ __all__ = [
     "RunBatchRequest",
     "SubmitOutcome",
     "ServiceFrontEnd",
-    "ingest_production_runs",
 ]
 
 
@@ -134,49 +133,6 @@ class _Entry:
     future: asyncio.Future = field(repr=False)
     budget: TenantBudget | None = None
     meter: _Meter = field(default_factory=_Meter)
-
-
-def ingest_production_runs(service: TuningService, deployment: Deployment,
-                           input_mb: float, n_runs: int,
-                           seed: int | None = None) -> int:
-    """Run ``n_runs`` recurring executions through the batched fast path.
-
-    The steady-state ingest of the provider vision: every execution is
-    simulated (one ``run_batch`` sweep), charged to the production
-    ledger, and appended to the shared history log with its
-    characterization signature.  Runtimes, outcomes and signatures are
-    read from the batch's columns, so no per-stage metrics are built.
-    Records are byte-equal to what ``HistoryStore.record`` would append
-    for each ``run()`` result with its ``signature()``.  Detector-driven
-    re-tuning stays with :meth:`TuningService.run_production`; this path
-    is for the firehose.
-    """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    with service.profiler.phase("ingest"):
-        base_seed = service._next_seed(n_runs) if seed is None else seed
-        envs = None
-        if service.interference is not None:
-            envs = [service.interference.step() for _ in range(n_runs)]
-        batch = service.simulator.run_batch(
-            deployment.workload, input_mb, deployment.cluster,
-            [deployment.config] * n_runs,
-            envs=envs if envs is not None else [QUIET] * n_runs,
-            seeds=[base_seed + i for i in range(n_runs)],
-        )
-        sigs = characterization.signatures(batch)
-        cluster = deployment.cluster.describe()
-        charge = service.ledger.charge_production
-        append = service.store.log.append_new
-        for runtime_s, success, sig in zip(batch.runtimes, batch.successes,
-                                           sigs):
-            charge(deployment.cluster, runtime_s)
-            append(tenant=deployment.tenant,
-                   workload_label=deployment.workload_label,
-                   input_mb=input_mb, cluster=cluster,
-                   config=deployment.config, runtime_s=runtime_s,
-                   success=success, signature=sig)
-    return len(batch)
 
 
 class ServiceFrontEnd:
@@ -285,9 +241,11 @@ class ServiceFrontEnd:
     @staticmethod
     def _runs_job(request: RunBatchRequest) -> Callable[[TuningService], int]:
         def job(service: TuningService) -> int:
-            return ingest_production_runs(
+            # Called by its module-global name, so a wrapper bound here
+            # (a tracer's) sees every ingest batch.
+            return len(ingest_production_runs(
                 service, request.deployment, request.input_mb, request.n_runs,
-            )
+            ))
         return job
 
     # --- dispatch ---------------------------------------------------------

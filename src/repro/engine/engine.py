@@ -201,7 +201,7 @@ class EngineObjective(SimulationObjective):
     """A :class:`SimulationObjective` whose executions ride an engine.
 
     Adds ``evaluate_batch(configs)`` — the protocol
-    :func:`repro.tuning.base.run_tuner_batched` looks for — while staying
+    :func:`repro.tuning.base.run_tuner` looks for — while staying
     a drop-in single-candidate callable.  All stateful bookkeeping
     (interference stepping, seeding, ledger charges) happens here, in
     request order, before dispatch; the engine only ever sees pure
@@ -219,7 +219,7 @@ class EngineObjective(SimulationObjective):
         super().__init__(workload, input_mb, **kwargs)
         self.engine = engine
         #: engine records of the most recent batch (per-candidate
-        #: ExecutionResults + cache provenance, for session recording)
+        #: ExecutionResults + cache provenance, for history recording)
         self.last_records: list[EvalRecord] = []
 
     def _seed_for(self, spark_config: Configuration) -> int:

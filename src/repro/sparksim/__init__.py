@@ -23,7 +23,7 @@ from .faults import (
     oom_kill,
     straggler,
 )
-from .memory import CachePlan, gc_fraction, plan_cache
+from .memory import gc_fraction
 from .metrics import ExecutionResult, RunBatch, StageMetrics, TaskMetrics
 from .rdd import RDD, Job
 from .shuffle import CODECS, SERIALIZERS
@@ -49,8 +49,6 @@ __all__ = [
     "straggler",
     "oom_kill",
     "env_spike",
-    "CachePlan",
-    "plan_cache",
     "gc_fraction",
     "CODECS",
     "SERIALIZERS",

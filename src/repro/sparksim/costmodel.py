@@ -24,7 +24,7 @@ from ..config.constraints import ResourceGrant
 from ..config.encoding import ConfigColumns
 from .dag import CompiledWorkload
 from .executor import RESERVED_MB, ExecutorModel
-from .memory import gc_fraction, plan_cache
+from .memory import cache_statics, gc_fraction
 from .shuffle import CODECS, serializer_of
 
 __all__ = [
@@ -184,11 +184,8 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
     )
 
     # Cache statics: footprint / per-read CPU / miss policy depend only on
-    # the configuration, so derive them from one empty-cache plan each.
-    statics = [
-        plan_cache(0.0, g.executors, e, c)
-        for c, g, e in zip(configs, grants, executors)
-    ]
+    # the configuration.
+    statics = [cache_statics(c) for c in configs]
     capacity = np.array(
         [e.storage_capacity_mb() * max(1, g.executors)
          for g, e in zip(grants, executors)],
@@ -227,9 +224,9 @@ def build_batch_inputs(configs: Sequence[Mapping[str, Any]], cluster: Cluster,
         env_cpu=np.array([e.cpu_factor for e in envs], dtype=float),
         core_speed=cluster.instance.cpu_speed,
         remote_nodes_fraction=remote_nodes_fraction,
-        cache_footprint=np.array([s.footprint_per_mb for s in statics]),
-        cache_read_cpu=np.array([s.read_cpu_s_per_mb for s in statics]),
-        cache_miss_to_disk=np.array([s.miss_to_disk for s in statics], dtype=bool),
+        cache_footprint=np.array([f for f, _, _ in statics]),
+        cache_read_cpu=np.array([r for _, r, _ in statics]),
+        cache_miss_to_disk=np.array([d for _, _, d in statics], dtype=bool),
         cache_capacity=capacity,
     )
 

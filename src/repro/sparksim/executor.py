@@ -63,6 +63,3 @@ class ExecutorModel:
         """
         protected = min(storage_used_mb, self.storage_immune_mb)
         return max(0.0, self.unified_mb - protected) + self.offheap_mb
-
-    def execution_per_task_mb(self, storage_used_mb: float) -> float:
-        return self.execution_capacity_mb(storage_used_mb) / self.concurrent_tasks

@@ -12,7 +12,6 @@ _EXPORTS = {
     "Observation": "base",
     "TuningResult": "base",
     "run_tuner": "base",
-    "run_tuner_batched": "base",
     "SimulationObjective": "base",
     "RandomSearchTuner": "random_search",
     "GridSearchTuner": "grid_search",

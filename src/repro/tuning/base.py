@@ -31,7 +31,6 @@ __all__ = [
     "TuningResult",
     "Tuner",
     "run_tuner",
-    "run_tuner_batched",
     "SimulationObjective",
 ]
 
@@ -160,33 +159,20 @@ def _call_succeeded(objective: object) -> bool:
 
 
 def run_tuner(tuner: Tuner, objective: Callable[[Configuration], float],
-              budget: int) -> TuningResult:
+              budget: int, batch_size: int = 1) -> TuningResult:
     """Drive ``tuner`` against ``objective`` for ``budget`` evaluations.
+
+    At ``batch_size == 1`` every evaluation is proposed by ``suggest()``.
+    Above it, every chunk, a final chunk of one included, is proposed by
+    ``suggest_batch(min(batch_size, remaining))``.  ``objective`` may be
+    a plain callable or expose ``evaluate_batch(configs) -> list[(cost,
+    succeeded)]`` (the :class:`repro.engine.EngineObjective` protocol),
+    in which case each chunk is dispatched at once — memoized, and
+    simulated through the batched fast path.
 
     The returned result shares its :class:`Observation` records with
     ``tuner.history`` — one source of truth, including the ``succeeded``
     flag when the objective exposes its last execution result.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    result = TuningResult()
-    for _ in range(budget):
-        config = tuner.suggest()
-        cost = objective(config)
-        obs = tuner.observe(config, cost, succeeded=_call_succeeded(objective))
-        result.history.append(obs)
-    return result
-
-
-def run_tuner_batched(tuner: Tuner, objective: Callable[[Configuration], float],
-                      budget: int, batch_size: int = 8) -> TuningResult:
-    """Drive ``tuner`` in batches of up to ``batch_size`` suggestions.
-
-    ``objective`` may be a plain callable or expose
-    ``evaluate_batch(configs) -> list[(cost, succeeded)]`` (the
-    :class:`repro.engine.EvaluationEngine` adapter protocol), in which
-    case whole batches are dispatched at once — memoized, and simulated
-    through the batched fast path.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -196,7 +182,10 @@ def run_tuner_batched(tuner: Tuner, objective: Callable[[Configuration], float],
     evaluate_batch = getattr(objective, "evaluate_batch", None)
     remaining = budget
     while remaining > 0:
-        configs = tuner.suggest_batch(min(batch_size, remaining))
+        configs = (
+            [tuner.suggest()] if batch_size == 1
+            else tuner.suggest_batch(min(batch_size, remaining))
+        )
         if not configs:
             raise RuntimeError(f"{tuner.name}.suggest_batch returned no configurations")
         configs = configs[:remaining]

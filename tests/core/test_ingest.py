@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 from repro.cloud.cluster import Cluster
 from repro.cloud.interference import QUIET
 from repro.core.characterization import signature
-from repro.core.service import Deployment, TuningService
-from repro.core.serviced.frontend import ingest_production_runs
+from repro.core.service import (
+    Deployment,
+    TuningService,
+    ingest_production_runs,
+)
 from repro.tuning.base import SimulationObjective
 from repro.workloads import get_workload
 from tests.oracles import ScalarSimulator
@@ -58,8 +61,8 @@ def test_records_match_run_signature_record_reference(case, batches, seed,
     deployment = _deployment(service, family, input_mb)
     scalar = ScalarSimulator.matching(reference.simulator)
     for n_runs in batches:
-        assert ingest_production_runs(service, deployment, input_mb,
-                                      n_runs) == n_runs
+        assert len(ingest_production_runs(service, deployment, input_mb,
+                                          n_runs)) == n_runs
         base = reference._next_seed(n_runs)
         for i in range(n_runs):
             env = (reference.interference.step()

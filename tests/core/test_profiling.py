@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.cluster import Cluster
 from repro.core import PhaseProfiler, TuningService
-from repro.core.serviced.frontend import ingest_production_runs
+from repro.core.service import ingest_production_runs
 from repro.core.serviced.loadgen import LoadScenario, run_load
 from repro.workloads import get_workload
 
@@ -63,7 +63,7 @@ class TestServiceWiring:
             "tenant-a", get_workload("wordcount"), 500.0,
             cluster=cluster, disc_budget=3, use_transfer=False,
         )
-        n = ingest_production_runs(service, deployment, 500.0, 5)
+        n = len(ingest_production_runs(service, deployment, 500.0, 5))
         assert n == 5
         phases = service.counters()["phases"]
         assert phases["ingest"]["calls"] == 1

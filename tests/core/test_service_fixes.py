@@ -25,12 +25,12 @@ class TestProbeRecordedAsLaunched:
         # 2-vCPU nodes: the canonical 4-core/8 GiB probe executors cannot
         # launch as requested, so the repair must change the config.
         cluster = Cluster.of("m5.large", 4)
-        session, _ = service.tune_disc(
+        result, _, _ = service.tune_disc(
             "t1", "wc", Wordcount(), 5_000, cluster,
             budget=4, use_transfer=False,
         )
         probe_record = service.store.for_workload("t1", "wc")[0]
-        probe_observation = session.result.history[0]
+        probe_observation = result.history[0]
         for name in service.disc_space.names:
             assert probe_record.config[name] == probe_observation.config[name]
 

@@ -1,67 +1,82 @@
-"""Tests for TuningSession: recording and stopping rules."""
+"""The DISC stage's tuning session (``TuningService.tune_disc``): budget,
+recording, charging and the EI stop rule of the service's campaign loop."""
 
-import pytest
-
-from repro.cloud import CostLedger
-from repro.config import spark_core_space
-from repro.core import HistoryStore, SessionConfig, TuningSession
-from repro.tuning import BayesOptTuner, RandomSearchTuner, SimulationObjective
+from repro.cloud.cluster import Cluster
+from repro.core import TuningService
+from repro.tuning import BayesOptTuner, RandomSearchTuner
 from repro.workloads import Wordcount
 
+CLUSTER = Cluster.of("m5.xlarge", 4)
+INPUT_MB = 20_000
 
-def _session(cluster, tuner_cls=RandomSearchTuner, store=None, ledger=None, **tuner_kwargs):
-    space = spark_core_space()
-    workload = Wordcount()
-    input_mb = 20_000
-    objective = SimulationObjective(workload, input_mb, cluster=cluster, seed=9,
-                                    ledger=ledger)
-    return TuningSession(
-        tenant="t", workload_label="wc", workload=workload, input_mb=input_mb,
-        cluster=cluster, tuner=tuner_cls(space, seed=1, **tuner_kwargs),
-        objective=objective, store=store,
+
+def _tune(budget, batch_size=1, random_search=False):
+    service = TuningService(seed=9)
+    tuner = (
+        RandomSearchTuner(service.disc_space, seed=1, include_default=False)
+        if random_search else None
     )
+    result, _, _ = service.tune_disc(
+        "t", "wc", Wordcount(), INPUT_MB, CLUSTER, budget=budget,
+        use_transfer=False, batch_size=batch_size, tuner=tuner,
+    )
+    return service, result
+
+
+def _stop_rule(monkeypatch, answer, consulted_at=None):
+    """Patch CherryPick's rule to ``answer``; note the evaluations seen
+    (the tuner's history minus the probe) at every consult."""
+    def should_stop(self, ei_fraction=0.1):
+        if consulted_at is not None:
+            consulted_at.append(len(self.history) - 1)
+        return answer
+
+    monkeypatch.setattr(BayesOptTuner, "should_stop", should_stop)
 
 
 class TestRun:
-    def test_respects_budget(self, cluster):
-        session = _session(cluster)
-        result = session.run(SessionConfig(budget=7, ei_stop_fraction=None))
-        assert result.n_evaluations == 7
+    def test_respects_budget(self):
+        # batch 3 takes chunks of 3, 3 and 1: the last through suggest()
+        for batch_size in (1, 3):
+            service, result = _tune(7, batch_size=batch_size)
+            assert result.n_evaluations == 1 + 7      # the probe first
+            assert len(service.store) == 1 + 7
 
-    def test_records_every_evaluation(self, cluster):
-        store = HistoryStore()
-        session = _session(cluster, store=store)
-        session.run(SessionConfig(budget=5, ei_stop_fraction=None))
-        assert len(store) == 5
+    def test_records_every_evaluation(self):
+        service, result = _tune(7, batch_size=3)
+        records = service.store.for_workload("t", "wc")
+        assert len(records) == 1 + 7
+        # recorded once each, as the tuner proposed it (not as resolved)
+        for record, obs in zip(records[1:], result.history[1:]):
+            assert record.config == obs.config
+            assert set(record.config) == set(service.disc_space.names)
+            assert record.success == obs.succeeded
+            assert record.cluster == CLUSTER.describe()
 
-    def test_ledger_charged(self, cluster):
-        ledger = CostLedger()
-        session = _session(cluster, ledger=ledger)
-        session.run(SessionConfig(budget=4, ei_stop_fraction=None))
-        assert ledger.tuning_runs == 4
+    def test_ledger_charged(self):
+        service, result = _tune(7, random_search=True)
+        assert service.ledger.tuning_runs == result.n_evaluations == 1 + 7
+        assert service.engine.n_evaluated == 1 + 7
 
-    def test_target_runtime_early_exit(self, cluster):
-        session = _session(cluster)
-        # Absurdly lax target: stop as soon as min_evaluations allows.
-        result = session.run(SessionConfig(
-            budget=30, min_evaluations=3, target_runtime_s=1e9,
-            ei_stop_fraction=None,
-        ))
-        assert result.n_evaluations == 3
+    def test_ei_stopping_rule_can_end_early(self, monkeypatch):
+        _stop_rule(monkeypatch, True)
+        for budget, stopped_at in ((25, 10), (6, 6)):
+            _, result = _tune(budget)
+            assert result.n_evaluations == 1 + stopped_at
 
-    def test_ei_stopping_rule_can_end_early(self, cluster):
-        session = _session(cluster, tuner_cls=BayesOptTuner, n_init=6)
-        result = session.run(SessionConfig(
-            budget=40, min_evaluations=10, ei_stop_fraction=0.5,
-        ))
-        # With such a lax EI threshold the session stops before exhausting
-        # the budget (CherryPick's stop-when-converged behaviour).
-        assert result.n_evaluations < 40
+    def test_min_evaluations_enforced(self, monkeypatch):
+        consulted_at: list[int] = []
+        _stop_rule(monkeypatch, True, consulted_at)
+        # chunks of 3: the first boundary at or past min(10, 25) is 12
+        _, result = _tune(25, batch_size=3)
+        assert result.n_evaluations == 1 + 12
+        assert consulted_at == [12]
 
-    def test_min_evaluations_enforced(self, cluster):
-        session = _session(cluster, tuner_cls=BayesOptTuner, n_init=4)
-        result = session.run(SessionConfig(
-            budget=20, min_evaluations=12, ei_stop_fraction=10.0,
-            target_runtime_s=1e9,
-        ))
-        assert result.n_evaluations >= 12
+    def test_spends_the_whole_budget_while_the_rule_does_not_hold(
+        self, monkeypatch,
+    ):
+        consulted_at: list[int] = []
+        _stop_rule(monkeypatch, False, consulted_at)
+        _, result = _tune(14)
+        assert result.n_evaluations == 1 + 14
+        assert consulted_at == [10, 11, 12, 13, 14]

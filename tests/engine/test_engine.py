@@ -15,7 +15,7 @@ from repro.engine import (
     config_fingerprint,
 )
 from repro.sparksim import SparkSimulator
-from repro.tuning import RandomSearchTuner, run_tuner, run_tuner_batched
+from repro.tuning import RandomSearchTuner, run_tuner
 from repro.workloads import PageRank, Sort
 from tests.oracles import ScalarSimulator, UngroupedExecutor
 
@@ -160,7 +160,7 @@ class TestFailedRunSettlement:
         engine = self._crashing_engine()
         objective = _objective(engine)
         tuner = RandomSearchTuner(SPACE, seed=4)
-        result = run_tuner_batched(tuner, objective, budget=5, batch_size=3)
+        result = run_tuner(tuner, objective, budget=5, batch_size=3)
         assert all(not o.succeeded for o in result.history)
         assert all(o.cost >= objective.failure_floor_s for o in result.history)
 
@@ -175,14 +175,14 @@ class TestBatchedTunerDriver:
         tuner_a, obj_a = make()
         serial = run_tuner(tuner_a, obj_a, budget=12)
         tuner_b, obj_b = make()
-        batched = run_tuner_batched(tuner_b, obj_b, budget=12, batch_size=5)
+        batched = run_tuner(tuner_b, obj_b, budget=12, batch_size=5)
         assert [o.cost for o in serial.history] == [o.cost for o in batched.history]
         assert [o.config for o in serial.history] == [o.config for o in batched.history]
 
     def test_single_source_of_truth_history(self):
         tuner = RandomSearchTuner(SPACE, seed=2)
         objective = _objective(EvaluationEngine())
-        result = run_tuner_batched(tuner, objective, budget=6, batch_size=3)
+        result = run_tuner(tuner, objective, budget=6, batch_size=3)
         assert result.history == tuner.history       # same records, no forks
         assert all(o is h for o, h in zip(result.history, tuner.history))
         assert all(o.succeeded is not None for o in result.history)
@@ -198,8 +198,7 @@ class TestSerialExecutorGrouping:
             engine = EvaluationEngine(simulator=sim, executor=executor)
             objective = _objective(engine)
             tuner = RandomSearchTuner(SPACE, seed=21)
-            return run_tuner_batched(tuner, objective, budget=15,
-                                     batch_size=5)
+            return run_tuner(tuner, objective, budget=15, batch_size=5)
 
         grouped = campaign(SerialExecutor, SparkSimulator())
         ungrouped = campaign(UngroupedExecutor, ScalarSimulator())

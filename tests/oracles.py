@@ -19,6 +19,10 @@ time:
 * :class:`UngroupedExecutor` runs an engine batch one ``run()`` per
   request (the shipped :class:`SerialExecutor` groups same-workload
   requests into ``run_batch`` calls).
+* :func:`run_production_reference` runs a deployment's recurring
+  executions with its own ``run()``, charge and record per run (the
+  shipped :meth:`TuningService.run_production` sends each run through
+  ``ingest_production_runs``).
 
 Import from the repository root: ``from tests.oracles import ...``.
 """
@@ -33,13 +37,16 @@ import numpy as np
 from repro.cloud.cluster import Cluster
 from repro.cloud.interference import QUIET, Environment
 from repro.config.constraints import ResourceGrant, grant_resources
+from repro.core.characterization import signature
 from repro.core.history import HistoryStore
+from repro.core.retuning import DriftDetector, PageHinkleyDetector
+from repro.core.service import Deployment, ProductionRun, TuningService
 from repro.core.similarity import SimilarWorkload, signature_distance
 from repro.sparksim.costmodel import Calibration
 from repro.sparksim.dag import CompiledStage, CompiledWorkload, StageProfile
 from repro.sparksim.executor import RESERVED_MB, ExecutorModel
 from repro.sparksim.faults import NO_FAULTS
-from repro.sparksim.memory import CachePlan, gc_fraction, plan_cache
+from repro.sparksim.memory import cache_statics, gc_fraction
 from repro.sparksim.metrics import (
     ExecutionResult,
     StageMetrics,
@@ -54,8 +61,10 @@ from repro.tuning.bo.bayesopt import BayesOptTuner
 __all__ = ["ScalarSimulator", "compute_stage_cost", "TaskCost", "StageCost",
            "resolve_num_tasks", "schedule_stage", "StageSchedule",
            "shuffle_read", "shuffle_write", "ShuffleCost", "spill_outcome",
-           "SpillOutcome", "RebuildBayesOptTuner",
-           "find_similar_workloads_scan", "UngroupedExecutor"]
+           "SpillOutcome", "CachePlan", "plan_cache",
+           "execution_per_task_mb", "RebuildBayesOptTuner",
+           "find_similar_workloads_scan", "UngroupedExecutor",
+           "run_production_reference"]
 
 
 # --- the scalar simulator ------------------------------------------------------
@@ -171,6 +180,52 @@ def spill_outcome(working_set_mb: float, available_mb: float,
     passes = int(working_set_mb // max(available_mb, 1.0))
     return SpillOutcome(working_set_mb, available_mb,
                         spilled_mb=spilled, merge_passes=passes, oom=False)
+
+
+@dataclass(frozen=True)
+class CachePlan:
+    """How much of the requested cached data actually resides in memory."""
+
+    requested_mb: float        # logical data size of all cached RDDs
+    footprint_per_mb: float    # in-memory MB per logical MB at this level
+    stored_mb: float           # in-memory footprint actually held (per app)
+    hit_fraction: float        # fraction of logical data servable from memory
+    read_cpu_s_per_mb: float   # deserialization cost on every cached read
+    miss_to_disk: bool         # MEMORY_AND_DISK: misses hit local disk, not recompute
+    #: lineage-recompute cost of a miss (CPU s/MB and re-read bytes per MB)
+    recompute_cpu_s_per_mb: float = 0.02
+    recompute_io_mb_per_mb: float = 1.0
+
+
+def plan_cache(cached_logical_mb: float, executors: int,
+               executor: ExecutorModel, config: Mapping,
+               recompute_cpu_s_per_mb: float = 0.02,
+               recompute_io_mb_per_mb: float = 1.0) -> CachePlan:
+    """Fit the cached datasets into aggregate storage memory, with the
+    footprint, per-read CPU and miss policy of
+    :func:`~repro.sparksim.memory.cache_statics`."""
+    if cached_logical_mb < 0:
+        raise ValueError("cached_logical_mb must be non-negative")
+    footprint, read_cpu, miss_to_disk = cache_statics(config)
+    capacity = executor.storage_capacity_mb() * max(1, executors)
+    needed = cached_logical_mb * footprint
+    stored = min(needed, capacity)
+    hit = 1.0 if needed == 0 else stored / needed
+    return CachePlan(
+        requested_mb=cached_logical_mb,
+        footprint_per_mb=footprint,
+        stored_mb=stored,
+        hit_fraction=hit,
+        read_cpu_s_per_mb=read_cpu,
+        miss_to_disk=miss_to_disk,
+        recompute_cpu_s_per_mb=recompute_cpu_s_per_mb,
+        recompute_io_mb_per_mb=recompute_io_mb_per_mb,
+    )
+
+
+def execution_per_task_mb(executor: ExecutorModel,
+                          storage_used_mb: float) -> float:
+    return executor.execution_capacity_mb(storage_used_mb) / executor.concurrent_tasks
 
 
 @dataclass(frozen=True)
@@ -320,7 +375,7 @@ def compute_stage_cost(
         + (input_pt + cached_pt) * calib.map_working_set_fraction * ser.expansion
     )
     storage_per_exec = cache.stored_mb / grant.executors if grant.executors else 0.0
-    available = executor.execution_per_task_mb(storage_per_exec)
+    available = execution_per_task_mb(executor, storage_per_exec)
     spill = spill_outcome(working_set, available, stage.unspillable_fraction)
     spilled_logical = spill.spilled_mb / ser.expansion
     if spilled_logical > 0:
@@ -726,3 +781,68 @@ class UngroupedExecutor:
             )
             for r in requests
         ]
+
+
+def run_production_reference(service: TuningService, deployment: Deployment,
+                             input_sizes_mb,
+                             detector: DriftDetector | None = None,
+                             retune_budget: int = 15,
+                             max_consecutive_failures: int = 3,
+                             ) -> list[ProductionRun]:
+    """:meth:`TuningService.run_production` with its own per-run
+    simulate, charge and record: one ``run()``, ``charge_production`` and
+    ``HistoryStore.record`` of ``signature(result)`` per run."""
+    detector = detector or PageHinkleyDetector()
+    if max_consecutive_failures < 1:
+        raise ValueError("max_consecutive_failures must be >= 1")
+    runs: list[ProductionRun] = []
+    input_sizes_mb = list(input_sizes_mb)
+    seed = service._next_seed(len(input_sizes_mb))
+    consecutive_failures = 0
+    for i, input_mb in enumerate(input_sizes_mb):
+        env = service.interference.step() if service.interference else QUIET
+        result = service.simulator.run(
+            deployment.workload, input_mb, deployment.cluster,
+            deployment.config, env=env, seed=seed + i,
+        )
+        service.ledger.charge_production(deployment.cluster, result.runtime_s)
+        service.store.record(
+            deployment.tenant, deployment.workload_label, input_mb,
+            deployment.cluster.describe(), deployment.config, result,
+            signature(result),
+        )
+        retune_reason = None
+        detector_fed = False
+        if result.success:
+            consecutive_failures = 0
+            detector_fed = True
+            if detector.update(result.runtime_s):
+                retune_reason = "drift"
+        else:
+            consecutive_failures += 1
+            if consecutive_failures >= max_consecutive_failures:
+                retune_reason = "failures"
+        if retune_reason is not None:
+            tuned, objective, _ = service.tune_disc(
+                deployment.tenant, deployment.workload_label,
+                deployment.workload, input_mb, deployment.cluster,
+                budget=retune_budget, use_transfer=True,
+            )
+            _, deployment.config = objective.resolve(tuned.best_config)
+            deployment.expected_runtime_s = tuned.best_cost
+            deployment.input_mb = input_mb
+            deployment.retuned_count += 1
+            if retune_reason == "failures":
+                # The detector re-baselines after any re-tune; a
+                # drift alarm already reset it internally.
+                detector.reset()
+        runs.append(ProductionRun(
+            index=i, runtime_s=result.runtime_s, success=result.success,
+            input_mb=input_mb, retuned=retune_reason is not None,
+            detector_fed=detector_fed,
+            consecutive_failures=consecutive_failures,
+            retune_reason=retune_reason,
+        ))
+        if retune_reason == "failures":
+            consecutive_failures = 0
+    return runs

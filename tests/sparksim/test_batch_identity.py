@@ -606,13 +606,13 @@ def test_histories_identical_under_engine_batching():
     """End to end: identical observation histories through the engine."""
     from repro.engine import EngineObjective, EvaluationEngine
     from repro.engine.executors import SerialExecutor
-    from repro.tuning import RandomSearchTuner, run_tuner_batched
+    from repro.tuning import RandomSearchTuner, run_tuner
 
     def campaign(simulator, executor):
         eng = EvaluationEngine(simulator=simulator, executor=executor)
         objective = EngineObjective(eng, Sort(), 1024.0, cluster=CLUSTER,
                                     repair=True, seed=5)
-        return run_tuner_batched(
+        return run_tuner(
             RandomSearchTuner(spark_space(), seed=11), objective,
             budget=24, batch_size=8,
         )

@@ -10,10 +10,9 @@ from repro.sparksim import (
     Calibration,
     ExecutorModel,
     StageProfile,
-    plan_cache,
     with_overrides,
 )
-from tests.oracles import compute_stage_cost
+from tests.oracles import compute_stage_cost, plan_cache
 
 
 def _config(**overrides):

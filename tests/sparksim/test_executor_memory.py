@@ -3,8 +3,8 @@
 import pytest
 
 from repro.config import Configuration, SPARK_DEFAULTS
-from repro.sparksim import ExecutorModel, gc_fraction, plan_cache
-from tests.oracles import spill_outcome
+from repro.sparksim import ExecutorModel, gc_fraction
+from tests.oracles import plan_cache, spill_outcome
 
 
 def _config(**overrides):

@@ -31,8 +31,7 @@ import repro.core.serviced
 import repro.tuning.random_search
 import repro.workloads
 from repro.cloud.cluster import Cluster
-from repro.core.service import Deployment, TuningService
-from repro.core.serviced.frontend import ingest_production_runs
+from repro.core.service import Deployment, TuningService, ingest_production_runs
 from repro.tuning.base import SimulationObjective
 from repro.tuning.bo.bayesopt import BayesOptTuner
 
@@ -46,7 +45,7 @@ deployment = Deployment(tenant="t", workload_label="sort", workload=workload,
                         input_mb=500.0, cluster=cluster, config=config,
                         expected_runtime_s=1.0, slo_report=None,
                         tuning_evaluations=0)
-assert ingest_production_runs(service, deployment, 500.0, 3) == 3
+assert len(ingest_production_runs(service, deployment, 500.0, 3)) == 3
 record = service.store.all()[0]
 assert not hasattr(record, "__dict__"), vars(record)
 
