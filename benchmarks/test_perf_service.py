@@ -21,12 +21,14 @@ and are gated by ``check_bench_regression.py`` in the bench-smoke job:
   backoff and the queueing time, which is the point: it is the latency
   a tenant actually experiences.
 
-The scenario block also records the pool-wide **per-phase wall-time
-breakdown** (suggest vs evaluate vs ingest vs similarity, merged across
-shards) so a regression in either SLI can be attributed to the phase
-that grew; the bench-smoke job uploads it as its own artifact.  The
-phases run one at a time on the pool's runner thread, so their sum is
-asserted to fit within the scenario's wall time.
+The scenario block also records the stack's flat ``counters``: admission
+decisions, scheduler queue counts, jobs per shard, and the engine,
+simulator and **per-phase wall-time** counters (suggest vs evaluate vs
+ingest vs similarity) summed over shards, so a regression in either SLI
+can be attributed to the phase that grew; the bench-smoke job uploads
+the ``phase.*`` keys as their own artifact.  The phases run one at a
+time on the pool's runner thread, so their sum is asserted to fit
+within the scenario's wall time.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/test_perf_service.py -s``
 """
@@ -60,6 +62,9 @@ SCENARIO = LoadScenario(
 
 def test_perf_service_load():
     report = run_load(SCENARIO)
+    counters = report.counters
+    phases = sorted({key.split(".")[1] for key in counters
+                     if key.startswith("phase.")})
 
     # Acceptance: the whole population deploys and every run is ingested.
     assert report.tenants_deployed == SCENARIO.n_tenants
@@ -77,11 +82,12 @@ def test_perf_service_load():
 
     # The burst must actually exercise admission control (1000 tenants
     # against a 256-slot queue), and retries must absorb every rejection.
-    assert sum(report.rejections.values()) > 0
+    assert sum(value for key, value in counters.items()
+               if key.startswith("admission.n_rejected.")) > 0
 
     # Same-fingerprint tenants share shards: their canonical probes are
     # warm-cache answers on the shard that saw them first.
-    assert sum(report.stats["shards"]["engine_hits_by_shard"]) > 0
+    assert counters["engine.hits"] > 0
 
     # Latency SLIs are well-formed.
     assert report.tune_latency_p99_s >= report.tune_latency_p50_s > 0
@@ -92,12 +98,13 @@ def test_perf_service_load():
 
     # The pool-wide per-phase wall-time breakdown (suggest vs evaluate
     # vs ingest vs similarity) must cover the phases this load exercises.
-    assert set(report.per_phase) >= {"suggest", "evaluate", "ingest"}
-    for phase in report.per_phase.values():
-        assert phase["seconds"] >= 0.0 and phase["calls"] >= 1
+    assert set(phases) >= {"suggest", "evaluate", "ingest"}
+    for phase in phases:
+        assert counters[f"phase.{phase}.seconds"] >= 0.0
+        assert counters[f"phase.{phase}.calls"] >= 1
     # One runner thread runs the phases one at a time, so they add up to
     # at most the wall clock.
-    phase_s = sum(phase["seconds"] for phase in report.per_phase.values())
+    phase_s = sum(counters[f"phase.{phase}.seconds"] for phase in phases)
     assert phase_s <= report.wall_s
 
     out = {
@@ -118,16 +125,12 @@ def test_perf_service_load():
                 "tune_latency_p99_s": report.tune_latency_p99_s,
                 "tenants_deployed": report.tenants_deployed,
                 "tenants_denied": report.tenants_denied,
-                "rejections": report.rejections,
                 "slo_attained": report.slo_attained,
                 "slo_missed": report.slo_missed,
                 "tuning_cost_usd": report.tuning_cost_usd,
                 "production_cost_usd": report.production_cost_usd,
                 "history_records": report.history_records,
-                "admission": report.stats["admission"],
-                "scheduler": report.stats["scheduler"],
-                "shards": report.stats["shards"],
-                "per_phase": report.per_phase,
+                "counters": counters,
             },
         },
     }
@@ -140,5 +143,5 @@ def test_perf_service_load():
           f"{report.tune_latency_p50_s:>7.1f}s"
           f"{report.tune_latency_p99_s:>7.1f}s")
     print("per-phase: " + "  ".join(
-        f"{name} {p['seconds']:.1f}s/{p['calls']}"
-        for name, p in sorted(report.per_phase.items())))
+        f"{phase} {counters[f'phase.{phase}.seconds']:.1f}s/"
+        f"{counters[f'phase.{phase}.calls']}" for phase in phases))

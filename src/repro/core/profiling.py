@@ -1,13 +1,14 @@
 """Per-phase wall-time profiling for the tuning service hot path.
 
-PR 7's service bench reports end-to-end runs/s and p99 latency, but
-neither says *where* a deployment's time goes — suggest (surrogate
-refit + acquisition), evaluate (simulator executions), ingest
-(production-run recording), or similarity (transfer lookup + SLO
-reference).  :class:`PhaseProfiler` accumulates wall time and call
-counts per named phase so the service surfaces that split in
-``counters()`` and ``BENCH_service.json`` — the observability that
-justified the suggest-path work and guards it against regressing.
+End-to-end runs/s and p99 latency do not say *where* a deployment's
+time goes — suggest (surrogate refit + acquisition), evaluate
+(simulator executions), ingest (production-run recording), or
+similarity (transfer lookup + SLO reference).  :class:`PhaseProfiler`
+accumulates wall time and call counts per named phase, and reports them
+as flat counters (``"<phase>.seconds"``, ``"<phase>.calls"``), the one
+telemetry shape of the service stack.  An owner of other telemetry
+sources puts each source's counters under a prefix with
+:func:`prefixed`; the shard pool adds its shards' counters key by key.
 
 Timing uses ``time.perf_counter`` (monotonic, telemetry-grade — the
 wall-clock functions are banned from the deterministic scopes by
@@ -23,12 +24,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Mapping
 
-__all__ = ["PhaseProfiler"]
-
-#: canonical phase names the service stack records
-PHASES = ("suggest", "evaluate", "ingest", "similarity")
+__all__ = ["PhaseProfiler", "prefixed"]
 
 
 class PhaseProfiler:
@@ -45,33 +43,20 @@ class PhaseProfiler:
         try:
             yield
         finally:
-            self.add(name, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            self._seconds[name] = self._seconds.get(name, 0.0) + elapsed
+            self._calls[name] = self._calls.get(name, 0) + 1
 
-    def add(self, name: str, seconds: float, calls: int = 1) -> None:
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-        self._calls[name] = self._calls.get(name, 0) + calls
-
-    def merge(self, other: "PhaseProfiler") -> None:
-        """Fold another profiler's totals into this one (aggregation)."""
-        for name, seconds, calls in other.rows():
-            self.add(name, seconds, calls)
-
-    def rows(self) -> list[tuple[str, float, int]]:
-        return [
-            (name, self._seconds[name], self._calls[name])
-            for name in sorted(self._seconds)
-        ]
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """``{phase: {"seconds": total, "calls": n, "mean_ms": per-call}}``."""
-        out: dict[str, dict[str, float]] = {}
-        for name, seconds, calls in self.rows():
-            out[name] = {
-                "seconds": seconds,
-                "calls": calls,
-                "mean_ms": 1e3 * seconds / calls if calls else 0.0,
-            }
+    def counters(self) -> dict[str, int | float]:
+        """``"<phase>.seconds"`` and ``"<phase>.calls"`` for each phase."""
+        out: dict[str, int | float] = {}
+        for name in sorted(self._seconds):
+            out[f"{name}.seconds"] = self._seconds[name]
+            out[f"{name}.calls"] = self._calls[name]
         return out
 
-    def total_seconds(self) -> float:
-        return sum(self._seconds.values())
+
+def prefixed(prefix: str,
+             counters: Mapping[str, int | float]) -> dict[str, int | float]:
+    """``counters`` with every key put under ``prefix.``."""
+    return {f"{prefix}.{key}": value for key, value in counters.items()}

@@ -37,7 +37,7 @@ from ..tuning.base import Tuner, TuningResult
 from ..tuning.bo.bayesopt import BayesOptTuner
 from .characterization import probe_configuration, signature, signatures
 from .history import HistoryStore
-from .profiling import PhaseProfiler
+from .profiling import PhaseProfiler, prefixed
 from .retuning import DriftDetector, PageHinkleyDetector
 from .slo import SLOMetric, SLOReport, TuningSLO, evaluate_slo
 from .transfer import build_transfer_plan
@@ -146,16 +146,19 @@ class TuningService:
         self._session_counter += slots
         return self.seed + _SEED_STRIDE * first
 
-    def counters(self) -> dict:
-        """One telemetry snapshot: engine, per-phase time, index state.
+    def counters(self) -> dict[str, int | float]:
+        """This service's telemetry, flat: the engine's, the simulator's,
+        the phase profiler's and the history index's counters under
+        ``engine.``, ``simulator.``, ``phase.`` and ``index.``.
 
         In a shard pool, read it after the pool's ``close()`` or inside
         a job: the runner owns this state.
         """
         return {
-            "engine": self.engine.counters(),
-            "phases": self.profiler.snapshot(),
-            "signature_index": self.store.index().counters(),
+            **prefixed("engine", self.engine.counters()),
+            **prefixed("simulator", self.simulator.counters()),
+            **prefixed("phase", self.profiler.counters()),
+            **prefixed("index", self.store.index().counters()),
         }
 
     def _campaign(self, tuner: Tuner, objective: EngineObjective,

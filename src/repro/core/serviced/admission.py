@@ -24,13 +24,16 @@ is gone, which is the paper's bounded-user-cost principle enforced at
 the front door.
 
 Every decision is counted, so rejection rates are a first-class service
-metric (they appear in the load report and ``BENCH_service.json``).
+metric (they appear in the load report's counters and
+``BENCH_service.json``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+
+from ..profiling import prefixed
 
 __all__ = [
     "REJECT_QUEUE_FULL",
@@ -112,12 +115,11 @@ class AdmissionController:
     def pending(self) -> int:
         return self._pending
 
-    def stats(self) -> dict:
-        """Decision counters for the service report."""
+    def counters(self) -> dict[str, int]:
+        """Pending requests, admissions, and ``n_rejected.<reason>`` for
+        each reason seen."""
         return {
             "pending": self._pending,
-            "max_pending": self.max_pending,
-            "per_tenant_inflight": self.per_tenant_inflight,
             "n_admitted": self.n_admitted,
-            "n_rejected": dict(self.n_rejected),
+            **prefixed("n_rejected", self.n_rejected),
         }

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from ...cloud.cluster import Cluster
+from ..profiling import prefixed
 from ..service import Deployment, TuningService, ingest_production_runs
 from ..slo import TuningSLO
 from .admission import AdmissionController
@@ -307,16 +308,17 @@ class ServiceFrontEnd:
         if self._dispatcher is not None:
             await asyncio.gather(self._dispatcher, return_exceptions=True)
 
-    def stats(self) -> dict:
-        """Admission + scheduler + shard-pool telemetry in one snapshot.
+    def counters(self) -> dict[str, int | float]:
+        """The admission and scheduler counters under ``admission.`` and
+        ``scheduler.``, then the shard pool's.
 
-        The shard part reads runner-owned state: call it after the
+        The pool's part reads runner-owned state: call it after the
         pool's ``close()``, never mid-run from the loop.
         """
         return {
-            "admission": self.admission.stats(),
-            "scheduler": self.scheduler.stats(),
-            "shards": self.pool.stats(),
+            **prefixed("admission", self.admission.counters()),
+            **prefixed("scheduler", self.scheduler.counters()),
+            **self.pool.counters(),
         }
 
 

@@ -19,9 +19,9 @@ engine cache — the cross-tenant amortization the sharding exists for.
 
 :func:`run_load` returns a :class:`LoadReport` with the two headline
 SLIs (run throughput, p99 submit-to-deploy latency, timed from each
-tenant's first tune attempt) plus the admission, scheduler, shard and
-billing telemetry — this is what ``benchmarks/test_perf_service.py``
-writes into ``BENCH_service.json``.
+tenant's first tune attempt), billing totals, and the stack's flat
+counters — this is what ``benchmarks/test_perf_service.py`` writes into
+``BENCH_service.json``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from ...workloads import get_workload
 from ...workloads.suite import SUITE
 from ..history import HistoryStore
 from ..histlog import HistoryLog
+from ..profiling import prefixed
 from ..service import TuningService
 from ..slo import SLOMetric, TuningSLO
 from .admission import REJECT_BUDGET, AdmissionController
@@ -95,31 +96,15 @@ class LoadReport:
     #: and their backoff included) to the deployment
     tune_latency_p50_s: float
     tune_latency_p99_s: float
-    rejections: dict = field(default_factory=dict)
     slo_attained: int = 0
     slo_missed: int = 0
     tuning_cost_usd: float = 0.0
     production_cost_usd: float = 0.0
     history_records: int = 0
-    stats: dict = field(default_factory=dict)
-    #: pool-wide per-phase wall-time split (suggest/evaluate/ingest/
-    #: similarity), merged across every shard's service profiler
-    per_phase: dict = field(default_factory=dict)
-
-    def to_metrics(self) -> dict:
-        """Flat numeric dict for ``BENCH_service.json``."""
-        return {
-            "wall_s": self.wall_s,
-            "tenants": float(self.scenario.n_tenants),
-            "tenants_deployed": float(self.tenants_deployed),
-            "runs_submitted": float(self.runs_submitted),
-            "runs_per_s": self.runs_per_s,
-            "tune_latency_p50_s": self.tune_latency_p50_s,
-            "tune_latency_p99_s": self.tune_latency_p99_s,
-            "rejections_total": float(sum(self.rejections.values())),
-            "slo_attained": float(self.slo_attained),
-            "history_records": float(self.history_records),
-        }
+    #: the front end's counters (admission, scheduler, and the pool's
+    #: per-shard jobs and shard-summed engine, simulator and phase
+    #: counters) plus the shared history index's under ``index.``
+    counters: dict = field(default_factory=dict)
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -198,9 +183,6 @@ async def _tenant(frontend: ServiceFrontEnd, scenario: LoadScenario,
     outcome = await _submit_with_retry(frontend, tune, scenario)
     if not outcome.accepted:
         totals["denied"] += 1
-        totals["final_rejections"][outcome.reason] = (
-            totals["final_rejections"].get(outcome.reason, 0) + 1
-        )
         return
     totals["deployed"] += 1
     totals["tune_latencies"].append(time.monotonic() - t_first)
@@ -220,13 +202,7 @@ async def _tenant(frontend: ServiceFrontEnd, scenario: LoadScenario,
     results = await asyncio.gather(*[
         _submit_with_retry(frontend, b, scenario) for b in batches
     ])
-    for r in results:
-        if r.accepted:
-            totals["runs"] += r.runs_submitted
-        else:
-            totals["final_rejections"][r.reason] = (
-                totals["final_rejections"].get(r.reason, 0) + 1
-            )
+    totals["runs"] += sum(r.runs_submitted for r in results if r.accepted)
 
 
 async def _drive(frontend: ServiceFrontEnd, scenario: LoadScenario,
@@ -255,7 +231,7 @@ def run_load(scenario: LoadScenario = LoadScenario()) -> LoadReport:
     totals: dict = {
         "deployed": 0, "denied": 0, "runs": 0,
         "slo_attained": 0, "slo_missed": 0,
-        "tune_latencies": [], "final_rejections": {},
+        "tune_latencies": [],
     }
     t0 = time.monotonic()
     try:
@@ -263,7 +239,6 @@ def run_load(scenario: LoadScenario = LoadScenario()) -> LoadReport:
     finally:
         pool.close()
     wall = time.monotonic() - t0
-    rejections = dict(frontend.admission.stats()["n_rejected"])
     return LoadReport(
         scenario=scenario,
         wall_s=wall,
@@ -273,12 +248,11 @@ def run_load(scenario: LoadScenario = LoadScenario()) -> LoadReport:
         runs_per_s=totals["runs"] / wall if wall > 0 else 0.0,
         tune_latency_p50_s=_percentile(totals["tune_latencies"], 0.50),
         tune_latency_p99_s=_percentile(totals["tune_latencies"], 0.99),
-        rejections=rejections,
         slo_attained=totals["slo_attained"],
         slo_missed=totals["slo_missed"],
         tuning_cost_usd=sum(ledger.tuning_cost for ledger in ledgers),
         production_cost_usd=sum(ledger.production_cost for ledger in ledgers),
         history_records=len(store),
-        stats=frontend.stats(),
-        per_phase=pool.phase_totals(),
+        counters={**frontend.counters(),
+                  **prefixed("index", store.index().counters())},
     )

@@ -48,6 +48,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any
 
+from ..profiling import prefixed
 from ..slo import SLOReport, TuningSLO
 
 __all__ = ["TenantBudget", "SLOPriorityScheduler", "TUNE", "RUNS"]
@@ -175,12 +176,14 @@ class SLOPriorityScheduler:
         """Count ``seconds`` of runner time against ``kind``'s share."""
         self._served[kind] += seconds
 
-    def stats(self) -> dict:
+    def counters(self) -> dict[str, int | float]:
+        """Queue depth, pushes, pops, and ``served_s.<class>``: the
+        runner seconds each class has been served."""
         return {
             "queued": len(self),
             "n_pushed": self.n_pushed,
             "n_popped": self.n_popped,
-            "served_s": dict(self._served),
+            **prefixed("served_s", self._served),
         }
 
 

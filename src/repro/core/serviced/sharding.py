@@ -137,37 +137,26 @@ class ShardPool:
         self._jobs.put_nowait((self._shards[shard], job, future))
         return future
 
-    def stats(self) -> dict:
-        """Per-shard job counts plus each shard engine's amortization.
+    def counters(self) -> dict[str, int | float]:
+        """``shard<i>.jobs``, ``distinct_fingerprints``, and each
+        service's ``engine.*``, ``simulator.*`` and ``phase.*`` counters
+        summed over the shards.
 
-        Reads runner-owned state: call after :meth:`close` or inside a
-        job, never mid-run from another thread.
+        ``index.*`` is left out: shards may share one log and its index,
+        which a sum would count once per shard.  A shard's own values
+        are its service's (:meth:`service_of`).  Reads runner-owned
+        state: call after :meth:`close` or inside a job, never mid-run
+        from another thread.
         """
-        return {
-            "n_shards": len(self._shards),
-            "jobs_by_shard": [s.n_jobs for s in self._shards],
-            "distinct_fingerprints": len(self.jobs_by_fingerprint),
-            "engine_hits_by_shard": [
-                s.service.engine.stats.hits for s in self._shards
-            ],
-            # Where each shard's wall time went: suggest vs evaluate vs
-            # ingest vs similarity (see repro.core.profiling).
-            "phases_by_shard": [
-                s.service.profiler.snapshot() for s in self._shards
-            ],
+        out: dict[str, int | float] = {
+            f"shard{s.index}.jobs": s.n_jobs for s in self._shards
         }
-
-    def phase_totals(self) -> dict[str, dict[str, float]]:
-        """Pool-wide per-phase totals, merged across every shard.
-
-        Like :meth:`stats`, read after :meth:`close` or inside a job.
-        """
-        from ..profiling import PhaseProfiler
-
-        total = PhaseProfiler()
+        out["distinct_fingerprints"] = len(self.jobs_by_fingerprint)
         for shard in self._shards:
-            total.merge(shard.service.profiler)
-        return total.snapshot()
+            for key, value in shard.service.counters().items():
+                if not key.startswith("index."):
+                    out[key] = out.get(key, 0) + value
+        return out
 
     def close(self) -> None:
         """Run every queued job, then stop the runner."""

@@ -6,13 +6,13 @@ evaluate *thousands* of candidate configurations cheaply ("more than
 that layer: tuners hand it whole batches of candidates, it answers
 repeats from an LRU cache (cross-tenant amortization, principle 3 of the
 paper), runs the rest in-process through the simulator's batched path,
-and reports hit/miss/latency counters so the service can account for
-what tuning actually cost.
+and counts hits and misses so the service can account for what tuning
+actually cost.
 
 Determinism contract: every request carries its own noise seed, assigned
 by the caller *before* dispatch, so a batch's results do not depend on
-how it is grouped or answered from the cache.  No engine branch reads
-the wall clock; the clock only feeds the latency counters.
+how it is grouped or answered from the cache.  The engine reads no
+clock.
 
 Failure contract: a simulated failure (OOM kill, executor loss) is a
 result, flagged in ``ExecutionResult.success`` and settled by
@@ -27,7 +27,6 @@ it; in the multi-tenant service that is the shard pool's runner.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -38,7 +37,7 @@ from ..sparksim.dag import jobs_fingerprint
 from ..sparksim.metrics import ExecutionResult
 from ..sparksim.simulator import SparkSimulator
 from ..tuning.base import SimulationObjective
-from .cache import CacheStats, EvaluationCache
+from .cache import EvaluationCache
 from .executors import SerialExecutor
 
 __all__ = ["EvalRequest", "EvalRecord", "EvaluationEngine", "EngineObjective"]
@@ -75,7 +74,6 @@ class EvalRecord:
     request: EvalRequest
     result: ExecutionResult
     cached: bool
-    latency_s: float
 
 
 class EvaluationEngine:
@@ -109,7 +107,9 @@ class EvaluationEngine:
         else:
             raise ValueError("executor must be 'serial' or expose run_batch()")
         self.cache = EvaluationCache()
-        self.n_evaluated = 0         # simulations actually run (cache misses)
+        self.hits = 0                # requests answered without simulating
+        self.misses = 0              # requests the executor answered
+        self.n_evaluated = 0         # simulations actually run (unique misses)
         self.n_requested = 0         # total requests answered
         #: misses whose identity differs from a previously-seen request
         #: *only* by environment — the amortization the cross-tenant cache
@@ -117,16 +117,16 @@ class EvaluationEngine:
         self.n_env_distinct_misses = 0
         self._env_free_keys: set[tuple] = set()
 
-    @property
-    def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def counters(self) -> dict[str, Any]:
-        """Flat snapshot: cache hit/miss/latency plus request counts."""
-        snap: dict[str, Any] = dict(self.stats.snapshot())
-        snap.update(n_requested=self.n_requested, n_evaluated=self.n_evaluated,
-                    n_env_distinct_misses=self.n_env_distinct_misses)
-        return snap
+    def counters(self) -> dict[str, int]:
+        """Cache hits, misses and evictions, plus request counts."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.cache.evictions,
+            "n_requested": self.n_requested,
+            "n_evaluated": self.n_evaluated,
+            "n_env_distinct_misses": self.n_env_distinct_misses,
+        }
 
     # --- evaluation ----------------------------------------------------------
     def evaluate(self, request: EvalRequest) -> EvalRecord:
@@ -150,33 +150,26 @@ class EvaluationEngine:
         for i, (req, key) in enumerate(zip(requests, keys)):
             hit = self.cache.get(key)
             if hit is not None:
-                records[i] = EvalRecord(req, hit, cached=True, latency_s=0.0)
+                records[i] = EvalRecord(req, hit, cached=True)
             else:
                 miss_of_key.setdefault(key, []).append(i)
 
         if miss_of_key:
             unique = [requests[slots[0]] for slots in miss_of_key.values()]
-            start = time.perf_counter()
-            try:
-                results = self._executor.run_batch(unique)
-            except BaseException:
-                # An unanswered batch looked nothing up.
-                n_missed = sum(map(len, miss_of_key.values()))
-                self.cache.stats.misses -= n_missed
-                self.cache.stats.hits -= len(requests) - n_missed
-                raise
-            elapsed = time.perf_counter() - start
-            per_request = elapsed / len(unique)
+            results = self._executor.run_batch(unique)
             self.n_evaluated += len(unique)
             for (key, slots), result in zip(miss_of_key.items(), results):
                 self._note_env_distinct(key)
-                self.cache.put(key, result, latency_s=per_request)
+                self.cache.put(key, result)
                 first = slots[0]
                 for i in slots:
-                    records[i] = EvalRecord(
-                        requests[i], result,
-                        cached=(i != first), latency_s=per_request,
-                    )
+                    records[i] = EvalRecord(requests[i], result,
+                                            cached=(i != first))
+        # Counted once the batch is answered: in-batch repeats of a miss
+        # are misses, as the executor answered them.
+        n_missed = sum(map(len, miss_of_key.values()))
+        self.misses += n_missed
+        self.hits += len(requests) - n_missed
         self.n_requested += len(requests)
         return records  # type: ignore[return-value]
 

@@ -54,12 +54,3 @@ class ExecutorModel:
     def storage_capacity_mb(self) -> float:
         """Maximum cache footprint: storage may borrow all unified memory."""
         return self.unified_mb
-
-    def execution_capacity_mb(self, storage_used_mb: float) -> float:
-        """Execution pool size given the currently cached footprint.
-
-        Execution can evict cached blocks down to the immune storage
-        region, and additionally owns the off-heap pool.
-        """
-        protected = min(storage_used_mb, self.storage_immune_mb)
-        return max(0.0, self.unified_mb - protected) + self.offheap_mb

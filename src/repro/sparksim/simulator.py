@@ -191,6 +191,15 @@ class SparkSimulator:
         # Pooled per-candidate noise generators for the batch fast path.
         self._rng_pool = GeneratorPool()
 
+    def counters(self) -> dict[str, int]:
+        """Hits and misses of the plan cache and the cost-program cache."""
+        return {
+            "plan_cache_hits": self.plan_cache_hits,
+            "plan_cache_misses": self.plan_cache_misses,
+            "cost_cache_hits": self.cost_cache_hits,
+            "cost_cache_misses": self.cost_cache_misses,
+        }
+
     # --- plan cache -------------------------------------------------------
     def compile_workload(self, workload: Workload,
                          input_mb: float) -> CompiledWorkload:

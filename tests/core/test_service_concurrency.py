@@ -94,10 +94,10 @@ class TestEngineDispatch:
             outcomes.append([objective(c) for c in configs])
         for other in outcomes[1:]:
             assert other == outcomes[0]
-        stats = engine.stats
-        assert stats.lookups == 6 * len(configs)
-        assert stats.misses == len(configs)
-        assert stats.hits == stats.lookups - stats.misses
+        counters = engine.counters()
+        assert counters["n_requested"] == 6 * len(configs)
+        assert counters["misses"] == len(configs)
+        assert counters["hits"] == counters["n_requested"] - counters["misses"]
 
 
 class TestShardPoolUnderLoad:
@@ -132,7 +132,7 @@ class TestShardPoolUnderLoad:
         snap = log.snapshot()
         assert len(snap) == 120
         assert len({r.record_id for r in snap}) == 120
-        assert pool.stats()["distinct_fingerprints"] == 5
+        assert pool.counters()["distinct_fingerprints"] == 5
 
 
 #: the runner owns the first seven, the event loop the last four

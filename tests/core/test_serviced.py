@@ -1,6 +1,7 @@
 """Tests for the multi-tenant service layer (repro.core.serviced)."""
 
 import asyncio
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from repro.core.serviced import loadgen
 from repro.core.serviced.loadgen import LoadScenario, run_load
 from repro.core.slo import evaluate_slo
 from repro.tuning.random_search import RandomSearchTuner
-from repro.workloads import PageRank, Wordcount
+from repro.workloads import PageRank, Sort, Wordcount
 
 
 class TestAdmission:
@@ -56,10 +57,8 @@ class TestAdmission:
         decision = ctl.try_admit("a", budget_exhausted=True)
         assert not decision and decision.reason == REJECT_BUDGET
         ctl.try_admit("a")
-        stats = ctl.stats()
-        assert stats["n_admitted"] == 1
-        assert stats["n_rejected"] == {REJECT_BUDGET: 1}
-        assert stats["pending"] == 1
+        assert ctl.counters() == {"pending": 1, "n_admitted": 1,
+                                  f"n_rejected.{REJECT_BUDGET}": 1}
 
     def test_unmatched_release_raises(self):
         ctl = AdmissionController()
@@ -174,7 +173,9 @@ class TestScheduler:
         # a 1 s tune buys two 0.5 s ingest batches; ties go to tunes
         assert order == ["tune-0", "runs-0", "runs-1", "tune-1", "runs-2",
                          "tune-2"]
-        assert sched.stats()["served_s"] == {TUNE: 3.0, RUNS: 1.5}
+        counters = sched.counters()
+        assert counters[f"served_s.{TUNE}"] == 3.0
+        assert counters[f"served_s.{RUNS}"] == 1.5
 
     def test_a_class_reentering_after_idling_banks_no_credit(self):
         sched = SLOPriorityScheduler()
@@ -187,7 +188,9 @@ class TestScheduler:
         # tunes re-enter at the ingest class's 10 s, not at their idle 0 s
         sched.push(_Queued("tune-0", TUNE), shard=0)
         sched.push(_Queued("tune-1", TUNE), shard=0)
-        assert sched.stats()["served_s"] == {TUNE: 10.0, RUNS: 10.0}
+        counters = sched.counters()
+        assert counters[f"served_s.{TUNE}"] == counters[f"served_s.{RUNS}"] \
+            == 10.0
         assert sched.pop_ready()[1].name == "tune-0"
         sched.note_served(TUNE, 1.0)
         # with 10 s of idle credit, tune-1 would run next
@@ -403,8 +406,9 @@ class TestFrontEnd:
         assert sum(ledger.production_runs for ledger in ledgers) == 7
         assert outcome.deployment.tuning_evaluations == 4
         # each job's runner seconds reached its class, budget or not
-        served = frontend.scheduler.stats()["served_s"]
-        assert served[TUNE] > 0 and served[RUNS] > 0
+        counters = frontend.scheduler.counters()
+        assert counters[f"served_s.{TUNE}"] > 0
+        assert counters[f"served_s.{RUNS}"] > 0
 
     def test_same_fingerprint_tenants_share_a_shard_and_its_cache(self):
         frontend, pool, store, _ = _stack(n_shards=2)
@@ -422,7 +426,7 @@ class TestFrontEnd:
         assert a.shard == b.shard
         # both tenants probed with the same canonical config on the same
         # cluster: the second probe is a warm-cache answer on that shard
-        assert pool.service_of(a.shard).engine.stats.hits >= 1
+        assert pool.service_of(a.shard).counters()["engine.hits"] >= 1
 
     def test_budget_exhaustion_rejects_next_submission(self):
         frontend, pool, _, _ = _stack()
@@ -464,12 +468,61 @@ class TestFrontEnd:
         assert len(accepted) == 1
         assert {o.reason for o in rejected} == {REJECT_TENANT_CAP}
 
-    def test_stats_snapshot_has_all_layers(self):
+    def test_counters_have_all_layers(self):
         frontend, pool, _, _ = _stack()
         pool.close()                 # the runner's state is read after close
-        stats = frontend.stats()
-        assert set(stats) == {"admission", "scheduler", "shards"}
-        assert stats["shards"]["n_shards"] == 2
+        layers = {key.split(".")[0] for key in frontend.counters()}
+        assert layers == {"admission", "scheduler", "shard0", "shard1",
+                          "distinct_fingerprints", "engine", "simulator"}
+
+
+class TestTelemetrySurface:
+    """Every service object reports flat counters, and the front end's
+    engine, simulator and phase counters are its shards' sums."""
+
+    def test_counters_are_flat_and_the_pool_sums_its_shards(self):
+        frontend, pool, _, _ = _stack(n_shards=2)
+        tenants = [("a", Wordcount()), ("b", Sort()), ("c", Wordcount())]
+
+        async def scenario():
+            for tenant, workload in tenants:
+                tuned = await frontend.submit(_tune_request(tenant, workload))
+                assert tuned.accepted
+                batches = await asyncio.gather(*[
+                    frontend.submit(RunBatchRequest(
+                        tenant=tenant, deployment=tuned.deployment,
+                        input_mb=2_000, n_runs=4,
+                    )) for _ in range(2)
+                ])
+                assert all(b.accepted for b in batches)
+            await frontend.close()
+
+        try:
+            asyncio.run(scenario())
+        finally:
+            pool.close()
+        counters = frontend.counters()
+        services = [pool.service_of(i).counters() for i in range(2)]
+        for flat in (counters, *services):
+            for key, value in flat.items():
+                assert isinstance(key, str)
+                assert type(value) in (int, float), (key, value)
+                assert math.isfinite(value), key
+        summed = {key for flat in services for key in flat
+                  if key.split(".")[0] in ("engine", "simulator", "phase")}
+        assert {"engine.hits", "simulator.plan_cache_misses",
+                "phase.ingest.seconds"} <= summed
+        for key in summed:
+            assert counters[key] == sum(flat.get(key, 0) for flat in services)
+        assert not any(key.startswith("index.") for key in counters)
+        for flat in services:
+            assert flat["engine.n_requested"] > 0
+            assert flat["engine.hits"] + flat["engine.misses"] == \
+                flat["engine.n_requested"]
+        jobs = [counters["shard0.jobs"], counters["shard1.jobs"]]
+        assert all(jobs)
+        assert sum(jobs) == counters["scheduler.n_popped"] \
+            == counters["admission.n_admitted"] == 3 * 3
 
 
 class TestLoadGenerator:
@@ -490,9 +543,11 @@ class TestLoadGenerator:
         assert report.history_records == 8 * (1 + 3) + 8 * 5
         assert report.production_cost_usd > 0
         assert report.tuning_cost_usd > 0
-        metrics = report.to_metrics()
-        assert metrics["runs_submitted"] == 40.0
-        assert all(isinstance(v, float) for v in metrics.values())
+        # one tune and one ingest batch per tenant, in flat counters
+        counters = report.counters
+        assert counters["scheduler.n_popped"] == 8 * 2
+        assert "index.records_indexed" in counters
+        assert all(type(v) in (int, float) for v in counters.values())
 
     def test_tune_latency_counts_rejected_attempts(self):
         """A tune admitted on its third attempt is timed from its first:
@@ -515,8 +570,7 @@ class TestLoadGenerator:
                                      deployment=deployment, latency_s=1e-6)
 
         totals = {"deployed": 0, "denied": 0, "runs": 0, "slo_attained": 0,
-                  "slo_missed": 0, "tune_latencies": [],
-                  "final_rejections": {}}
+                  "slo_missed": 0, "tune_latencies": []}
         asyncio.run(loadgen._tenant(FrontEnd(), scenario, 0, Wordcount(),
                                     totals))
         assert len(attempts) == 3 and totals["runs"] == 2
@@ -533,4 +587,4 @@ class TestLoadGenerator:
         report = run_load(scenario)
         # tuning itself is admitted (budget spends on completion), but
         # the follow-up ingest finds the budget gone
-        assert report.rejections.get(REJECT_BUDGET, 0) > 0
+        assert report.counters[f"admission.n_rejected.{REJECT_BUDGET}"] > 0

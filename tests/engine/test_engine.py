@@ -55,16 +55,15 @@ class TestFingerprintAndCache:
 
     def test_lru_eviction_and_counters(self):
         cache = EvaluationCache(capacity=2)
-        cache.put(("a",), 1, latency_s=0.5)
-        cache.put(("b",), 2, latency_s=0.5)
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)
         assert cache.get(("a",)) == 1            # refreshes recency
-        cache.put(("c",), 3, latency_s=0.5)      # evicts ("b",)
+        cache.put(("c",), 3)                     # evicts ("b",)
         assert cache.get(("b",)) is None
         assert cache.get(("c",)) == 3
-        assert cache.stats.evictions == 1
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == pytest.approx(2 / 3)
+        assert cache.get(("a",)) == 1
+        assert len(cache) == 2
+        assert cache.evictions == 1
 
 
 class TestEvaluationEngine:
@@ -324,6 +323,11 @@ class TestFailFast:
         fresh = EvaluationEngine().evaluate_batch(good)
         assert [r.result.runtime_s for r in records] == \
                [r.result.runtime_s for r in fresh]
+        # A raising batch that also held cache hits counts none of them.
+        answered = engine.counters()
+        with pytest.raises(ValueError, match="source size must be positive"):
+            engine.evaluate_batch([*good[:2], bad])
+        assert engine.counters() == answered
 
     def test_batch_path_exception_is_not_answered_per_request(self):
         engine = EvaluationEngine(executor=BatchPathDefectExecutor())

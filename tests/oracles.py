@@ -62,7 +62,8 @@ __all__ = ["ScalarSimulator", "compute_stage_cost", "TaskCost", "StageCost",
            "resolve_num_tasks", "schedule_stage", "StageSchedule",
            "shuffle_read", "shuffle_write", "ShuffleCost", "spill_outcome",
            "SpillOutcome", "CachePlan", "plan_cache",
-           "execution_per_task_mb", "RebuildBayesOptTuner",
+           "execution_capacity_mb", "execution_per_task_mb",
+           "RebuildBayesOptTuner",
            "find_similar_workloads_scan", "UngroupedExecutor",
            "run_production_reference"]
 
@@ -223,9 +224,21 @@ def plan_cache(cached_logical_mb: float, executors: int,
     )
 
 
+def execution_capacity_mb(executor: ExecutorModel,
+                          storage_used_mb: float) -> float:
+    """Execution pool size given the currently cached footprint.
+
+    Execution can evict cached blocks down to the immune storage
+    region, and additionally owns the off-heap pool.
+    """
+    protected = min(storage_used_mb, executor.storage_immune_mb)
+    return max(0.0, executor.unified_mb - protected) + executor.offheap_mb
+
+
 def execution_per_task_mb(executor: ExecutorModel,
                           storage_used_mb: float) -> float:
-    return executor.execution_capacity_mb(storage_used_mb) / executor.concurrent_tasks
+    return (execution_capacity_mb(executor, storage_used_mb)
+            / executor.concurrent_tasks)
 
 
 @dataclass(frozen=True)

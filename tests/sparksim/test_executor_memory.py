@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import Configuration, SPARK_DEFAULTS
 from repro.sparksim import ExecutorModel, gc_fraction
-from tests.oracles import plan_cache, spill_outcome
+from tests.oracles import execution_capacity_mb, plan_cache, spill_outcome
 
 
 def _config(**overrides):
@@ -35,9 +35,9 @@ class TestExecutorModel:
             "spark.executor.memory": 4096,
         }))
         # With nothing cached, execution gets the full unified pool.
-        assert ex.execution_capacity_mb(0.0) == pytest.approx(ex.unified_mb)
+        assert execution_capacity_mb(ex, 0.0) == pytest.approx(ex.unified_mb)
         # With a big cache, execution is pushed down to the immune boundary.
-        full = ex.execution_capacity_mb(ex.unified_mb)
+        full = execution_capacity_mb(ex, ex.unified_mb)
         assert full == pytest.approx(ex.unified_mb - ex.storage_immune_mb)
 
     def test_offheap_extends_execution(self):
@@ -46,8 +46,8 @@ class TestExecutorModel:
             "spark.memory.offHeap.enabled": True,
             "spark.memory.offHeap.size": 2048,
         }))
-        assert off.execution_capacity_mb(0) == pytest.approx(
-            base.execution_capacity_mb(0) + 2048
+        assert execution_capacity_mb(off, 0) == pytest.approx(
+            execution_capacity_mb(base, 0) + 2048
         )
 
     def test_tiny_heap_has_no_usable_memory(self):

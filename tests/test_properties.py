@@ -20,7 +20,7 @@ from repro.sparksim import RDD, compile_job, gc_fraction
 from repro.sparksim.scheduler import _list_schedule
 from repro.tuning.bo.acquisition import expected_improvement
 from repro.tuning.bo.kernels import Matern52, RBF
-from tests.oracles import spill_outcome
+from tests.oracles import execution_capacity_mb, spill_outcome
 
 
 # --- configuration space round trips -------------------------------------
@@ -242,7 +242,8 @@ def test_executor_memory_regions_partition_heap(heap, fraction, storage_fraction
     ex = ExecutorModel.from_config(config)
     assert 0 <= ex.storage_immune_mb <= ex.unified_mb <= max(0.0, heap - 300) + 1e-9
     # Execution capacity is monotone non-increasing in cached footprint.
-    caps = [ex.execution_capacity_mb(s) for s in (0.0, ex.unified_mb / 2, ex.unified_mb)]
+    caps = [execution_capacity_mb(ex, s)
+            for s in (0.0, ex.unified_mb / 2, ex.unified_mb)]
     assert caps[0] >= caps[1] >= caps[2] >= 0
 
 
